@@ -9,11 +9,23 @@ with unit propagation, so a branch dies as soon as any equation loses its
 last variable without being satisfiable. An exhausted search is therefore a
 certificate that no table passes the checkers, relative to the relation set
 and degree bound.
+
+The solver keeps each constraint's residual as a plain dict from monomial to
+coefficient, with the set of variables still live in it. Assigning a variable
+substitutes it into the residuals that contain it and replaces them (never
+mutates them); the old residual and live set go on a single trail, together
+with the assignment itself, and backtracking pops the trail back to a mark.
+The DFS runs on an explicit stack of frames, so deep instances need no
+recursion limit. The search rules are those of the propagating DFS it
+replaced: the variable->constraint order, the LIFO propagation queue, values
+tried 0..p-1, fail-first picking with ties to the lowest constraint and then
+the lowest variable, a node counted before the budget is checked, and free
+variables set to 0. Residuals are the same polynomials, merely stored
+differently, so every node count and every found table is unchanged.
 """
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 
 from .algebra import AlgebraElement, JoinComplex, Monomial, monomial_in_graph_ideal
@@ -158,45 +170,100 @@ def compile_constraints(
 
 
 class _Solver:
+    """Propagating DFS over plain residuals, undone through one trail.
+
+    A residual maps a monomial, written as its variables repeated by exponent
+    in ascending order (x0^2*x3 is (0, 0, 3)), to a nonzero coefficient."""
+
     def __init__(self, p: int, nvars: int, constraints: list[SymPoly], node_cap: int):
         self.p = p
         self.node_cap = node_cap
         self.assign: list[int | None] = [None] * nvars
-        self.stacks: list[list[SymPoly]] = [[c] for c in constraints]
+        # residuals are never mutated: an assignment replaces them, so the
+        # trail can hold the old dict and live set by reference
+        self.residuals: list[dict[tuple[int, ...], int]] = [
+            {tuple(v for v, e in key for _ in range(e)): c for key, c in poly.terms.items()}
+            for poly in constraints
+        ]
+        self.live: list[set[int]] = [set().union(*terms) for terms in self.residuals]
+        self.count: list[int] = [len(live) for live in self.live]
         self.by_var: list[list[int]] = [[] for _ in range(nvars)]
-        for ci, poly in enumerate(constraints):
-            for v in poly.variables():
+        for ci, live in enumerate(self.live):
+            for v in live:
                 self.by_var[v].append(ci)
-        self.events: list[tuple[str, int]] = []
+        degree = max((len(key) for terms in self.residuals for key in terms), default=0)
+        self.powers = [[pow(x, e, p) for e in range(degree + 1)] for x in range(p)]
+        # (ci, old residual, old live set) for a replaced residual,
+        # (-1, var) for an assignment
+        self.trail: list[tuple] = []
         self.nodes = 0
 
     def _classify(self, ci: int, queue: list[tuple[int, int]]) -> bool:
-        poly = self.stacks[ci][-1]
-        left = poly.variables()
-        if not left:
-            return poly.is_zero()
-        if len(left) == 1:
-            v = next(iter(left))
-            roots = [x for x in range(self.p) if poly.substitute({v: x}).is_zero()]
-            if not roots:
+        """False on a conflict; queues the root of a residual in one variable
+        when that root is unique."""
+        live = self.live[ci]
+        if not live:
+            return not self.residuals[ci]
+        if len(live) == 1:
+            terms = [(len(key), c) for key, c in self.residuals[ci].items()]
+            root = None
+            for x, pw in enumerate(self.powers):
+                if sum(c * pw[e] for e, c in terms) % self.p == 0:
+                    if root is not None:
+                        return True
+                    root = x
+            if root is None:
                 return False
-            if len(roots) == 1:
-                queue.append((v, roots[0]))
+            queue.append((next(iter(live)), root))
         return True
 
     def _set(self, var: int, val: int, queue: list[tuple[int, int]]) -> bool:
-        cur = self.assign[var]
+        assign = self.assign
+        cur = assign[var]
         if cur is not None:
             return cur == val
-        self.assign[var] = val
-        self.events.append(("a", var))
+        assign[var] = val
+        trail = self.trail
+        trail.append((-1, var))
+        p = self.p
+        pw = self.powers[val]
+        residuals = self.residuals
+        lives = self.live
+        count = self.count
         for ci in self.by_var[var]:
-            poly = self.stacks[ci][-1]
-            if var not in poly.variables():
+            live = lives[ci]
+            if var not in live:
                 continue
-            self.stacks[ci].append(poly.substitute({var: val}))
-            self.events.append(("r", ci))
-            if not self._classify(ci, queue):
+            old = residuals[ci]
+            new: dict[tuple[int, ...], int] = {}
+            vars_left: set[int] = set()
+            cancelled = False
+            for key, c in old.items():
+                if var in key:
+                    e = key.count(var)
+                    c = c * pw[e] % p
+                    if not c:
+                        continue
+                    i = key.index(var)
+                    key = key[:i] + key[i + e :]
+                if key in new:
+                    c = (new[key] + c) % p
+                    if not c:
+                        del new[key]
+                        cancelled = True
+                        continue
+                new[key] = c
+                vars_left.update(key)
+            if cancelled:
+                vars_left = set().union(*new)
+            trail.append((ci, old, live))
+            residuals[ci] = new
+            lives[ci] = vars_left
+            n = count[ci] = len(vars_left)
+            if n == 0:
+                if new:
+                    return False
+            elif n == 1 and not self._classify(ci, queue):
                 return False
         return True
 
@@ -208,16 +275,24 @@ class _Solver:
         return True
 
     def _undo(self, mark: int) -> None:
-        while len(self.events) > mark:
-            kind, x = self.events.pop()
-            if kind == "a":
-                self.assign[x] = None
+        trail = self.trail
+        assign = self.assign
+        residuals = self.residuals
+        lives = self.live
+        count = self.count
+        while len(trail) > mark:
+            entry = trail.pop()
+            if entry[0] < 0:
+                assign[entry[1]] = None
             else:
-                self.stacks[x].pop()
+                ci, old, live = entry
+                residuals[ci] = old
+                lives[ci] = live
+                count[ci] = len(live)
 
     def solve(self) -> list[int] | None:
         queue: list[tuple[int, int]] = []
-        for ci in range(len(self.stacks)):
+        for ci in range(len(self.residuals)):
             if not self._classify(ci, queue):
                 return None
         if not self._propagate(queue):
@@ -227,42 +302,50 @@ class _Solver:
     def _pick_variable(self) -> int | None:
         """Unassigned variable from the tightest live constraint (fail-first);
         ties break to the lowest constraint index, then the lowest variable."""
-        best_n = None
-        best_ci = None
-        for ci, stack in enumerate(self.stacks):
-            left = stack[-1].variables()
-            n = len(left)
-            if n == 0:
-                continue  # satisfied residual (conflicts never survive propagation)
-            if best_n is None or n < best_n:
+        best_n = 0
+        best_ci = -1
+        for ci, n in enumerate(self.count):
+            # n == 0 is a satisfied residual (conflicts never survive propagation)
+            if n and (not best_n or n < best_n):
                 best_n, best_ci = n, ci
                 if n == 1:
                     break
-        if best_ci is None:
+        if best_ci < 0:
             return None
-        return min(self.stacks[best_ci][-1].variables())
+        return min(self.live[best_ci])
 
     def _dfs(self) -> list[int] | None:
+        """Depth-first over the values 0..p-1 of each picked variable, on an
+        explicit stack of [var, next value, trail mark] frames. Trying a value
+        first undoes the trail back to its frame's mark, which also undoes
+        every deeper frame."""
+        frames: list[list[int]] = []
         var = self._pick_variable()
-        if var is None:
-            # every constraint is satisfied; remaining variables are free
-            return [v if v is not None else 0 for v in self.assign]
-        for val in range(self.p):
-            self.nodes += 1
-            if self.nodes > self.node_cap:
-                raise SearchSpaceExceeded(
-                    f"node budget of {self.node_cap} exceeded after exploring"
-                    f" {self.nodes} branch nodes"
-                    f" (full coefficient space {self.p}^{len(self.assign)})",
-                    self.p ** len(self.assign),
-                )
-            mark = len(self.events)
-            if self._propagate([(var, val)]):
-                res = self._dfs()
-                if res is not None:
-                    return res
-            self._undo(mark)
-        return None
+        while var is not None:
+            frames.append([var, 0, len(self.trail)])
+            while True:
+                if not frames:
+                    return None
+                frame = frames[-1]
+                var, val, mark = frame
+                if val == self.p:
+                    frames.pop()
+                    continue
+                frame[1] = val + 1
+                self._undo(mark)
+                self.nodes += 1
+                if self.nodes > self.node_cap:
+                    raise SearchSpaceExceeded(
+                        f"node budget of {self.node_cap} exceeded after exploring"
+                        f" {self.nodes} branch nodes"
+                        f" (full coefficient space {self.p}^{len(self.assign)})",
+                        self.p ** len(self.assign),
+                    )
+                if self._propagate([(var, val)]):
+                    break
+            var = self._pick_variable()
+        # every constraint is satisfied; remaining variables are free
+        return [v if v is not None else 0 for v in self.assign]
 
 
 def table_from_assignment(
@@ -302,18 +385,15 @@ def search_action(
     """
     if not is_odd_prime(p):
         raise ContractError(f"action search needs an odd prime, got {p}")
+    if node_cap < 0:
+        raise ContractError(f"node cap must be non-negative, got {node_cap}")
     bound = default_degree_bound(p) if degree_bound is None else degree_bound
     relations = default_relation_set(p) if relation_set is None else tuple(relation_set)
     blocks, nvars = unknown_entry_blocks(ambient, p)
     entry_fn = _symbolic_entry_fn(ambient, p, blocks)
     constraints = compile_constraints(ambient, p, relations, bound, entry_fn)
     solver = _Solver(p, nvars, constraints, node_cap)
-    old_limit = sys.getrecursionlimit()
-    sys.setrecursionlimit(max(old_limit, 3 * nvars + 1000))
-    try:
-        assignment = solver.solve()
-    finally:
-        sys.setrecursionlimit(old_limit)
+    assignment = solver.solve()
     names = tuple(r.name for r in relations)
     if assignment is None:
         return SearchOutcome("exhausted", None, names, bound, nvars, solver.nodes)

@@ -1,8 +1,7 @@
 """Sparse multivariate polynomials over F_p with integer-indexed variables.
 
-Just enough algebra for compiling action-search constraints: ring operations,
-partial substitution, and classification of residuals (constant / single
-remaining variable) for propagation.
+Just enough algebra for compiling action-search constraints: ring operations
+and a canonical key for deduplication. The solver reads `terms` directly.
 """
 
 from __future__ import annotations
@@ -13,12 +12,11 @@ _UNIT: Key = ()
 
 
 class SymPoly:
-    __slots__ = ("p", "terms", "_vars")
+    __slots__ = ("p", "terms")
 
     def __init__(self, p: int, terms: dict[Key, int]):
         self.p = p
         self.terms = {k: c % p for k, c in terms.items() if c % p}
-        self._vars: frozenset[int] | None = None
 
     @staticmethod
     def const(p: int, c: int) -> "SymPoly":
@@ -33,14 +31,6 @@ class SymPoly:
 
     def is_const(self) -> bool:
         return all(k == _UNIT for k in self.terms)
-
-    def const_value(self) -> int:
-        return self.terms.get(_UNIT, 0)
-
-    def variables(self) -> frozenset[int]:
-        if self._vars is None:
-            self._vars = frozenset(v for key in self.terms for v, _ in key)
-        return self._vars
 
     def __add__(self, other: "SymPoly") -> "SymPoly":
         acc = dict(self.terms)
@@ -63,22 +53,6 @@ class SymPoly:
             for k2, c2 in other.terms.items():
                 k = _merge_keys(k1, k2)
                 acc[k] = acc.get(k, 0) + c1 * c2
-        return SymPoly(self.p, acc)
-
-    def substitute(self, assignment: dict[int, int]) -> "SymPoly":
-        """Evaluate the given variables, keeping the rest symbolic."""
-        acc: dict[Key, int] = {}
-        for key, c in self.terms.items():
-            coeff = c
-            rest: list[tuple[int, int]] = []
-            for v, e in key:
-                if v in assignment:
-                    coeff = coeff * pow(assignment[v] % self.p, e, self.p) % self.p
-                else:
-                    rest.append((v, e))
-            if coeff:
-                k = tuple(rest)
-                acc[k] = acc.get(k, 0) + coeff
         return SymPoly(self.p, acc)
 
     def canonical_key(self) -> tuple:

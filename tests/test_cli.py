@@ -153,6 +153,14 @@ def test_action_search_cap_exit(capsys):
     code, _, err = run(capsys, ["action-search", "--free", "x:4", "--p", "3", "--cap", "1"])
     assert code == 3
     assert "budget" in err
+    assert "node budget of 1 exceeded after exploring 2 branch nodes" in err
+
+
+def test_action_search_negative_cap_is_input_error(capsys):
+    code, out, err = run(capsys, ["action-search", "--free", "x:4", "--p", "3", "--cap", "-5"])
+    assert code == 2
+    assert out == ""
+    assert "node cap must be non-negative" in err
 
 
 def test_build_complex_output(capsys, k3_file):
