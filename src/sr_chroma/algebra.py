@@ -240,19 +240,20 @@ class JoinComplex(_AmbientBase):
         i, j = sorted(ys)
         return (i, j) in self._edge_index_pairs
 
+    def maximal_graph_faces(self) -> list[frozenset[str]]:
+        """The graph part of each maximal face, in `maximal_faces` order: each
+        edge, then each isolated vertex; one empty face when there is neither."""
+        faces = [frozenset({y_label(u), y_label(v)}) for u, v in self.graph.sorted_edges()]
+        faces += [
+            frozenset({y_label(v)}) for v in self.graph.vertices if not self.graph.neighbors(v)
+        ]
+        return faces or [frozenset()]
+
     def maximal_faces(self) -> list[frozenset[str]]:
         """All maximal faces: every block generator plus one edge (or isolated
         vertex) of the graph; just the block generators when the graph is empty."""
         base = frozenset(self.gen_labels[: self._graph_start])
-        faces: list[frozenset[str]] = []
-        for u, v in self.graph.sorted_edges():
-            faces.append(base | {y_label(u), y_label(v)})
-        for v in self.graph.vertices:
-            if not self.graph.neighbors(v):
-                faces.append(base | {y_label(v)})
-        if not faces:
-            faces.append(base)
-        return faces
+        return [base | face for face in self.maximal_graph_faces()]
 
     def serialize_header(self) -> list[str]:
         lines = [f"blocks = {', '.join(f'{s}@{d}' for s, d in self.blocks) or '(none)'}"]

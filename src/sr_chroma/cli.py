@@ -321,9 +321,7 @@ def _cmd_necessary(opts: _Options) -> int:
 def _cmd_partition(opts: _Options) -> int:
     spec = _family_from(opts)
     g = _graph_from(opts)
-    certified = sufficiency_partition(
-        spec, g, _multiset_family_from(opts), opts.get("scheme")
-    )
+    certified = sufficiency_partition(spec, g, _multiset_family_from(opts))
     if certified is None:
         chi, _ = chromatic_number(g)
         lines = [f"no partition construction applies (chi = {chi})"]
@@ -471,7 +469,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--family", default=None, choices=("A", "Ap", "Bp", "B", "A_p", "B_p"))
     sp.add_argument("--vector", default=None)
     sp.add_argument("--p", type=int, default=None)
-    sp.add_argument("--scheme", default=None, choices=("A", "B"))
     sp.add_argument("--multiset-family", dest="multiset_family", default=None)
     common(sp)
     sp.set_defaults(fn=_cmd_partition)

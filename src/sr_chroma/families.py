@@ -52,20 +52,6 @@ class FamilySpec:
     def first_bound(self) -> int:
         return self.vector[0]
 
-    @property
-    def uniform_n(self) -> int | None:
-        values = set(self.vector)
-        return values.pop() if len(values) == 1 else None
-
-    @property
-    def scheme(self) -> str | None:
-        """Partition scheme for the uniform constructions: A or B style multisets."""
-        if self.kind == "Ap":
-            return "A"
-        if self.kind in ("Bp", "B"):
-            return "B"
-        return None
-
     def describe(self) -> str:
         vec = ",".join(str(s) for s in self.vector)
         if self.kind == "A":

@@ -1,10 +1,13 @@
 """Sufficiency certificates and the realizability pipeline.
 
-Partitions of the complex's vertex set are checked against prescribed degree
-multisets per maximal face (the sufficiency criterion); block-size vectors
-are split into a weakly decreasing part plus an odd-slot part to drive the
-general construction; degree multisets of maximal faces are tested for
-decomposability into the realizable polynomial-algebra degree lists.
+A partition of the complex's generators certifies sufficiency when every
+maximal face meets every block in an allowed degree multiset or not at all;
+`verify_partition_family` is the one checker, in closed form per block. The
+one construction splits the block-size vector into a weakly decreasing part
+plus an odd-slot part (`decompose_s`) and lays out blocks from it; on uniform
+families it reproduces the coloring partition. Degree multisets of maximal
+faces are tested for decomposability into the realizable polynomial-algebra
+degree lists.
 """
 
 from __future__ import annotations
@@ -57,25 +60,6 @@ def scheme_multisets(p: int, scheme: str) -> tuple[tuple[int, ...], tuple[int, .
     else:
         raise ContractError(f"unknown scheme {scheme!r}")
     return partial + (2 * p + 2,), partial
-
-
-def _face_block_multiset(k: JoinComplex, face: frozenset[str], block: frozenset[str]) -> tuple[int, ...]:
-    degrees = [k.gen_degrees[k.label_index[lbl]] for lbl in face & block]
-    return tuple(sorted(degrees))
-
-
-def verify_partition(k: JoinComplex, part: Partition, scheme: str) -> bool:
-    """Every maximal face must meet every block in the scheme's full multiset,
-    its partial version, or not at all."""
-    part.validate_against(k)
-    p = (k.graph_degree - 2) // 2
-    full, partial = scheme_multisets(p, scheme)
-    allowed = {full, partial, ()}
-    return all(
-        _face_block_multiset(k, face, block) in allowed
-        for face in k.maximal_faces()
-        for block in part.blocks
-    )
 
 
 class DegreeMultisetFamily:
@@ -373,16 +357,31 @@ def partition_from_decomposition(
 
 
 def verify_partition_family(k: JoinComplex, part: Partition, family: DegreeMultisetFamily | None = None) -> bool:
-    """Generalized multiset check: every nonempty face/block intersection must
-    carry an allowed degree multiset."""
+    """The sufficiency check: every nonempty intersection of a maximal face with
+    a block must carry an allowed degree multiset (default family if None).
+
+    A maximal face is all block generators plus a graph face (an edge, an
+    isolated vertex, or nothing), so it meets a block in the block's own
+    x-generators plus t = |graph face & block| graph generators. Each block is
+    checked once per distinct t in {0, 1, 2}, not once per face."""
     fam = family if family is not None else DEFAULT_FAMILY
     part.validate_against(k)
-    for face in k.maximal_faces():
-        for block in part.blocks:
-            ms = _face_block_multiset(k, face, block)
+    graph_faces = k.maximal_graph_faces()
+    for block in part.blocks:
+        indices = [k.label_index[lbl] for lbl in block]
+        x_degrees = [k.gen_degrees[i] for i in indices if not k.is_graph_generator(i)]
+        for t in {len(face & block) for face in graph_faces}:
+            ms = tuple(sorted(x_degrees + [k.graph_degree] * t))
             if ms and not fam.is_allowed(ms):
                 return False
     return True
+
+
+def verify_partition(k: JoinComplex, part: Partition, scheme: str) -> bool:
+    """Every maximal face must meet every block in the scheme's full multiset,
+    its partial version, or not at all."""
+    p = (k.graph_degree - 2) // 2
+    return verify_partition_family(k, part, ExplicitFamily(scheme_multisets(p, scheme)))
 
 
 def chromatic_bounds(g: Graph, p: int) -> tuple[int, int]:
@@ -442,39 +441,37 @@ def _translate_partition(part: Partition, mapping: dict[str, str]) -> Partition:
 
 
 def sufficiency_partition(
-    spec: FamilySpec,
-    g: Graph,
-    family: DegreeMultisetFamily | None = None,
-    scheme: str | None = None,
+    spec: FamilySpec, g: Graph, family: DegreeMultisetFamily | None = None
 ) -> tuple[Partition, JoinComplex] | None:
-    """A verified partition certificate when one of the constructions applies:
-    the coloring partition for uniform families with chi <= n, otherwise the
-    decomposition construction through the general block shape. None when
-    neither applies. Certificates are re-verified before being returned."""
+    """A verified partition certificate from the decomposition construction,
+    or None when `decompose_s` finds no split of the general block-size vector
+    or the partition fails the caller's `family`.
+
+    For a uniform family with chi <= n the construction yields the coloring
+    partition (`partition_from_coloring`). B-style families are built in the
+    general shape, with block j at odd level 2j-1, and translated back. The
+    partition must pass the default family; that self-check raises
+    AssertionError on failure."""
     k = build_complex(spec, g)
     chi, coloring = chromatic_number(g)
-    n = spec.uniform_n
-    scheme = scheme if scheme is not None else spec.scheme
-    if scheme is not None and n is not None and chi <= n:
-        part = partition_from_coloring(k, coloring, scheme)
-        if not verify_partition(k, part, scheme):
-            raise AssertionError("coloring construction failed its own multiset check")
-        return part, k
     s_general = spec.general_vector()
     dec = decompose_s(s_general, chi)
     if dec is None:
         return None
-    k_general = build_complex(FamilySpec("A", s_general), g)
-    part = partition_from_decomposition(k_general, dec[0], dec[1], coloring)
-    if k_general.gen_labels != k.gen_labels:
-        # B-style block j sits in odd slot 2j-1 of the general shape
-        mapping = {}
-        for j, (size, _) in enumerate(k.blocks, 1):
-            for i in range(1, size + 1):
-                mapping[x_label(2 * j - 1, i)] = x_label(j, i)
-        part = _translate_partition(part, mapping)
-    if not verify_partition_family(k, part, family):
-        raise AssertionError("decomposition construction failed the multiset check")
+    if spec.kind in ("A", "Ap"):  # already in the general shape
+        part = partition_from_decomposition(k, dec[0], dec[1], coloring)
+    else:
+        k_general = build_complex(FamilySpec("A", s_general), g)
+        part = partition_from_decomposition(k_general, dec[0], dec[1], coloring)
+        part = _translate_partition(part, {
+            x_label(2 * j - 1, i): x_label(j, i)
+            for j, (size, _) in enumerate(k.blocks, 1)
+            for i in range(1, size + 1)
+        })
+    if not verify_partition_family(k, part):
+        raise AssertionError("decomposition construction failed its own multiset check")
+    if family is not None and not verify_partition_family(k, part, family):
+        return None
     return part, k
 
 
@@ -482,7 +479,7 @@ def check_realizable(
     spec: FamilySpec, g: Graph, family: DegreeMultisetFamily | None = None
 ) -> RealizabilityVerdict:
     """Necessary condition, then per-face multiset decomposability, then the
-    sufficiency constructions; anything left over is honestly inconclusive."""
+    sufficiency construction; anything left over is honestly inconclusive."""
     fam = family if family is not None else DEFAULT_FAMILY
     k = build_complex(spec, g)
     if spec.kind in ("Ap", "Bp", "B"):
@@ -509,7 +506,7 @@ def check_realizable(
                 face_multiset=ms,
                 note="maximal face multiset is not a union of allowed lists",
             )
-    certified = sufficiency_partition(spec, g, fam)
+    certified = sufficiency_partition(spec, g, family)
     if certified is not None:
         part, _ = certified
         return RealizabilityVerdict("CertifiedRealizable", partition=part, complex=k)

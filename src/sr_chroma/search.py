@@ -388,6 +388,8 @@ def search_action(
     if node_cap < 0:
         raise ContractError(f"node cap must be non-negative, got {node_cap}")
     bound = default_degree_bound(p) if degree_bound is None else degree_bound
+    if bound < 0:
+        raise ContractError(f"degree bound must be non-negative, got {bound}")
     relations = default_relation_set(p) if relation_set is None else tuple(relation_set)
     blocks, nvars = unknown_entry_blocks(ambient, p)
     entry_fn = _symbolic_entry_fn(ambient, p, blocks)

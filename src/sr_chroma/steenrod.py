@@ -382,6 +382,8 @@ def check_relations(
     p = table.p
     relations = default_relation_set(p) if relation_set is None else tuple(relation_set)
     bound = default_degree_bound(p) if degree_bound is None else degree_bound
+    if bound < 0:
+        raise ContractError(f"degree bound must be non-negative, got {bound}")
     ambient = table.ambient
     ring = IntCoeffs(p)
     cache: dict = {}

@@ -224,6 +224,26 @@ def oracle_face_set(k) -> set[frozenset[str]]:
     return faces
 
 
+def oracle_maximal_faces(k) -> list[frozenset[str]]:
+    """Inclusion-maximal elements of `oracle_face_set`: faces that no single
+    further generator extends to a face."""
+    faces = oracle_face_set(k)
+    return [f for f in faces if not any(f | {g} in faces for g in k.gen_labels if g not in f)]
+
+
+def oracle_verify_partition(k, part, fam, maximal_faces=None) -> bool:
+    """Every maximal face meets every block in an allowed multiset or not at
+    all, checked face by face; pass `maximal_faces` to reuse an enumeration."""
+    faces = oracle_maximal_faces(k) if maximal_faces is None else maximal_faces
+    degree = dict(zip(k.gen_labels, k.gen_degrees))
+    for face in faces:
+        for block in part.blocks:
+            ms = tuple(sorted(degree[lbl] for lbl in face & block))
+            if ms and not fam.is_allowed(ms):
+                return False
+    return True
+
+
 # -- multiset partition oracle -----------------------------------------------
 
 def oracle_multiset_decomposable(entries: tuple[int, ...], fam) -> bool:

@@ -80,6 +80,19 @@ def test_maximal_faces():
     assert frozenset({"x1^(1)", "y_3"}) in maximal_faces(k)
 
 
+def test_maximal_graph_faces_are_the_graph_parts_in_order():
+    g = Graph.build(["1", "2", "3", "4"], [("3", "1"), ("1", "2")])
+    k = b_complex(2, g)
+    assert k.maximal_graph_faces() == [
+        frozenset({"y_1", "y_2"}),
+        frozenset({"y_1", "y_3"}),
+        frozenset({"y_4"}),
+    ]
+    base = frozenset({"x1^(1)", "x2^(1)"})
+    assert maximal_faces(k) == [base | f for f in k.maximal_graph_faces()]
+    assert b_complex(2, Graph.build([], [])).maximal_graph_faces() == [frozenset()]
+
+
 def test_maximal_faces_incomparable_and_cover():
     for g in [complete_graph(3), path_graph(4), empty_graph(2)]:
         k = b_complex(2, g)

@@ -163,6 +163,23 @@ def test_action_search_negative_cap_is_input_error(capsys):
     assert "node cap must be non-negative" in err
 
 
+def test_action_search_negative_degree_bound_is_input_error(capsys):
+    code, out, err = run(
+        capsys, ["action-search", "--free", "x:4", "--p", "3", "--degree-bound", "-1"]
+    )
+    assert code == 2 and out == ""
+    assert "degree bound must be non-negative" in err
+
+
+def test_action_check_negative_degree_bound_is_input_error(capsys, tmp_path):
+    table_file = tmp_path / "empty.tbl"
+    table_file.write_text("")
+    argv = ["action-check", "--free", "x:4", "--p", "3", "--table", str(table_file)]
+    code, out, err = run(capsys, argv + ["--degree-bound", "-1"])
+    assert code == 2 and out == ""
+    assert "degree bound must be non-negative" in err
+
+
 def test_build_complex_output(capsys, k3_file):
     code, out, _ = run(capsys, ["build-complex", "--family", "B", "--vector", "2", k3_file])
     assert code == 0
@@ -189,6 +206,42 @@ def test_partition_command_non_uniform(capsys, edge_file, k3_file):
     assert "verified: True" in out
     code, _, _ = run(capsys, ["partition", "--family", "A", "--vector", "1,1", k3_file])
     assert code == 4  # chi = 3, no construction applies
+
+
+def _family_file(tmp_path, text):
+    path = tmp_path / "fam.txt"
+    path.write_text(text)
+    return str(path)
+
+
+def test_realizable_rechecks_partition_against_multiset_family(capsys, tmp_path, edge_file):
+    fam = _family_file(tmp_path, "4\n8\n")
+    code, out, err = run(
+        capsys, ["realizable", "--family", "B", "--vector", "2", "--multiset-family", fam, edge_file]
+    )
+    assert code == 4
+    assert out.splitlines()[0] == "status: Inconclusive"
+    assert "V_1" not in out and "Traceback" not in err
+
+
+def test_partition_rejected_by_multiset_family_is_inconclusive(capsys, tmp_path, edge_file):
+    fam = _family_file(tmp_path, "4\n6\n8\n")
+    base = ["--family", "A", "--vector", "2,1", "--multiset-family", fam, edge_file]
+    code, out, err = run(capsys, ["realizable"] + base)
+    assert code == 4
+    assert out.splitlines()[0] == "status: Inconclusive"
+    assert "Traceback" not in err
+    code, out, err = run(capsys, ["partition"] + base)
+    assert code == 4
+    assert out == "no partition construction applies (chi = 2)\n"
+    assert "Traceback" not in err
+
+
+def test_partition_scheme_option_is_gone(capsys, edge_file):
+    with pytest.raises(SystemExit) as exc:
+        main(["partition", "--family", "B", "--vector", "2", "--scheme", "A", edge_file])
+    assert exc.value.code == 2
+    assert "--scheme" in capsys.readouterr().err
 
 
 def test_decompose_command(capsys):

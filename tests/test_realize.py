@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from random import Random
 
 import pytest
@@ -10,10 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    all_graphs,
     complete_graph,
     cycle_graph,
     empty_graph,
+    oracle_maximal_faces,
     oracle_multiset_decomposable,
+    oracle_verify_partition,
     random_graph,
 )
 from sr_chroma.errors import ContractError
@@ -32,6 +36,7 @@ from sr_chroma.realize import (
     partition_from_coloring,
     partition_from_decomposition,
     scheme_multisets,
+    sufficiency_partition,
     validate_decomposition,
     verify_partition,
     verify_partition_family,
@@ -352,3 +357,98 @@ def test_verdict_trichotomy_fields():
             assert (v.span_gap is None) != (v.face is None)
         else:
             assert v.partition is None and v.span_gap is None and v.face is None
+
+
+def test_sufficiency_partition_is_the_coloring_partition_on_uniform_families():
+    # the decomposition construction reproduces the uniform coloring partition
+    # wherever that applies (chi <= n); the scheme is A for A_p, B for B and B_p
+    cases = 0
+    for order in range(6):
+        for g in all_graphs(order):
+            chi, coloring = chromatic_number(g)
+            for n in (chi, chi + 1):
+                for spec, scheme in (
+                    (FamilySpec("B", (n,)), "B"),
+                    (FamilySpec("Bp", (n, n), 5), "B"),
+                    (FamilySpec("Ap", (n, n), 3), "A"),
+                    (FamilySpec("Ap", (n,) * 4, 5), "A"),
+                ):
+                    k = build_complex(spec, g)
+                    expect = (partition_from_coloring(k, coloring, scheme), k)
+                    assert sufficiency_partition(spec, g) == expect, (spec, g)
+                    cases += 1
+    assert cases == 8 * sum(2 ** (v * (v - 1) // 2) for v in range(6))
+
+
+TWO_FAMILIES = (ExplicitFamily(((4,), (8,))), ExplicitFamily(((4,), (6,), (8,))))
+# admits the blocks of B's coloring partitions, so some verdicts under it are positive
+SOME_CHAINS = ExplicitFamily(((4,), (4, 8), (4, 6, 8)))
+
+
+def test_partition_rejected_by_callers_family_is_not_certified():
+    edge = complete_graph(2)
+    fam48, fam468 = TWO_FAMILIES
+    assert sufficiency_partition(FamilySpec("B", (2,)), edge, fam48) is None
+    assert check_realizable(FamilySpec("B", (2,)), edge, fam48).status == "Inconclusive"
+    assert sufficiency_partition(FamilySpec("A", (2, 1)), edge, fam468) is None
+    assert check_realizable(FamilySpec("A", (2, 1)), edge, fam468).status == "Inconclusive"
+    # the default family still certifies both
+    assert check_realizable(FamilySpec("B", (2,)), edge).status == "CertifiedRealizable"
+    assert check_realizable(FamilySpec("A", (2, 1)), edge).status == "CertifiedRealizable"
+
+
+def test_certified_partitions_pass_the_family_they_were_checked_with():
+    rng = Random(41)
+    specs = (
+        FamilySpec("B", (2,)),
+        FamilySpec("B", (3,)),
+        FamilySpec("Bp", (3, 2), 5),
+        FamilySpec("Ap", (2, 1), 3),
+        FamilySpec("A", (2, 1)),
+        FamilySpec("A", (1,)),
+    )
+    statuses = Counter()
+    for _ in range(30):
+        g = random_graph(rng, 5)
+        for spec in specs:
+            for fam in (None, SOME_CHAINS) + TWO_FAMILIES:
+                verdict = check_realizable(spec, g, fam)
+                statuses[fam is None, verdict.status] += 1
+                if verdict.status == "CertifiedRealizable":
+                    assert verify_partition_family(verdict.complex, verdict.partition, fam)
+    assert statuses[True, "CertifiedRealizable"] and statuses[False, "CertifiedRealizable"]
+    assert statuses[False, "Inconclusive"]
+
+
+def test_verify_partition_family_matches_face_oracle():
+    rng = Random(43)
+    specs = (
+        FamilySpec("B", (2,)),
+        FamilySpec("Bp", (2, 1), 5),
+        FamilySpec("Ap", (2, 1), 3),
+        FamilySpec("A", (1, 2)),
+    )
+    families = (DEFAULT_FAMILY, SOME_CHAINS) + TWO_FAMILIES
+    outcomes = Counter()
+    for _ in range(12):
+        g = random_graph(rng, 5)
+        for spec in specs:
+            k = build_complex(spec, g)
+            faces = oracle_maximal_faces(k)
+            assert sorted(map(sorted, faces)) == sorted(map(sorted, k.maximal_faces()))
+            parts = []
+            certified = sufficiency_partition(spec, g)
+            if certified is not None:
+                parts.append(certified[0])
+            for _ in range(10):
+                r = rng.randint(1, k.num_generators)
+                slots = [[] for _ in range(r)]
+                for lbl in k.gen_labels:
+                    slots[rng.randrange(r)].append(lbl)
+                parts.append(Partition(tuple(frozenset(b) for b in slots if b)))
+            for part in parts:
+                for fam in families:
+                    got = verify_partition_family(k, part, fam)
+                    assert got == oracle_verify_partition(k, part, fam, faces), (spec, g, part)
+                    outcomes[got] += 1
+    assert outcomes[True] > 50 and outcomes[False] > 50

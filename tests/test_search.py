@@ -111,6 +111,12 @@ def test_negative_node_cap_rejected():
         search_action(amb, 3, node_cap=0)
 
 
+def test_negative_degree_bound_rejected():
+    amb = FreePolynomialAlgebra((("x", 4),))
+    with pytest.raises(ContractError, match="degree bound"):
+        search_action(amb, 3, degree_bound=-1)
+
+
 def test_even_prime_rejected():
     amb = FreePolynomialAlgebra((("x", 4),))
     with pytest.raises(ContractError):

@@ -91,6 +91,13 @@ def test_check_relations_trivial_table_generator_level():
     assert report.ok
 
 
+def test_check_relations_rejects_negative_degree_bound():
+    amb = free(("x", 4))
+    t = SteenrodTable(3, amb, {("x", 1): amb.zero(3)})
+    with pytest.raises(ContractError, match="degree bound"):
+        check_relations(t, degree_bound=-1)
+
+
 def test_check_relations_z3y_always_violated():
     # Z/3[y], |y| = 8: P^1 P^3 (y) = 0 by degrees but P^4(y) = y^3
     amb = free(("y", 8))
