@@ -117,25 +117,24 @@ class _AmbientBase:
             return cached
         out: list[Monomial] = []
         n = self.num_generators
-        exps = [0] * n
-
-        def fill(i: int, remaining: int, support: tuple[int, ...]) -> None:
+        # (next generator, degree left, ((generator, exponent), ...) so far);
+        # an explicit stack, since the search is one level deep per generator
+        stack: list[tuple[int, int, tuple[tuple[int, int], ...]]] = [(0, degree, ())]
+        while stack:
+            i, remaining, chosen = stack.pop()
             if remaining == 0:
+                exps = [0] * n
+                for j, e in chosen:
+                    exps[j] = e
                 out.append(Monomial(tuple(exps)))
-                return
+                continue
             if i == n:
-                return
+                continue
+            stack.append((i + 1, remaining, chosen))
             d = self.gen_degrees[i]
-            fill(i + 1, remaining, support)
-            for e in range(1, remaining // d + 1):
-                new_support = support + (i,)
-                if not self.face_ok(new_support):
-                    break
-                exps[i] = e
-                fill(i + 1, remaining - e * d, new_support)
-            exps[i] = 0
-
-        fill(0, degree, ())
+            if d <= remaining and self.face_ok([j for j, _ in chosen] + [i]):
+                for e in range(1, remaining // d + 1):
+                    stack.append((i + 1, remaining - e * d, chosen + ((i, e),)))
         out.sort(key=self.monomial_key)
         result = tuple(out)
         self._basis_cache[degree] = result

@@ -10,6 +10,13 @@ last variable without being satisfiable. An exhausted search is therefore a
 certificate that no table passes the checkers, relative to the relation set
 and degree bound.
 
+Compilation has a kernel of its own (`_CompileKernel`): monomials are packed
+ints with a y-support bitmask for the face check, coefficients are plain dicts
+over the variables, and the Cartan series of a monomial is built from the
+memoized series of its prefix. The public checkers in `steenrod` keep their
+separate engine, so a found table is re-verified by code that shares nothing
+with the compile that produced it.
+
 The solver keeps each constraint's residual as a plain dict from monomial to
 coefficient, with the set of variables still live in it. Assigning a variable
 substitutes it into the residuals that contain it and replaces them (never
@@ -34,7 +41,6 @@ from .span import is_odd_prime
 from .steenrod import (
     PowerRelation,
     SteenrodTable,
-    apply_power,
     check_ideal_preservation,
     check_relations,
     check_unstability,
@@ -45,27 +51,6 @@ from .steenrod import (
 from .symbolic import SymPoly
 
 DEFAULT_NODE_CAP = 10**8
-
-
-class PolyCoeffs:
-    """SymPoly coefficients for the shared Cartan engine."""
-
-    def __init__(self, p: int):
-        self.p = p
-        self.zero = SymPoly.const(p, 0)
-        self.one = SymPoly.const(p, 1)
-
-    def add(self, a: SymPoly, b: SymPoly) -> SymPoly:
-        return a + b
-
-    def mul(self, a: SymPoly, b: SymPoly) -> SymPoly:
-        return a * b
-
-    def scale(self, a: SymPoly, c: int) -> SymPoly:
-        return a.scale(c)
-
-    def is_zero(self, a: SymPoly) -> bool:
-        return a.is_zero()
 
 
 @dataclass(frozen=True)
@@ -115,56 +100,188 @@ def unknown_entry_blocks(ambient, p: int) -> tuple[list[EntryBlock], int]:
     return blocks, offset
 
 
-def _symbolic_entry_fn(ambient, p: int, blocks: list[EntryBlock]):
-    by_key = {(b.label, b.k): b for b in blocks}
-    labels = ambient.gen_labels
-    degrees = ambient.gen_degrees
+class _CompileKernel:
+    """The Cartan formula over the unknown table entries, on plain data.
 
-    def fn(gen_index: int, j: int) -> dict[Monomial, SymPoly]:
-        label = labels[gen_index]
-        deg = degrees[gen_index]
-        if 2 * j > deg:
-            return {}
-        if 2 * j == deg:
-            top = Monomial(
-                tuple(p if t == gen_index else 0 for t in range(len(labels)))
+    A monomial is one int with a bit field per generator (generator i at bit
+    `i * width`), so multiplying monomials is adding ints; the field width
+    holds every exponent up to the degree bound, so no sum carries into the
+    next field. On a join complex each monomial also has a y-support bitmask
+    (bit i for graph generator i), and a product is face-supported exactly
+    when the union of the two masks is empty, one vertex or one edge. A
+    coefficient is a dict from a sorted tuple of variables, repeated by
+    exponent, to a nonzero int mod p.
+
+    A power series [P^0(m), ..., P^kmax(m)] maps each degree to a dict from
+    monomial to coefficient. The series of m is the series of m without its
+    last generator factor times the series of that generator: the left fold
+    over m's factors in generator order, memoized on every prefix, so every
+    dict is filled in the same order as by the verifier's engine.
+    """
+
+    def __init__(self, ambient, p: int, degree_bound: int, blocks: list[EntryBlock]):
+        self.ambient = ambient
+        self.p = p
+        # no exponent passes degree_bound // (least degree); degrees are >= 2
+        self.width = max(1, (degree_bound // min(ambient.gen_degrees, default=2)).bit_length())
+        self.blocks = {(ambient.label_index[b.label], b.k): b for b in blocks}
+        if isinstance(ambient, JoinComplex):
+            ys = ambient.graph_generator_indices()
+            y = ambient.y_index
+            edges = {(1 << y(u)) | (1 << y(v)) for u, v in ambient.graph.edges}
+            self.faces: set[int] | None = {0} | {1 << i for i in ys} | edges
+            self.ys = frozenset(ys)
+        else:
+            self.faces = None
+            self.ys = frozenset()
+        self.ymask: dict[int, int] = {0: 0}
+        self.gen_cache: dict[tuple[int, int], list[dict]] = {}
+        self.series_cache: dict[tuple[int, int], list[dict]] = {}
+
+    def pack(self, mono: Monomial) -> int:
+        w = self.width
+        packed = ymask = 0
+        for i in mono.support():
+            e = mono.exps[i]
+            assert e < 1 << w, "exponent exceeds its packed field"
+            packed += e << (w * i)
+            if i in self.ys:
+                ymask |= 1 << i
+        self.ymask[packed] = ymask
+        return packed
+
+    def _generator_series(self, gi: int, kmax: int) -> list[dict]:
+        key = (gi, kmax)
+        hit = self.gen_cache.get(key)
+        if hit is not None:
+            return hit
+        ambient, p = self.ambient, self.p
+        label = ambient.gen_labels[gi]
+        series: list[dict] = [{} for _ in range(kmax + 1)]
+        series[0] = {self.pack(ambient.generator_monomial(label)): {(): 1}}
+        top = ambient.gen_degrees[gi] // 2
+        for j in range(1, min(kmax, top) + 1):
+            if j == top:
+                series[j] = {self.pack(ambient.generator_monomial(label, p)): {(): 1}}
+                continue
+            block = self.blocks.get((gi, j))
+            if block is not None:
+                series[j] = {
+                    self.pack(m): {(block.offset + t,): 1} for t, m in enumerate(block.basis)
+                }
+        self.gen_cache[key] = series
+        return series
+
+    def _series(self, mono: int, kmax: int) -> list[dict]:
+        cache = self.series_cache
+        w = self.width
+        factors: list[int] = []  # generator indices peeled off the end
+        prefix = mono
+        while (prefix, kmax) not in cache:
+            if not prefix:
+                cache[(0, kmax)] = [{0: {(): 1}}] + [{} for _ in range(kmax)]
+                break
+            gi = (prefix.bit_length() - 1) // w
+            factors.append(gi)
+            prefix -= 1 << (w * gi)
+        series = cache[(prefix, kmax)]
+        for gi in reversed(factors):
+            prefix += 1 << (w * gi)
+            series = cache[(prefix, kmax)] = self._convolve(
+                series, self._generator_series(gi, kmax), kmax
             )
-            return {top: SymPoly.const(p, 1)}
-        block = by_key.get((label, j))
-        if block is None:
-            return {}
-        return {m: SymPoly.var(p, block.offset + t) for t, m in enumerate(block.basis)}
+        return series
 
-    return fn
+    def _convolve(self, s1: list[dict], s2: list[dict], kmax: int) -> list[dict]:
+        p = self.p
+        faces = self.faces
+        ymask = self.ymask
+        out: list[dict] = [{} for _ in range(kmax + 1)]
+        for i, t1 in enumerate(s1):
+            if not t1:
+                continue
+            for j in range(kmax - i + 1):
+                t2 = s2[j]
+                if not t2:
+                    continue
+                acc = out[i + j]
+                for m1, c1 in t1.items():
+                    y1 = ymask[m1] if faces is not None else 0
+                    for m2, c2 in t2.items():
+                        if faces is not None:
+                            y = y1 | ymask[m2]
+                            if y not in faces:
+                                continue
+                        m = m1 + m2
+                        coeff = acc.get(m)
+                        if coeff is None:
+                            coeff = acc[m] = {}
+                            if faces is not None:
+                                ymask[m] = y
+                        _add_product(coeff, c1, c2, p)
+        return [{m: c for m, c in d.items() if c} for d in out]
+
+    def power(self, terms: dict[int, dict], k: int) -> dict[int, dict]:
+        """P^k on monomial -> coefficient terms; P^0 is the identity."""
+        if k == 0:
+            return terms
+        p = self.p
+        out: dict[int, dict] = {}
+        for mono, coeff in terms.items():
+            for m, c in self._series(mono, k)[k].items():
+                acc = out.get(m)
+                if acc is None:
+                    acc = out[m] = {}
+                _add_product(acc, coeff, c, p)
+        return {m: c for m, c in out.items() if c}
+
+
+def _add_product(acc: dict, c1: dict, c2: dict, p: int) -> None:
+    """acc += c1 * c2 over F_p; a key whose coefficient cancels is removed."""
+    for k1, v1 in c1.items():
+        for k2, v2 in c2.items():
+            key = tuple(sorted(k1 + k2)) if k1 and k2 else k1 or k2
+            v = (acc.get(key, 0) + v1 * v2) % p
+            if v:
+                acc[key] = v
+            else:
+                del acc[key]
 
 
 def compile_constraints(
-    ambient, p: int, relations: tuple[PowerRelation, ...], degree_bound: int, entry_fn
+    ambient, p: int, relations: tuple[PowerRelation, ...], degree_bound: int, blocks: list[EntryBlock]
 ) -> list[SymPoly]:
-    ring = PolyCoeffs(p)
-    cache: dict = {}
+    """Each relation instance within the degree bound, lhs - rhs, as one
+    polynomial per monomial coefficient; duplicates and zeros dropped, first
+    occurrence kept."""
+    kernel = _CompileKernel(ambient, p, degree_bound, blocks)
     constraints: list[SymPoly] = []
     seen: set = set()
     for rel in relations:
         a, b = rel.lhs
+        # every term raises the degree as far as the lhs does, so with the
+        # instance bases below nothing passes the bound the fields are sized for
+        assert all(outer + inner == a + b for _, outer, inner in rel.rhs)
         for mono in relation_instance_bases(ambient, p, rel, degree_bound):
-            base = {mono: ring.one}
-            lhs = apply_power(
-                ambient, ring, entry_fn, apply_power(ambient, ring, entry_fn, base, b, cache), a, cache
-            )
-            diff: dict[Monomial, SymPoly] = dict(lhs)
+            base = {kernel.pack(mono): {(): 1}}
+            diff = kernel.power(kernel.power(base, b), a)
             for c, outer, inner in rel.rhs:
-                piece = apply_power(
-                    ambient, ring, entry_fn, apply_power(ambient, ring, entry_fn, base, inner, cache), outer, cache
-                )
-                for m, v in piece.items():
-                    diff[m] = ring.add(diff.get(m, ring.zero), v.scale(-c))
-            for poly in diff.values():
-                if poly.is_zero():
+                piece = kernel.power(kernel.power(base, inner), outer)
+                for m, coeff in piece.items():
+                    acc = diff.get(m)
+                    if acc is None:
+                        acc = diff[m] = {}
+                    _add_product(acc, coeff, {(): -c % p}, p)
+            for coeff in diff.values():
+                if not coeff:
                     continue
-                key = poly.canonical_key()
-                if key not in seen:
-                    seen.add(key)
+                poly = SymPoly(p, {  # (0, 0, 3) -> ((0, 2), (3, 1))
+                    tuple((v, key.count(v)) for v in sorted(set(key))): c
+                    for key, c in coeff.items()
+                })
+                canonical = poly.canonical_key()
+                if canonical not in seen:
+                    seen.add(canonical)
                     constraints.append(poly)
     return constraints
 
@@ -392,8 +509,7 @@ def search_action(
         raise ContractError(f"degree bound must be non-negative, got {bound}")
     relations = default_relation_set(p) if relation_set is None else tuple(relation_set)
     blocks, nvars = unknown_entry_blocks(ambient, p)
-    entry_fn = _symbolic_entry_fn(ambient, p, blocks)
-    constraints = compile_constraints(ambient, p, relations, bound, entry_fn)
+    constraints = compile_constraints(ambient, p, relations, bound, blocks)
     solver = _Solver(p, nvars, constraints, node_cap)
     assignment = solver.solve()
     names = tuple(r.name for r in relations)

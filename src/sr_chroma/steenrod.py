@@ -6,6 +6,13 @@ table to arbitrary elements. Checkers evaluate a configurable relation set on
 generators and graded bases, verify preservation of the per-vertex ideals,
 and extract the degree-4 leading coefficients of P^p that induce a span
 coloring of the underlying graph.
+
+The checkers evaluate the Cartan formula with their own plain engine over
+`Monomial` exponent tuples and integer coefficients. The action search
+compiles its constraints with a separate, faster kernel (`search.py`) and
+re-verifies every table it finds through these checkers; keeping the two
+engines apart means a compile bug cannot hide behind the same bug in the
+verifier.
 """
 
 from __future__ import annotations
@@ -28,31 +35,10 @@ from .span import FpVector, is_odd_prime, span_chromatic_number, span_membership
 
 
 # --------------------------------------------------------------------------
-# coefficient rings for the shared Cartan engine
+# the Cartan engine of the verifier
 # --------------------------------------------------------------------------
 
-class IntCoeffs:
-    """Arithmetic of F_p as plain reduced integers."""
-
-    def __init__(self, p: int):
-        self.p = p
-        self.zero = 0
-        self.one = 1
-
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def mul(self, a, b):
-        return (a * b) % self.p
-
-    def scale(self, a, c: int):
-        return (a * c) % self.p
-
-    def is_zero(self, a) -> bool:
-        return a == 0
-
-
-def _convolve(ambient, ring, s1, s2, kmax):
+def _convolve(ambient, p, s1, s2, kmax):
     out = [dict() for _ in range(kmax + 1)]
     for i, ti in enumerate(s1):
         if not ti:
@@ -67,21 +53,17 @@ def _convolve(ambient, ring, s1, s2, kmax):
                     m = m1 * m2
                     if ambient.reduce_monomial(m) is None:
                         continue
-                    c = ring.mul(c1, c2)
-                    if m in acc:
-                        acc[m] = ring.add(acc[m], c)
-                    else:
-                        acc[m] = c
-    return [{m: c for m, c in d.items() if not ring.is_zero(c)} for d in out]
+                    acc[m] = (acc.get(m, 0) + c1 * c2) % p
+    return [{m: c for m, c in d.items() if c} for d in out]
 
 
-def _generator_series(ambient, ring, entry_fn, gen_index, kmax, cache):
+def _generator_series(ambient, entry_fn, gen_index, kmax, cache):
     key = ("g", gen_index, kmax)
     hit = cache.get(key)
     if hit is not None:
         return hit
     series = [dict() for _ in range(kmax + 1)]
-    series[0] = {ambient.generator_monomial(ambient.gen_labels[gen_index]): ring.one}
+    series[0] = {ambient.generator_monomial(ambient.gen_labels[gen_index]): 1}
     top = ambient.gen_degrees[gen_index] // 2
     for j in range(1, min(kmax, top) + 1):
         series[j] = entry_fn(gen_index, j)
@@ -89,35 +71,32 @@ def _generator_series(ambient, ring, entry_fn, gen_index, kmax, cache):
     return series
 
 
-def _monomial_series(ambient, ring, entry_fn, mono: Monomial, kmax, cache):
+def _monomial_series(ambient, p, entry_fn, mono: Monomial, kmax, cache):
     key = (mono, kmax)
     hit = cache.get(key)
     if hit is not None:
         return hit
     series = [dict() for _ in range(kmax + 1)]
-    series[0] = {ambient.unit_monomial(): ring.one}
+    series[0] = {ambient.unit_monomial(): 1}
     for gi, e in enumerate(mono.exps):
         for _ in range(e):
-            gs = _generator_series(ambient, ring, entry_fn, gi, kmax, cache)
-            series = _convolve(ambient, ring, series, gs, kmax)
+            gs = _generator_series(ambient, entry_fn, gi, kmax, cache)
+            series = _convolve(ambient, p, series, gs, kmax)
     cache[key] = series
     return series
 
 
-def apply_power(ambient, ring, entry_fn, terms, k: int, cache) -> dict:
-    """P^k on a terms dict via linearity and the Cartan formula; P^0 = identity."""
+def apply_power(ambient, p: int, entry_fn, terms, k: int, cache) -> dict:
+    """P^k on a terms dict over F_p via linearity and the Cartan formula;
+    P^0 = identity."""
     if k == 0:
         return dict(terms)
     out: dict = {}
     for mono, coeff in terms.items():
-        series = _monomial_series(ambient, ring, entry_fn, mono, k, cache)
+        series = _monomial_series(ambient, p, entry_fn, mono, k, cache)
         for m, c in series[k].items():
-            cc = ring.mul(coeff, c)
-            if m in out:
-                out[m] = ring.add(out[m], cc)
-            else:
-                out[m] = cc
-    return {m: c for m, c in out.items() if not ring.is_zero(c)}
+            out[m] = (out.get(m, 0) + coeff * c) % p
+    return {m: c for m, c in out.items() if c}
 
 
 # --------------------------------------------------------------------------
@@ -314,8 +293,7 @@ def cartan_extend(table: SteenrodTable, a: AlgebraElement, k: int) -> AlgebraEle
         raise ContractError("operation index must be non-negative")
     if a.ambient != table.ambient or a.p != table.p:
         raise ContractError("element does not live in the table's algebra")
-    ring = IntCoeffs(table.p)
-    out = apply_power(table.ambient, ring, table.entry_fn(), a.terms_dict(), k, {})
+    out = apply_power(table.ambient, table.p, table.entry_fn(), a.terms_dict(), k, {})
     return AlgebraElement.make(table.ambient, table.p, out)
 
 
@@ -365,10 +343,9 @@ class CheckReport:
 
 
 def _eval_composite(table, outer: int, inner: int, base: dict, cache) -> dict:
-    ring = IntCoeffs(table.p)
     fn = table.entry_fn()
-    mid = apply_power(table.ambient, ring, fn, base, inner, cache)
-    return apply_power(table.ambient, ring, fn, mid, outer, cache)
+    mid = apply_power(table.ambient, table.p, fn, base, inner, cache)
+    return apply_power(table.ambient, table.p, fn, mid, outer, cache)
 
 
 def check_relations(
@@ -385,7 +362,6 @@ def check_relations(
     if bound < 0:
         raise ContractError(f"degree bound must be non-negative, got {bound}")
     ambient = table.ambient
-    ring = IntCoeffs(p)
     cache: dict = {}
     violations: list[Violation] = []
     for rel in relations:
@@ -397,7 +373,7 @@ def check_relations(
             for c, outer, inner in rel.rhs:
                 piece = _eval_composite(table, outer, inner, base, cache)
                 for m, v in piece.items():
-                    rhs[m] = ring.add(rhs.get(m, 0), ring.scale(v, c))
+                    rhs[m] = (rhs.get(m, 0) + v * c) % p
             rhs = {m: v for m, v in rhs.items() if v}
             if lhs != rhs:
                 lhs_el = AlgebraElement.make(ambient, p, lhs)

@@ -16,6 +16,7 @@ from sr_chroma.algebra import (
     maximal_faces,
     parse_free_algebra,
     reduce_monomial,
+    y_label,
 )
 from sr_chroma.errors import ContractError
 from sr_chroma.families import FamilySpec, build_complex, parse_family
@@ -156,6 +157,16 @@ def test_monomial_basis_is_face_filtered_brute_force():
     for d in range(0, 25, 2):
         brute = [m for m in _all_monomials(k, d) if k.reduce_monomial(m) is not None]
         assert sorted(brute, key=k.monomial_key) == list(k.monomial_basis(d))
+
+
+
+def test_monomial_basis_on_a_1500_vertex_path():
+    # one search level per generator: deeper than the default recursion limit
+    k = b_complex(1, path_graph(1500))
+    basis = k.monomial_basis(8)
+    x = k.gen_labels[0]
+    assert basis[0] == k.generator_monomial(x, 2)
+    assert basis[1:] == tuple(k.generator_monomial(y_label(v)) for v in k.graph.vertices)
 
 
 def test_hilbert_dimensions_free_vs_quotient():

@@ -180,6 +180,18 @@ def test_action_check_negative_degree_bound_is_input_error(capsys, tmp_path):
     assert "degree bound must be non-negative" in err
 
 
+
+def test_action_check_on_1200_generators(capsys, tmp_path):
+    # the relation bases enumerate every generator; only x0 is checked
+    table_file = tmp_path / "empty.tbl"
+    table_file.write_text("")
+    gens = ",".join(["x0:2"] + [f"x{i}:4" for i in range(1, 1200)])
+    argv = ["action-check", "--free", gens, "--p", "3", "--degree-bound", "18"]
+    code, out, err = run(capsys, argv + ["--table", str(table_file)])
+    assert (code, err) == (0, "")
+    assert out.startswith("relation check (relations=P^1P^3 = P^4, degree_bound=18): pass")
+
+
 def test_build_complex_output(capsys, k3_file):
     code, out, _ = run(capsys, ["build-complex", "--family", "B", "--vector", "2", k3_file])
     assert code == 0

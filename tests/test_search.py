@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+from random import Random
 
 import pytest
 
@@ -11,26 +12,30 @@ from sr_chroma.algebra import FreePolynomialAlgebra
 from sr_chroma.graph import Graph
 from sr_chroma.errors import ContractError, SearchSpaceExceeded
 from sr_chroma.families import FamilySpec, build_complex
-from sr_chroma.search import search_action, unknown_entry_blocks
+from sr_chroma.search import (
+    compile_constraints,
+    search_action,
+    table_from_assignment,
+    unknown_entry_blocks,
+)
 from sr_chroma.steenrod import (
     adem_relation,
     check_ideal_preservation,
     check_relations,
     check_unstability,
+    default_degree_bound,
+    default_relation_set,
     full_adem_relation_set,
 )
 from sr_chroma.symbolic import SymPoly
 
 
 def test_sympoly_arithmetic():
-    p = 5
-    x = SymPoly.var(p, 0)
-    y = SymPoly.var(p, 1)
-    poly = (x + y) * (x + y.scale(4))  # (x+y)(x-y) = x^2 - y^2
-    assert poly == x * x - y * y
-    assert poly.terms == {((0, 2),): 1, ((1, 2),): 4}
-    assert not poly.is_const() and poly - poly == SymPoly.const(p, 0)
-    assert (poly - poly).is_zero()
+    # coefficients are reduced mod p and zero terms dropped on construction
+    poly = SymPoly(5, {((1, 2),): 9, ((0, 2),): 6, ((0, 1), (1, 1)): 10, (): -1})
+    assert poly.terms == {((1, 2),): 4, ((0, 2),): 1, (): 4}
+    assert poly.canonical_key() == (((), 4), (((0, 2),), 1), (((1, 2),), 4))
+    assert SymPoly(5, {((0, 1),): 5}).terms == {}
 
 
 def test_exhausted_z3_single_generator():
@@ -39,6 +44,12 @@ def test_exhausted_z3_single_generator():
     assert out.status == "exhausted"
     assert "P^1P^3 = P^4" in out.relativity()
     assert "degree bound 24" in out.relativity()
+
+
+def test_search_without_generators():
+    k = build_complex(FamilySpec("B", (0,)), Graph.build([]))
+    out = search_action(k, 3)
+    assert (out.status, out.variables, out.table.entries) == ("found", 0, {})
 
 
 def test_exhausted_z3_three_generators():
@@ -221,3 +232,110 @@ def test_search_counters_match_oracle(p, make, status, nodes, variables, digest)
     assert (out.status, out.nodes, out.variables) == (status, nodes, variables)
     if digest is not None:
         assert hashlib.sha256(out.table.serialize().encode()).hexdigest() == digest
+
+
+# -- oracle: the compiled constraint list, in content and order --------------
+#
+# The DFS breaks ties by constraint index, so compile must keep the order as
+# well as the content. Digests are sha256 of the repr of
+# `[poly.canonical_key() for poly in constraints]` at the default degree
+# bound, plus three free algebras at high bounds whose exponents (up to 50 of
+# x:2, 30 of x:2 next to y:4, 25 of x:4) exercise the packed-exponent width.
+
+COMPILE_ORACLE = {
+    "B(2,C4)": "7c34e6c681a89b8dc1b6669aaac7753e2534cbc090aa2d4a7ddf159e33b09dbe",
+    "B(3,K3)": "bad9522231d76f77350613282d37802ce50f4928002a07dd5d4972bcb12b6b6d",
+    "B(3,C5)": "6988ca1ea61ff552b7333ee1d9ca9c0068ed5978372ffc56750ed7128c77c5e4",
+    "B(3,C6)": "104ba95f8d56fadfefae19d245992d188bd3609d9f5c12b66710e210edbf15e4",
+    "B(4,C4)": "a5eb1072b25b8fcf4d3b7fc6eac056fd24ff514025b45cfeb1b286b97c177e9c",
+    "A_3(3,3),C4": "11e50ba4ed23390d966bda5afbd82557e4266fb8f802b70da017af6c6b87d428",
+    "B_5(2,1),K2": "e2b30bc55694ee736a46a9599487fbce2e4384225e951e1f02ec11e235311ae0",
+    "B_5(2,2),K2": "eff86bcbb326f478d627dba48e57ac18f923e6a8a5d110c3ce63d3d01418a498",
+    "Z/5[x1:4,x2:8,y:12]": "564b8b2a38ae6474c35cf7853d30630dc3d11d68d11acc97e8a27d1bce41a445",
+    "Z/7[x:4,y:16]": "a99c160a17d6abb7512dd296cc2629fc3cd9705508b1239ff6050dc87e86a928",
+    "Z/3[y:8]": "fa4f8cc7d7fbaba7beadb58b45a0f1f2833acbfde86fa981949287dc93e2aace",
+    "Z/3[x:4,y1:8,y2:8]": "fd72ced09a1ee3f49e9e3c425bdda5702d19d93dd81eb3aa937e023a82af57df",
+    "Z/5[x1:8,y:12]": "517cf94dbf5a3e44a5587bc289f68c8a762aff36659fd6b0da11d0d9e8d2d44e",
+    "Z/5[x1:4,x2:8,y1:12,y2:12]": "229be767718eb32c576fddd7f29a3149281f6595ad91cbc0b4ae19e1a56b0189",
+    "Z/7[x1:4,x2:8,y1:16,y2:16]": "3f3dd2f2f5394fae5a1f6d3ee5ffc46e4f52a4d4719306541144d8f85a1aa5ba",
+    "B(1,C4)": "094b569abf0e3f25857dc0ec7749e73f59b3c5e81b1342b7dd3649e12afadffa",
+    "B(1,C5)": "627f912ca0c5ccaa7a978a33d3372f099ca02f25863301a1142cadb5177ad289",
+    "A_3(1,1),K2": "1124268dfc9938ea5b26bdd1608db8cede73eb996a4c8af33a4a5f804032a208",
+    "B_5(1,1),K2": "2a632608704527a7b5bf8eea060b26c1a1239e12b7b3b9de9c34f6fad0e10da1",
+    "B(2,K3)": "536ca8590d0d5a90ba26e4b5b75f6b865e7c9575a45248e6bd8b63aae727b707",
+    "B(2,K3+K1)": "b84b00f39da69a28df2ceae78564946582e7b59f7891647a1d44a8466aa8f2af",
+    "Z/3[x:2]@100": "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945",
+    "Z/3[x:2,y:4]@60": "872d072a16a58d6668e73e37e564de4c594e8210a1b2a0cadd56b2a74f6f850d",
+    "Z/3[x:4]@100": "08f73d4fb74beb048f7fcf54a23c86b3bf966e65025cc3a37ab3da293adbd0f6",
+}
+
+COMPILE_INSTANCES = [(row[0], row[1], row[2], None) for row in ORACLE] + [
+    ("Z/3[x:2]@100", 3, lambda: FreePolynomialAlgebra((("x", 2),)), 100),
+    ("Z/3[x:2,y:4]@60", 3, lambda: FreePolynomialAlgebra((("x", 2), ("y", 4))), 60),
+    ("Z/3[x:4]@100", 3, lambda: FreePolynomialAlgebra((("x", 4),)), 100),
+]
+
+
+def _compile(ambient, p, bound=None):
+    """The default relation set compiled over the search's unknown entries."""
+    bound = default_degree_bound(p) if bound is None else bound
+    blocks, _ = unknown_entry_blocks(ambient, p)
+    return compile_constraints(ambient, p, default_relation_set(p), bound, blocks)
+
+
+@pytest.mark.parametrize(
+    "name, p, make, bound", COMPILE_INSTANCES, ids=[row[0] for row in COMPILE_INSTANCES]
+)
+def test_compiled_constraints_match_oracle(name, p, make, bound):
+    keys = [poly.canonical_key() for poly in _compile(make(), p, bound)]
+    assert hashlib.sha256(repr(keys).encode()).hexdigest() == COMPILE_ORACLE[name]
+
+
+# -- compile against the independent verifier --------------------------------
+#
+# A table passes check_relations exactly when every compiled constraint
+# vanishes at its coefficients. Checked on the found table, on 15 tables that
+# differ from it in one coefficient, and on 5 random tables per instance.
+# B_5(2,2) and the two 24k-node exhaustions are left out for time.
+
+CROSS_CHECKED = [
+    row for row in ORACLE if row[0] not in ("B_5(2,2),K2", "B(2,K3)", "B(2,K3+K1)")
+]
+
+
+def _vanishes(poly, assignment, p) -> bool:
+    total = 0
+    for key, c in poly.terms.items():
+        for v, e in key:
+            c *= pow(assignment[v], e, p)
+        total += c
+    return total % p == 0
+
+
+@pytest.mark.parametrize(
+    "name, p, make, status", [row[:4] for row in CROSS_CHECKED], ids=[row[0] for row in CROSS_CHECKED]
+)
+def test_compile_agrees_with_check_relations(name, p, make, status):
+    ambient = make()
+    blocks, nvars = unknown_entry_blocks(ambient, p)
+    constraints = _compile(ambient, p)
+    rng = Random(name)
+    tables = [[rng.randrange(p) for _ in range(nvars)] for _ in range(5)]
+    if status == "found":
+        found = search_action(ambient, p).table
+        assignment = [0] * nvars
+        for b in blocks:
+            entry = found.entries[(b.label, b.k)]
+            for t, m in enumerate(b.basis):
+                assignment[b.offset + t] = entry.coefficient(m)
+        assert all(_vanishes(poly, assignment, p) for poly in constraints)
+        tables.append(assignment)
+        for _ in range(15):
+            changed = list(assignment)
+            v = rng.randrange(nvars)
+            changed[v] = (changed[v] + rng.randrange(1, p)) % p
+            tables.append(changed)
+    for assignment in tables:
+        table = table_from_assignment(ambient, p, blocks, assignment)
+        compiled_ok = all(_vanishes(poly, assignment, p) for poly in constraints)
+        assert compiled_ok == check_relations(table).ok
