@@ -321,13 +321,13 @@ def _cmd_necessary(opts: _Options) -> int:
 def _cmd_partition(opts: _Options) -> int:
     spec = _family_from(opts)
     g = _graph_from(opts)
-    certified = sufficiency_partition(spec, g, _multiset_family_from(opts))
-    if certified is None:
+    k = build_complex(spec, g)
+    part = sufficiency_partition(k, _multiset_family_from(opts))
+    if part is None:
         chi, _ = chromatic_number(g)
         lines = [f"no partition construction applies (chi = {chi})"]
         _emit({"status": "unavailable", "chi": chi}, lines, opts.fmt)
         return EXIT_INCONCLUSIVE
-    part, k = certified
     lines = part.serialize(k).rstrip("\n").splitlines()
     lines.append("verified: True")
     report = {

@@ -62,15 +62,6 @@ class FamilySpec:
             return f"B_{self.p}(({vec}))"
         return f"B({vec})"
 
-    def general_vector(self) -> tuple[int, ...]:
-        """The block-size vector in the general A(s, -) shape (odd levels for B-style)."""
-        if self.kind in ("A", "Ap"):
-            return self.vector
-        interleaved: list[int] = []
-        for r in self.vector:
-            interleaved += [r, 0]
-        return tuple(interleaved)
-
 
 def build_complex(spec: FamilySpec, g: Graph) -> JoinComplex:
     """Join complex with the family's block degrees and graph degree."""

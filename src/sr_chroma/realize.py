@@ -3,11 +3,13 @@
 A partition of the complex's generators certifies sufficiency when every
 maximal face meets every block in an allowed degree multiset or not at all;
 `verify_partition_family` is the one checker, in closed form per block. The
-one construction splits the block-size vector into a weakly decreasing part
-plus an odd-slot part (`decompose_s`) and lays out blocks from it; on uniform
-families it reproduces the coloring partition. Degree multisets of maximal
-faces are tested for decomposability into the realizable polynomial-algebra
-degree lists.
+one construction reads the general block-size vector off the complex (a
+block of degree d sits at level (d - 2) / 2, the graph degree 2n + 4 fixes
+the length n), splits it into a weakly decreasing part plus an odd-slot part
+(`decompose_s`) and lays out blocks from it; on uniform families it
+reproduces the coloring partition. Degree multisets of maximal faces are
+tested for decomposability into the realizable polynomial-algebra degree
+lists.
 """
 
 from __future__ import annotations
@@ -200,6 +202,8 @@ def decompose_s(s: tuple[int, ...], c: int) -> tuple[tuple[int, ...], tuple[int,
     valid split wins. None only after exhausting every candidate."""
     if c < 0:
         raise ContractError("chromatic bound must be non-negative")
+    if any(v < 0 for v in s):
+        raise ContractError("size vector entries must be non-negative")
     n = len(s)
     if n == 0:
         raise ContractError("empty size vector")
@@ -258,15 +262,37 @@ def validate_decomposition(
         raise ContractError("tail condition s'_{2k+1} >= c fails")
 
 
+def _general_sizes(k: JoinComplex) -> tuple[int, ...]:
+    """k's block-size vector in the general A(s, -) shape, read off its degrees.
+
+    A block of degree d sits at general level (d - 2) / 2 and the graph degree
+    2n + 4 fixes the length n; levels without a block have size 0. A and A_p
+    fill levels 1..n; B and B_p put their degree-4j blocks at odd levels 2j - 1
+    with n = p - 1. Raises ContractError on a complex outside that shape."""
+    n, odd = divmod(k.graph_degree - 4, 2)
+    if n < 1 or odd:
+        raise ContractError(f"graph degree {k.graph_degree} is not an even number >= 6")
+    sizes: list[int | None] = [None] * n
+    for size, degree in k.blocks:
+        level, odd = divmod(degree - 2, 2)
+        if odd or not 1 <= level <= n:
+            raise ContractError(f"block degree {degree} is not at a general level 1..{n}")
+        if sizes[level - 1] is not None:
+            raise ContractError(f"two blocks at general level {level}")
+        sizes[level - 1] = size
+    return tuple(size or 0 for size in sizes)
+
+
 class _Allocator:
-    """Hands out unused generators per level and unused color classes; the
-    construction's subscripts are only counting, so any unused generator of
-    the right level serves."""
+    """Hands out unused generators per general level (a level without a block
+    has none) and unused color classes; the construction's subscripts are
+    only counting, so any unused generator of the right level serves. Call
+    `_general_sizes` first: it rejects complexes outside the general shape."""
 
     def __init__(self, k: JoinComplex, c: Coloring):
         self.pools = {
-            level: [x_label(level, i) for i in range(1, size + 1)]
-            for level, (size, _) in enumerate(k.blocks, 1)
+            (degree - 2) // 2: [x_label(j, i) for i in range(1, size + 1)]
+            for j, (size, degree) in enumerate(k.blocks, 1)
         }
         self.color_classes = {
             col: [y_label(v) for v in k.graph.vertices if c.assignment[v] == col]
@@ -277,7 +303,7 @@ class _Allocator:
     def take(self, levels, colored: bool) -> frozenset[str]:
         members = []
         for level in levels:
-            if not self.pools[level]:
+            if not self.pools.get(level):
                 raise ContractError(f"level {level} exhausted during construction")
             members.append(self.pools[level].pop(0))
         if colored:
@@ -297,11 +323,12 @@ def partition_from_decomposition(
     s_dprime: tuple[int, ...],
     c: Coloring,
 ) -> Partition:
-    """The case-by-case block lists of the decomposition construction; the
-    result is validated structurally and should be re-checked against the
-    degree-multiset family by the caller."""
-    n = len(k.blocks)
-    sizes = tuple(size for size, _ in k.blocks)
+    """The case-by-case block lists of the decomposition construction, for a
+    split of k's general block-size vector; the result is validated
+    structurally and should be re-checked against the degree-multiset family
+    by the caller."""
+    sizes = _general_sizes(k)
+    n = len(sizes)
     validate_decomposition(sizes, s_prime, s_dprime, c.num_colors)
     if not coloring_is_valid(k.graph, c):
         raise ContractError("not a valid coloring of the complex's graph")
@@ -309,8 +336,7 @@ def partition_from_decomposition(
     alloc = _Allocator(k, c)
     blocks: list[frozenset[str]] = []
 
-    def prefix_blocks(top_level: int, colored_count: int, uncolored_count: int) -> None:
-        levels = list(range(1, top_level + 1))
+    def emit(levels: range, colored_count: int, uncolored_count: int) -> None:
         for _ in range(colored_count):
             blocks.append(alloc.take(levels, colored=True))
         for _ in range(uncolored_count):
@@ -318,36 +344,30 @@ def partition_from_decomposition(
 
     def descending_prefixes() -> None:
         for j in range(n - 1, 0, -1):
-            prefix_blocks(j, 0, s_prime[j - 1] - s_prime[j])
+            emit(range(1, j + 1), 0, s_prime[j - 1] - s_prime[j])
 
-    def odd_chain(top_odd: int, colored_count: int, uncolored_count: int) -> None:
-        levels = list(range(1, top_odd + 1, 2))
-        for _ in range(colored_count):
-            blocks.append(alloc.take(levels, colored=True))
-        for _ in range(uncolored_count):
-            blocks.append(alloc.take(levels, colored=False))
+    def odd_chains(top_odd: int) -> None:
+        for j in range(top_odd, 0, -2):
+            emit(range(1, j + 1, 2), 0, odd_value(j) - odd_value(j + 2))
 
     def odd_value(i: int) -> int:  # 1-based slot, 0 past the end
         return s_dprime[i - 1] if 1 <= i <= n else 0
 
     if n % 2 == 0:
         if s_prime[n - 1] >= chi:
-            prefix_blocks(n, chi, s_prime[n - 1] - chi)
+            emit(range(1, n + 1), chi, s_prime[n - 1] - chi)
             descending_prefixes()
-            for j in range(n - 1, 0, -2):
-                odd_chain(j, 0, odd_value(j) - odd_value(j + 2))
+            odd_chains(n - 1)
         else:
-            prefix_blocks(n, s_prime[n - 1], 0)
+            emit(range(1, n + 1), s_prime[n - 1], 0)
             descending_prefixes()
             colored = chi - s_prime[n - 1]
-            odd_chain(n - 1, colored, odd_value(n - 1) - odd_value(n + 1) - colored)
-            for j in range(n - 3, 0, -2):
-                odd_chain(j, 0, odd_value(j) - odd_value(j + 2))
+            emit(range(1, n, 2), colored, odd_value(n - 1) - odd_value(n + 1) - colored)
+            odd_chains(n - 3)
     else:
-        prefix_blocks(n, chi, s_prime[n - 1] - chi)
+        emit(range(1, n + 1), chi, s_prime[n - 1] - chi)
         descending_prefixes()
-        for j in range(n, 0, -2):
-            odd_chain(j, 0, odd_value(j) - odd_value(j + 2))
+        odd_chains(n)
 
     if not alloc.exhausted():
         raise ContractError("construction left generators unassigned")
@@ -436,50 +456,34 @@ class RealizabilityVerdict:
         return out
 
 
-def _translate_partition(part: Partition, mapping: dict[str, str]) -> Partition:
-    return Partition(tuple(frozenset(mapping.get(lbl, lbl) for lbl in b) for b in part.blocks))
-
-
-def sufficiency_partition(
-    spec: FamilySpec, g: Graph, family: DegreeMultisetFamily | None = None
-) -> tuple[Partition, JoinComplex] | None:
+def sufficiency_partition(k: JoinComplex, family: DegreeMultisetFamily | None = None) -> Partition | None:
     """A verified partition certificate from the decomposition construction,
-    or None when `decompose_s` finds no split of the general block-size vector
+    or None when `decompose_s` finds no split of k's general block-size vector
     or the partition fails the caller's `family`.
 
     For a uniform family with chi <= n the construction yields the coloring
-    partition (`partition_from_coloring`). B-style families are built in the
-    general shape, with block j at odd level 2j-1, and translated back. The
-    partition must pass the default family; that self-check raises
-    AssertionError on failure."""
-    k = build_complex(spec, g)
-    chi, coloring = chromatic_number(g)
-    s_general = spec.general_vector()
-    dec = decompose_s(s_general, chi)
+    partition (`partition_from_coloring`). The partition must pass the default
+    family; that self-check raises AssertionError on failure."""
+    chi, coloring = chromatic_number(k.graph)
+    dec = decompose_s(_general_sizes(k), chi)
     if dec is None:
         return None
-    if spec.kind in ("A", "Ap"):  # already in the general shape
-        part = partition_from_decomposition(k, dec[0], dec[1], coloring)
-    else:
-        k_general = build_complex(FamilySpec("A", s_general), g)
-        part = partition_from_decomposition(k_general, dec[0], dec[1], coloring)
-        part = _translate_partition(part, {
-            x_label(2 * j - 1, i): x_label(j, i)
-            for j, (size, _) in enumerate(k.blocks, 1)
-            for i in range(1, size + 1)
-        })
+    part = partition_from_decomposition(k, dec[0], dec[1], coloring)
     if not verify_partition_family(k, part):
         raise AssertionError("decomposition construction failed its own multiset check")
     if family is not None and not verify_partition_family(k, part, family):
         return None
-    return part, k
+    return part
 
 
 def check_realizable(
     spec: FamilySpec, g: Graph, family: DegreeMultisetFamily | None = None
 ) -> RealizabilityVerdict:
     """Necessary condition, then per-face multiset decomposability, then the
-    sufficiency construction; anything left over is honestly inconclusive."""
+    sufficiency construction; anything left over is honestly inconclusive.
+
+    A maximal face is every x generator plus a graph face of size t <= 2, so
+    its degree multiset depends only on t and is decided once per t."""
     fam = family if family is not None else DEFAULT_FAMILY
     k = build_complex(spec, g)
     if spec.kind in ("Ap", "Bp", "B"):
@@ -490,25 +494,28 @@ def check_realizable(
                 span_gap=(outcome.p, outcome.span_value, outcome.bound),
                 note="no mod-p power-operation action exists",
             )
-    cache: dict[tuple[int, ...], bool] = {}
-    for face in k.maximal_faces():
-        ms = tuple(sorted(k.gen_degrees[k.label_index[lbl]] for lbl in face))
-        if not ms:
+    x_degrees = [degree for size, degree in k.blocks for _ in range(size)]
+    decided: set[int] = set()
+    for graph_face in k.maximal_graph_faces():
+        t = len(graph_face)
+        if t in decided:
             continue
-        ok = cache.get(ms)
-        if ok is None:
-            ok = multiset_decomposable(ms, fam) is not None
-            cache[ms] = ok
-        if not ok:
+        decided.add(t)
+        ms = tuple(sorted(x_degrees + [k.graph_degree] * t))
+        if ms and multiset_decomposable(ms, fam) is None:
+            face = tuple(
+                lbl
+                for i, lbl in enumerate(k.gen_labels)
+                if lbl in graph_face or not k.is_graph_generator(i)
+            )
             return RealizabilityVerdict(
                 "CertifiedNotRealizable",
-                face=tuple(sorted(face, key=k.label_index.get)),
+                face=face,
                 face_multiset=ms,
                 note="maximal face multiset is not a union of allowed lists",
             )
-    certified = sufficiency_partition(spec, g, family)
-    if certified is not None:
-        part, _ = certified
+    part = sufficiency_partition(k, family)
+    if part is not None:
         return RealizabilityVerdict("CertifiedRealizable", partition=part, complex=k)
     return RealizabilityVerdict(
         "Inconclusive",

@@ -202,9 +202,10 @@ def _search_dimension(g: Graph, p: int, n: int) -> dict[str, tuple[int, ...]] | 
 def span_chromatic_number(g: Graph, p: int) -> tuple[int, SpanColoring]:
     """Least n admitting an n-span coloring over F_p, with a verified witness.
 
-    The returned dimension is certified: the search at dimension n-1 is run to
-    exhaustion (no valid assignment), and dimensions below the clique number
-    are excluded because a span coloring restricts to any subgraph.
+    The returned dimension is certified: every dimension from max(2, clique
+    number) up to n-1 is searched to exhaustion, and dimensions below that are
+    excluded because a span coloring restricts to any subgraph and a clique
+    (an edge included) needs linearly independent vectors.
     """
     if not is_prime(p):
         raise ContractError(f"{p} is not prime")
@@ -213,13 +214,10 @@ def span_chromatic_number(g: Graph, p: int) -> tuple[int, SpanColoring]:
     if not g.edges:
         witness = {v: FpVector(p, (1,)) for v in g.vertices}
         return 1, SpanColoring(p, 1, witness)
-    lower = max(2, len(max_clique(g)))
-    n = lower
+    n = max(2, len(max_clique(g)))
     while True:
         sol = _search_dimension(g, p, n)
         if sol is not None:
-            if n == lower and n > 1 and _search_dimension(g, p, n - 1) is not None:
-                raise AssertionError("solver inconsistency: lower bound violated")
             witness = SpanColoring(p, n, {v: FpVector(p, sol[v]) for v in g.vertices})
             if not verify_span_coloring(g, witness):
                 raise AssertionError("solver returned an invalid witness")

@@ -264,6 +264,13 @@ def test_decompose_command(capsys):
     assert code == 1
 
 
+def test_decompose_negative_size_is_input_error(capsys):
+    for vector, c in (("-1,2", "1"), ("3,-1", "0")):
+        code, out, err = run(capsys, ["decompose", f"--vector={vector}", "--c", c])
+        assert code == 2 and out == ""
+        assert "non-negative" in err
+
+
 def test_decompose_takes_chromatic_from_graph(capsys, k3_file):
     code, out, _ = run(capsys, ["decompose", "--vector", "3,2", k3_file])
     assert code == 0

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
 from collections import Counter
 from random import Random
 
@@ -20,6 +22,7 @@ from helpers import (
     oracle_verify_partition,
     random_graph,
 )
+from sr_chroma.algebra import JoinComplex
 from sr_chroma.errors import ContractError
 from sr_chroma.families import FamilySpec, build_complex
 from sr_chroma.graph import Coloring, Graph, chromatic_number
@@ -28,6 +31,7 @@ from sr_chroma.realize import (
     AndersonGrodalFamily,
     ExplicitFamily,
     Partition,
+    _general_sizes,
     check_realizable,
     chromatic_bounds,
     decompose_s,
@@ -195,22 +199,31 @@ def test_partition_from_decomposition_odd_length():
 
 
 def test_partition_from_decomposition_random():
+    # general A complexes, then B-style ones (degree-4j blocks at odd levels)
     rng = Random(31)
-    trials = 0
-    while trials < 25:
-        n = rng.randint(1, 6)
-        s = tuple(rng.randint(0, 5) for _ in range(n))
-        if not any(s):
-            continue
-        g = random_graph(rng, 5)
-        chi, coloring = chromatic_number(g)
-        dec = decompose_s(s, chi)
-        if dec is None:
-            continue
-        trials += 1
-        k = build_complex(FamilySpec("A", s), g)
-        part = partition_from_decomposition(k, dec[0], dec[1], coloring)
-        assert verify_partition_family(k, part)
+
+    def general_spec():
+        return FamilySpec("A", tuple(rng.randint(0, 5) for _ in range(rng.randint(1, 6))))
+
+    def b_style_spec():
+        r = tuple(rng.randint(0, 5) for _ in range(rng.randint(1, 3)))
+        return FamilySpec(rng.choice(("B", "Bp")) if len(r) == 1 else "Bp", r, 2 * len(r) + 1)
+
+    for draw in (general_spec, b_style_spec):
+        trials = 0
+        while trials < 25:
+            spec = draw()
+            if not any(spec.vector):
+                continue
+            g = random_graph(rng, 5)
+            chi, coloring = chromatic_number(g)
+            k = build_complex(spec, g)
+            dec = decompose_s(_general_sizes(k), chi)
+            if dec is None:
+                continue
+            trials += 1
+            part = partition_from_decomposition(k, dec[0], dec[1], coloring)
+            assert verify_partition_family(k, part)
 
 
 def test_partition_from_decomposition_rejects_bad_split():
@@ -219,6 +232,37 @@ def test_partition_from_decomposition_rejects_bad_split():
     _, coloring = chromatic_number(g)
     with pytest.raises(ContractError):
         partition_from_decomposition(k, (1, 2), (1, 0), coloring)  # s' not decreasing
+
+
+def test_general_shape_is_read_off_the_complex():
+    edge = complete_graph(2)
+    assert _general_sizes(build_complex(FamilySpec("A", (2, 0, 1)), edge)) == (2, 0, 1)
+    assert _general_sizes(build_complex(FamilySpec("Ap", (3, 1), 3), edge)) == (3, 1)
+    assert _general_sizes(build_complex(FamilySpec("B", (3,)), edge)) == (3, 0)
+    assert _general_sizes(build_complex(FamilySpec("Bp", (3, 1, 2), 7), edge)) == (3, 0, 1, 0, 2, 0)
+
+
+@pytest.mark.parametrize(
+    "blocks, graph_degree, message",
+    [
+        (((2, 4), (1, 10)), 8, "general level"),  # level 4 > n = 2
+        (((2, 2),), 8, "general level"),  # level 0
+        (((2, 4), (1, 4)), 8, "two blocks"),
+        (((2, 4),), 4, "graph degree"),  # n = 0
+    ],
+)
+def test_hand_built_complex_outside_the_general_shape(blocks, graph_degree, message):
+    k = JoinComplex(blocks, complete_graph(2), graph_degree)
+    with pytest.raises(ContractError, match=message):
+        sufficiency_partition(k)
+    with pytest.raises(ContractError, match=message):
+        partition_from_decomposition(k, (3, 0), (0, 0), Coloring(2, {"1": 1, "2": 2}))
+
+
+def test_decompose_rejects_negative_sizes():
+    for s in ((-1, 2), (3, -1)):
+        with pytest.raises(ContractError, match="non-negative"):
+            decompose_s(s, 0)
 
 
 def test_default_family_membership():
@@ -374,8 +418,8 @@ def test_sufficiency_partition_is_the_coloring_partition_on_uniform_families():
                     (FamilySpec("Ap", (n,) * 4, 5), "A"),
                 ):
                     k = build_complex(spec, g)
-                    expect = (partition_from_coloring(k, coloring, scheme), k)
-                    assert sufficiency_partition(spec, g) == expect, (spec, g)
+                    expect = partition_from_coloring(k, coloring, scheme)
+                    assert sufficiency_partition(k) == expect, (spec, g)
                     cases += 1
     assert cases == 8 * sum(2 ** (v * (v - 1) // 2) for v in range(6))
 
@@ -388,9 +432,9 @@ SOME_CHAINS = ExplicitFamily(((4,), (4, 8), (4, 6, 8)))
 def test_partition_rejected_by_callers_family_is_not_certified():
     edge = complete_graph(2)
     fam48, fam468 = TWO_FAMILIES
-    assert sufficiency_partition(FamilySpec("B", (2,)), edge, fam48) is None
+    assert sufficiency_partition(build_complex(FamilySpec("B", (2,)), edge), fam48) is None
     assert check_realizable(FamilySpec("B", (2,)), edge, fam48).status == "Inconclusive"
-    assert sufficiency_partition(FamilySpec("A", (2, 1)), edge, fam468) is None
+    assert sufficiency_partition(build_complex(FamilySpec("A", (2, 1)), edge), fam468) is None
     assert check_realizable(FamilySpec("A", (2, 1)), edge, fam468).status == "Inconclusive"
     # the default family still certifies both
     assert check_realizable(FamilySpec("B", (2,)), edge).status == "CertifiedRealizable"
@@ -437,9 +481,9 @@ def test_verify_partition_family_matches_face_oracle():
             faces = oracle_maximal_faces(k)
             assert sorted(map(sorted, faces)) == sorted(map(sorted, k.maximal_faces()))
             parts = []
-            certified = sufficiency_partition(spec, g)
+            certified = sufficiency_partition(k)
             if certified is not None:
-                parts.append(certified[0])
+                parts.append(certified)
             for _ in range(10):
                 r = rng.randint(1, k.num_generators)
                 slots = [[] for _ in range(r)]
@@ -452,3 +496,49 @@ def test_verify_partition_family_matches_face_oracle():
                     assert got == oracle_verify_partition(k, part, fam, faces), (spec, g, part)
                     outcomes[got] += 1
     assert outcomes[True] > 50 and outcomes[False] > 50
+
+
+# -- oracle: the realizability reports, text and JSON ------------------------
+#
+# A refactor of the realize layer must leave every report byte-identical. The
+# digest is sha256 over `to_text()` and the sorted-key JSON of every verdict,
+# in the order below: all graphs on 4 vertices plus 16 seeded graphs on 6-7
+# vertices, the 9 benchmark census families plus four shapes with zero-size or
+# uneven blocks, under the default family and the three explicit ones above.
+
+REPORT_SPECS = (
+    FamilySpec("B", (3,)),
+    FamilySpec("B", (5,)),
+    FamilySpec("Bp", (5, 5), 5),
+    FamilySpec("Bp", (6, 4), 5),
+    FamilySpec("Ap", (5, 5), 3),
+    FamilySpec("Ap", (6, 4), 3),
+    FamilySpec("Ap", (5, 5, 5, 5), 5),
+    FamilySpec("A", (4, 2)),
+    FamilySpec("A", (3, 3, 3)),
+    FamilySpec("Bp", (3, 1), 5),
+    FamilySpec("A", (2, 0, 1)),
+    FamilySpec("Bp", (2, 0), 5),
+    FamilySpec("Ap", (1, 0), 3),
+)
+REPORTS_SHA256 = "25530c26190456731bade5aa6d848a77a0cf658b8f3c8b4b82ac21058143f3d9"
+
+
+def _report_graphs():
+    yield from all_graphs(4)
+    rng = Random(47)
+    for _ in range(16):
+        labels = [str(i + 1) for i in range(rng.randint(6, 7))]
+        pairs = itertools.combinations(labels, 2)
+        yield Graph.build(labels, [e for e in pairs if rng.random() < 0.4])
+
+
+def test_realizability_reports_oracle():
+    digest = hashlib.sha256()
+    for g in _report_graphs():
+        for spec in REPORT_SPECS:
+            for fam in (None, SOME_CHAINS) + TWO_FAMILIES:
+                verdict = check_realizable(spec, g, fam)
+                digest.update(verdict.to_text().encode())
+                digest.update(json.dumps(verdict.to_json_dict(), sort_keys=True).encode())
+    assert digest.hexdigest() == REPORTS_SHA256

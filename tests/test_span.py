@@ -18,10 +18,11 @@ from helpers import (
     random_graph,
 )
 from sr_chroma.errors import ContractError
-from sr_chroma.graph import chromatic_number
+from sr_chroma.graph import chromatic_number, max_clique
 from sr_chroma.span import (
     FpVector,
     SpanColoring,
+    _search_dimension,
     coloring_to_span_coloring,
     span_chromatic_number,
     span_membership,
@@ -105,6 +106,16 @@ def test_span_solver_matches_oracle_all_connected_4():
     for g in connected_graphs(4):
         for p in (2, 3):
             assert span_chromatic_number(g, p)[0] == oracle_span_chromatic(g, p)
+
+
+def test_no_span_coloring_below_the_clique_bound():
+    # the solver starts at max(2, clique number) without searching below it:
+    # a clique (an edge included) needs linearly independent vectors
+    for n in range(2, 6):
+        for g in connected_graphs(n):
+            below = max(2, len(max_clique(g))) - 1
+            for p in (2, 3):
+                assert _search_dimension(g, p, below) is None, (g, p)
 
 
 def test_complete_graph_span_equals_size():
