@@ -1,4 +1,11 @@
-"""Finite simple graphs: edge-list parsing, exact chromatic number, 2-core."""
+"""Finite simple graphs: edge-list parsing, exact chromatic number, 2-core.
+
+A `Graph` is immutable, so its exact answers are facts about it: `max_clique`
+and `chromatic_number` (and `span.span_chromatic_number`, per prime) solve at
+most once per `Graph` instance and keep the answer on it. Witnesses are
+returned as fresh copies, so a caller that mutates one cannot change a later
+answer.
+"""
 
 from __future__ import annotations
 
@@ -44,6 +51,11 @@ class Graph:
             adj[u].add(v)
             adj[v].add(u)
         return {v: frozenset(s) for v, s in adj.items()}
+
+    @cached_property
+    def _answers(self) -> dict:
+        """Exact answers solved on this graph, by key: "clique", "chi", ("span", p)."""
+        return {}
 
     def neighbors(self, v: str) -> frozenset[str]:
         if v not in self.index:
@@ -146,7 +158,16 @@ def two_core(g: Graph) -> Graph:
 
 
 def max_clique(g: Graph) -> tuple[str, ...]:
-    """Exact maximum clique, exponential search; fine at the sizes handled here."""
+    """Exact maximum clique, exponential search; fine at the sizes handled here.
+
+    Solved once per `Graph`; the answer is a tuple, so it is shared as is."""
+    answers = g._answers
+    if "clique" not in answers:
+        answers["clique"] = _max_clique(g)
+    return answers["clique"]
+
+
+def _max_clique(g: Graph) -> tuple[str, ...]:
     order = sorted(g.vertices, key=lambda v: (-g.degree(v), g.index[v]))
     adj = g.adjacency
     best: list[str] = []
@@ -180,29 +201,31 @@ def _colorable(g: Graph, k: int) -> bool:
                     cand, best = v, key
         return cand
 
-    def go(done: int) -> bool:
-        if done == n:
-            return True
-        v = pick()
-        if len(nbr_colors[v]) >= k:
-            return False
-        for c in range(1, k + 1):
-            if c in nbr_colors[v]:
-                continue
+    # one frame per colored vertex, deepest last: (vertex, its color, the
+    # uncolored neighbors whose nbr_colors gained that color)
+    frames: list[tuple[int, int, list[int]]] = []
+    v, c = pick(), 0  # the vertex being colored and the last color tried on it
+    while v != -1:
+        c += 1
+        while c <= k and c in nbr_colors[v]:
+            c += 1
+        if c <= k:
             colors[v] = c
             touched = []
             for u in adj[v]:
                 if colors[u] == 0 and c not in nbr_colors[u]:
                     nbr_colors[u].add(c)
                     touched.append(u)
-            if go(done + 1):
-                return True
-            for u in touched:
-                nbr_colors[u].remove(c)
-            colors[v] = 0
-        return False
-
-    return go(0)
+            frames.append((v, c, touched))
+            v, c = pick(), 0
+            continue
+        if not frames:
+            return False
+        v, c, touched = frames.pop()
+        for u in touched:
+            nbr_colors[u].remove(c)
+        colors[v] = 0
+    return True
 
 
 def _lex_least_coloring(g: Graph, k: int) -> dict[str, int]:
@@ -210,26 +233,34 @@ def _lex_least_coloring(g: Graph, k: int) -> dict[str, int]:
     n = len(g.vertices)
     adj = [[g.index[u] for u in g.adjacency[v]] for v in g.vertices]
     colors = [0] * n
-
-    def go(i: int) -> bool:
-        if i == n:
-            return True
-        for c in range(1, k + 1):
-            if any(colors[u] == c for u in adj[i] if u < i):
-                continue
+    i = 0
+    while i < n:
+        c = colors[i] + 1
+        while c <= k and any(colors[u] == c for u in adj[i] if u < i):
+            c += 1
+        if c <= k:
             colors[i] = c
-            if go(i + 1):
-                return True
-            colors[i] = 0
-        return False
-
-    if not go(0):
-        raise ContractError(f"graph is not {k}-colorable")
+            i += 1
+            continue
+        colors[i] = 0
+        i -= 1
+        if i < 0:
+            raise ContractError(f"graph is not {k}-colorable")
     return {v: colors[i] for i, v in enumerate(g.vertices)}
 
 
 def chromatic_number(g: Graph) -> tuple[int, Coloring]:
-    """Exact chromatic number with the lexicographically least witness."""
+    """Exact chromatic number with the lexicographically least witness.
+
+    Solved once per `Graph`; every call returns its own copy of the witness."""
+    answers = g._answers
+    if "chi" not in answers:
+        answers["chi"] = _chromatic_number(g)
+    chi, witness = answers["chi"]
+    return chi, Coloring(witness.num_colors, dict(witness.assignment))
+
+
+def _chromatic_number(g: Graph) -> tuple[int, Coloring]:
     if not g.vertices:
         return 0, Coloring(0, {})
     if not g.edges:

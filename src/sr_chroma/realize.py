@@ -408,7 +408,8 @@ def chromatic_bounds(g: Graph, p: int) -> tuple[int, int]:
     """(s_p-chi, chi) sandwich around the topological chromatic numbers."""
     lower, _ = span_chromatic_number(g, p)
     upper, _ = chromatic_number(g)
-    assert lower <= upper, "sandwich violated: solver bug"
+    if lower > upper:
+        raise AssertionError("sandwich violated: solver bug")
     return lower, upper
 
 

@@ -140,10 +140,12 @@ class _CompileKernel:
 
     def pack(self, mono: Monomial) -> int:
         w = self.width
+        limit = 1 << w
         packed = ymask = 0
         for i in mono.support():
             e = mono.exps[i]
-            assert e < 1 << w, "exponent exceeds its packed field"
+            if e >= limit:
+                raise AssertionError("exponent exceeds its packed field")
             packed += e << (w * i)
             if i in self.ys:
                 ymask |= 1 << i
@@ -261,7 +263,8 @@ def compile_constraints(
         a, b = rel.lhs
         # every term raises the degree as far as the lhs does, so with the
         # instance bases below nothing passes the bound the fields are sized for
-        assert all(outer + inner == a + b for _, outer, inner in rel.rhs)
+        if any(outer + inner != a + b for _, outer, inner in rel.rhs):
+            raise AssertionError(f"relation {rel.name} has a term of another degree than its lhs")
         for mono in relation_instance_bases(ambient, p, rel, degree_bound):
             base = {kernel.pack(mono): {(): 1}}
             diff = kernel.power(kernel.power(base, b), a)

@@ -1,10 +1,15 @@
-"""Span colorings over F_p: linear algebra, verification, exact solver."""
+"""Span colorings over F_p: linear algebra, verification, exact solver.
+
+`span_chromatic_number` solves at most once per (`Graph` instance, p) and
+keeps the answer on the graph, next to chi and the max clique (see `graph`);
+every call returns its own copy of the witness.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .errors import ContractError
 from .graph import Coloring, Graph, max_clique
@@ -161,11 +166,13 @@ def _search_dimension(g: Graph, p: int, n: int) -> dict[str, tuple[int, ...]] | 
         if rank < n:
             yield tuple(1 if i == rank else 0 for i in range(n))
 
-    def place(i: int) -> bool:
-        if i == m:
-            return True
-        rank = len(global_rows)
-        for vec in candidates(rank):
+    # one frame per placed vertex, deepest last: (its candidate iterator, the
+    # neighbors whose nbr_rows gained its vector, whether global_rows grew)
+    frames: list[tuple[Iterator[tuple[int, ...]], list[int], bool]] = []
+    pending = candidates(0)  # candidates of vertex len(frames)
+    while len(frames) < m:
+        i = len(frames)
+        for vec in pending:
             if _in_span(nbr_rows[i], vec, p):
                 continue
             ok = True
@@ -184,19 +191,21 @@ def _search_dimension(g: Graph, p: int, n: int) -> dict[str, tuple[int, ...]] | 
                     break
             if ok:
                 assigned[i] = vec
-                grew = _append_row(global_rows, vec, p)
-                if place(i + 1):
-                    return True
-                if grew:
-                    global_rows.pop()
-                assigned[i] = None
+                frames.append((pending, touched, _append_row(global_rows, vec, p)))
+                pending = candidates(len(global_rows))
+                break
             for u in touched:
                 nbr_rows[u].pop()
-        return False
-
-    if place(0):
-        return {order[i]: assigned[i] for i in range(m)}
-    return None
+        else:
+            if not frames:
+                return None
+            pending, touched, grew = frames.pop()
+            if grew:
+                global_rows.pop()
+            assigned[len(frames)] = None
+            for u in touched:
+                nbr_rows[u].pop()
+    return {order[i]: assigned[i] for i in range(m)}
 
 
 def span_chromatic_number(g: Graph, p: int) -> tuple[int, SpanColoring]:
@@ -206,9 +215,21 @@ def span_chromatic_number(g: Graph, p: int) -> tuple[int, SpanColoring]:
     number) up to n-1 is searched to exhaustion, and dimensions below that are
     excluded because a span coloring restricts to any subgraph and a clique
     (an edge included) needs linearly independent vectors.
+
+    Solved once per (`Graph`, p); every call returns its own copy of the
+    witness. A non-prime p raises on every call.
     """
     if not is_prime(p):
         raise ContractError(f"{p} is not prime")
+    answers = g._answers
+    key = ("span", p)
+    if key not in answers:
+        answers[key] = _span_chromatic_number(g, p)
+    value, witness = answers[key]
+    return value, SpanColoring(witness.p, witness.dim, dict(witness.assignment))
+
+
+def _span_chromatic_number(g: Graph, p: int) -> tuple[int, SpanColoring]:
     if not g.vertices:
         return 0, SpanColoring(p, 0, {})
     if not g.edges:

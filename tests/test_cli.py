@@ -47,6 +47,15 @@ def test_chromatic_with_span_witness(capsys, k3_file):
     assert len(lines) == 5  # three witness lines
 
 
+def test_chromatic_with_span_on_a_long_path(capsys, tmp_path):
+    path = tmp_path / "path.g"
+    vertices = "".join(f"v {i}\n" for i in range(1500))
+    path.write_text(vertices + "".join(f"e {i} {i + 1}\n" for i in range(1499)))
+    code, out, _ = run(capsys, ["chromatic", str(path), "--span", "3"])
+    assert code == 0
+    assert out.splitlines()[:2] == ["chi = 2", "s_3chi = 2"]
+
+
 def test_missing_file_is_input_error(capsys, tmp_path):
     code, _, err = run(capsys, ["chromatic", str(tmp_path / "missing.g")])
     assert code == 2

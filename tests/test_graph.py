@@ -130,6 +130,14 @@ def test_chromatic_exhaustive_four_vertices():
         assert chromatic_number(g)[0] == oracle_chromatic(g)
 
 
+def test_chromatic_on_a_long_path():
+    # the searches keep explicit stacks, so depth is not bounded by recursion
+    g = path_graph(1500)
+    n, witness = chromatic_number(g)
+    assert n == 2
+    assert coloring_is_valid(g, witness)
+
+
 def test_two_core_examples():
     assert two_core(path_graph(3)).vertices == ()
     c5 = cycle_graph(5)

@@ -3,11 +3,16 @@
 from __future__ import annotations
 
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 from random import Random
 
 import pytest
 
 from helpers import complete_graph, cycle_graph
+import sr_chroma
 from sr_chroma.algebra import FreePolynomialAlgebra
 from sr_chroma.graph import Graph
 from sr_chroma.errors import ContractError, SearchSpaceExceeded
@@ -339,3 +344,41 @@ def test_compile_agrees_with_check_relations(name, p, make, status):
         table = table_from_assignment(ambient, p, blocks, assignment)
         compiled_ok = all(_vanishes(poly, assignment, p) for poly in constraints)
         assert compiled_ok == check_relations(table).ok
+
+
+# -- self-checks under python -O ------------------------------------------------
+
+SELF_CHECKS = """
+from sr_chroma import realize
+from sr_chroma.algebra import FreePolynomialAlgebra, Monomial
+from sr_chroma.graph import Graph
+from sr_chroma.search import _CompileKernel, compile_constraints
+from sr_chroma.steenrod import PowerRelation
+
+def raises(name, fn):
+    try:
+        fn()
+    except AssertionError:
+        print(name)
+
+realize.span_chromatic_number = lambda g, p: (3, None)
+raises("sandwich", lambda: realize.chromatic_bounds(Graph.build("ab", [("a", "b")]), 3))
+x = FreePolynomialAlgebra((("x", 2),))
+raises("pack", lambda: _CompileKernel(x, 3, 8, []).pack(Monomial((8,))))
+bad = PowerRelation("P^1P^3", (1, 3), ((1, 1, 1),))
+raises("degree", lambda: compile_constraints(x, 3, (bad,), 24, []))
+"""
+
+
+def test_self_checks_survive_python_O():
+    """The solver-consistency checks raise AssertionError under -O, which strips asserts."""
+    src = str(Path(sr_chroma.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", SELF_CHECKS],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": src},
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["sandwich", "pack", "degree"]

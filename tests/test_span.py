@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 from random import Random
 
@@ -10,15 +11,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    all_graphs,
     complete_graph,
     connected_graphs,
     cycle_graph,
     empty_graph,
     oracle_span_chromatic,
+    path_graph,
     random_graph,
 )
+from sr_chroma import graph as graph_module
+from sr_chroma import span as span_module
 from sr_chroma.errors import ContractError
-from sr_chroma.graph import chromatic_number, max_clique
+from sr_chroma.graph import Coloring, Graph, chromatic_number, max_clique, parse_graph, serialize_graph
 from sr_chroma.span import (
     FpVector,
     SpanColoring,
@@ -149,10 +154,84 @@ def test_scaling_invariance(seed, p):
 
 
 def test_deterministic_witness():
+    # two distinct Graph objects, so neither answer is read off the other's memo
+    text = serialize_graph(cycle_graph(5))
+    first, second = parse_graph(text), parse_graph(text)
+    assert first is not second
+    assert span_chromatic_number(first, 3) == span_chromatic_number(second, 3)
+
+
+def test_span_chromatic_on_a_long_path():
+    g = path_graph(1500)
+    n, witness = span_chromatic_number(g, 3)
+    assert n == 2
+    assert verify_span_coloring(g, witness)
+
+
+# -- answers kept on the Graph ------------------------------------------------
+
+def _query(g, q):
+    if q == "clique":
+        return max_clique(g)
+    if q == "chi":
+        return chromatic_number(g)
+    return span_chromatic_number(g, q)
+
+
+def test_memoized_answers_equal_fresh_answers():
+    rng = Random(31)
+    graphs = list(all_graphs(5)) + [random_graph(rng, 8) for _ in range(30)]
+    for g in graphs:
+        queries = ["clique", "chi", 2, 3, 5] * 2
+        rng.shuffle(queries)
+        for q in queries:
+            assert _query(g, q) == _query(Graph(g.vertices, g.edges), q), (g, q)
+
+
+def test_each_answer_is_solved_once_per_graph(monkeypatch):
+    solved = []
+
+    def counting(module, name):
+        solve = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args: solved.append(name) or solve(*args))
+
+    counting(graph_module, "_max_clique")
+    counting(graph_module, "_chromatic_number")
+    counting(span_module, "_span_chromatic_number")
     g = cycle_graph(5)
-    first = span_chromatic_number(g, 3)
-    second = span_chromatic_number(g, 3)
-    assert first == second
+    for _ in range(3):
+        for q in ("chi", 2, 3, "clique"):
+            _query(g, q)
+    assert sorted(solved) == [
+        "_chromatic_number", "_max_clique", "_span_chromatic_number", "_span_chromatic_number"
+    ]
+    _query(cycle_graph(5), "chi")  # an equal but distinct graph solves again
+    assert solved.count("_chromatic_number") == 2
+
+
+def test_mutating_a_witness_leaves_the_answer_alone():
+    g = cycle_graph(5)
+    chi, coloring = chromatic_number(g)
+    expected = dict(coloring.assignment)
+    coloring.assignment["1"] = 99
+    coloring.assignment.pop("2")
+    assert chromatic_number(g) == (chi, Coloring(chi, expected))
+
+    n, witness = span_chromatic_number(g, 3)
+    expected_span = dict(witness.assignment)
+    witness.assignment["1"] = vec(3, 0, 0, 0)
+    witness.assignment.clear()
+    assert span_chromatic_number(g, 3) == (n, SpanColoring(3, n, expected_span))
+
+
+def test_non_prime_raises_on_every_call():
+    g = cycle_graph(5)
+    for p in (4, 1, 4, 9):
+        with pytest.raises(ContractError):
+            span_chromatic_number(g, p)
+    span_chromatic_number(g, 3)
+    with pytest.raises(ContractError):
+        span_chromatic_number(g, 4)
 
 
 def test_serialize_witness_format():
@@ -161,3 +240,30 @@ def test_serialize_witness_format():
     lines = w.serialize().strip().splitlines()
     assert len(lines) == 2
     assert all(" : " in line for line in lines)
+
+
+# Pins the chi witness and the s_p-chi witnesses (p = 2, 3, 5), so a rewrite of
+# the searches that changes their visiting order shows up here. The digest is
+# sha256 over the chi coloring and every serialized span witness, in order.
+WITNESS_SHA256 = "839e6662df5159dbf86d252dfec0c03c6bfe96113e7bbd8f6f9b591db9a4096a"
+
+
+def _witness_graphs():
+    yield from all_graphs(5)
+    rng = Random(23)
+    for _ in range(24):
+        n = rng.randint(6, 8)
+        labels = [str(i + 1) for i in range(n)]
+        edges = [(labels[i], labels[j]) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5]
+        yield Graph.build(labels, edges)
+
+
+def test_witness_oracle():
+    digest = hashlib.sha256()
+    for g in _witness_graphs():
+        chi, coloring = chromatic_number(g)
+        digest.update(repr((chi, coloring.num_colors, sorted(coloring.assignment.items()))).encode())
+        for p in (2, 3, 5):
+            n, witness = span_chromatic_number(g, p)
+            digest.update(f"{p} {n} {witness.dim}\n{witness.serialize()}".encode())
+    assert digest.hexdigest() == WITNESS_SHA256
