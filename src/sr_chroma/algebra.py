@@ -150,9 +150,6 @@ class _AmbientBase:
         return "*".join(parts) if parts else "1"
 
     # -- element constructors ---------------------------------------------------
-    def element(self, p: int, terms: dict[Monomial, int]) -> "AlgebraElement":
-        return AlgebraElement.make(self, p, terms)
-
     def zero(self, p: int) -> "AlgebraElement":
         return AlgebraElement.make(self, p, {})
 

@@ -79,11 +79,6 @@ class Graph:
         edges = frozenset(e for e in self.edges if e[0] in kept and e[1] in kept)
         return Graph(vertices, edges)
 
-    def has_edge(self, u: str, v: str) -> bool:
-        i, j = self.index[u], self.index[v]
-        pair = (u, v) if i < j else (v, u)
-        return pair in self.edges
-
 
 @dataclass(frozen=True, eq=True)
 class Coloring:

@@ -174,9 +174,8 @@ def multiset_decomposable(
     return go(Counter(multiset))
 
 
-def partition_from_coloring(k: JoinComplex, c: Coloring, scheme: str) -> Partition:
+def partition_from_coloring(k: JoinComplex, c: Coloring) -> Partition:
     """Column i of every block plus the i-th color class, i = 1..n."""
-    scheme_multisets((k.graph_degree - 2) // 2, scheme)  # validates the scheme tag
     sizes = {size for size, _ in k.blocks}
     if len(sizes) != 1:
         raise ContractError("the coloring construction needs all block sizes equal")

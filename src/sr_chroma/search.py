@@ -17,11 +17,17 @@ memoized series of its prefix. The public checkers in `steenrod` keep their
 separate engine, so a found table is re-verified by code that shares nothing
 with the compile that produced it.
 
-The solver keeps each constraint's residual as a plain dict from monomial to
-coefficient, with the set of variables still live in it. Assigning a variable
-substitutes it into the residuals that contain it and replaces them (never
-mutates them); the old residual and live set go on a single trail, together
-with the assignment itself, and backtracking pops the trail back to a mark.
+Constraints have one format from compile to solve: a dict from a monomial in
+the variables, written as its variables repeated by exponent in ascending
+order (x0^2*x3 is (0, 0, 3)), to a nonzero coefficient mod p. The kernel
+builds its coefficients in that format, each constraint carries one of them
+as its `terms`, and the solver takes those dicts as its initial residuals.
+
+The solver keeps each constraint's residual with the set of variables still
+live in it. Assigning a variable substitutes it into the residuals that
+contain it and replaces them (never mutates them); the old residual and live
+set go on a single trail, together with the assignment itself, and
+backtracking pops the trail back to a mark.
 The DFS runs on an explicit stack of frames, so deep instances need no
 recursion limit. The search rules are those of the propagating DFS it
 replaced: the variable->constraint order, the LIFO propagation queue, values
@@ -278,10 +284,7 @@ def compile_constraints(
             for coeff in diff.values():
                 if not coeff:
                     continue
-                poly = SymPoly(p, {  # (0, 0, 3) -> ((0, 2), (3, 1))
-                    tuple((v, key.count(v)) for v in sorted(set(key))): c
-                    for key, c in coeff.items()
-                })
+                poly = SymPoly(p, coeff)
                 canonical = poly.canonical_key()
                 if canonical not in seen:
                     seen.add(canonical)
@@ -292,8 +295,8 @@ def compile_constraints(
 class _Solver:
     """Propagating DFS over plain residuals, undone through one trail.
 
-    A residual maps a monomial, written as its variables repeated by exponent
-    in ascending order (x0^2*x3 is (0, 0, 3)), to a nonzero coefficient."""
+    The initial residuals are the compiled constraints' `terms` dicts, in the
+    format they were compiled in."""
 
     def __init__(self, p: int, nvars: int, constraints: list[SymPoly], node_cap: int):
         self.p = p
@@ -301,10 +304,7 @@ class _Solver:
         self.assign: list[int | None] = [None] * nvars
         # residuals are never mutated: an assignment replaces them, so the
         # trail can hold the old dict and live set by reference
-        self.residuals: list[dict[tuple[int, ...], int]] = [
-            {tuple(v for v, e in key for _ in range(e)): c for key, c in poly.terms.items()}
-            for poly in constraints
-        ]
+        self.residuals: list[dict[tuple[int, ...], int]] = [poly.terms for poly in constraints]
         self.live: list[set[int]] = [set().union(*terms) for terms in self.residuals]
         self.count: list[int] = [len(live) for live in self.live]
         self.by_var: list[list[int]] = [[] for _ in range(nvars)]

@@ -8,11 +8,12 @@ and extract the degree-4 leading coefficients of P^p that induce a span
 coloring of the underlying graph.
 
 The checkers evaluate the Cartan formula with their own plain engine over
-`Monomial` exponent tuples and integer coefficients. The action search
-compiles its constraints with a separate, faster kernel (`search.py`) and
-re-verifies every table it finds through these checkers; keeping the two
-engines apart means a compile bug cannot hide behind the same bug in the
-verifier.
+`Monomial` exponent tuples and integer coefficients; `apply_power` takes the
+table itself and reads P^j on each generator through
+`SteenrodTable.generator_power`. The action search compiles its constraints
+with a separate, faster kernel (`search.py`) and re-verifies every table it
+finds through these checkers; keeping the two engines apart means a compile
+bug cannot hide behind the same bug in the verifier.
 """
 
 from __future__ import annotations
@@ -57,43 +58,42 @@ def _convolve(ambient, p, s1, s2, kmax):
     return [{m: c for m, c in d.items() if c} for d in out]
 
 
-def _generator_series(ambient, entry_fn, gen_index, kmax, cache):
+def _generator_series(table, gen_index, kmax, cache):
     key = ("g", gen_index, kmax)
     hit = cache.get(key)
     if hit is not None:
         return hit
-    series = [dict() for _ in range(kmax + 1)]
-    series[0] = {ambient.generator_monomial(ambient.gen_labels[gen_index]): 1}
-    top = ambient.gen_degrees[gen_index] // 2
-    for j in range(1, min(kmax, top) + 1):
-        series[j] = entry_fn(gen_index, j)
+    label = table.ambient.gen_labels[gen_index]
+    series = [table.generator_power(label, j).terms_dict() for j in range(kmax + 1)]
     cache[key] = series
     return series
 
 
-def _monomial_series(ambient, p, entry_fn, mono: Monomial, kmax, cache):
+def _monomial_series(table, mono: Monomial, kmax, cache):
     key = (mono, kmax)
     hit = cache.get(key)
     if hit is not None:
         return hit
+    ambient = table.ambient
     series = [dict() for _ in range(kmax + 1)]
     series[0] = {ambient.unit_monomial(): 1}
     for gi, e in enumerate(mono.exps):
         for _ in range(e):
-            gs = _generator_series(ambient, entry_fn, gi, kmax, cache)
-            series = _convolve(ambient, p, series, gs, kmax)
+            gs = _generator_series(table, gi, kmax, cache)
+            series = _convolve(ambient, table.p, series, gs, kmax)
     cache[key] = series
     return series
 
 
-def apply_power(ambient, p: int, entry_fn, terms, k: int, cache) -> dict:
-    """P^k on a terms dict over F_p via linearity and the Cartan formula;
-    P^0 = identity."""
+def apply_power(table, terms, k: int, cache) -> dict:
+    """P^k on a terms dict over F_p via linearity and the Cartan formula,
+    reading P^j on generators from the table; P^0 = identity."""
     if k == 0:
         return dict(terms)
+    p = table.p
     out: dict = {}
     for mono, coeff in terms.items():
-        series = _monomial_series(ambient, p, entry_fn, mono, k, cache)
+        series = _monomial_series(table, mono, k, cache)
         for m, c in series[k].items():
             out[m] = (out.get(m, 0) + coeff * c) % p
     return {m: c for m, c in out.items() if c}
@@ -120,6 +120,8 @@ def _binom_mod(n: int, k: int, p: int) -> int:
 
 def adem_relation(a: int, b: int, p: int) -> PowerRelation:
     """Adem expansion of P^a P^b for 0 < a < pb (odd p, no Bockstein)."""
+    if not is_odd_prime(p):
+        raise ContractError(f"Adem relations need an odd prime, got {p}")
     if not 0 < a < p * b:
         raise ContractError(f"P^{a} P^{b} is already admissible at p={p}")
     rhs = []
@@ -141,7 +143,12 @@ def default_relation_set(p: int) -> tuple[PowerRelation, ...]:
 
 
 def full_adem_relation_set(ambient, p: int, degree_bound: int) -> tuple[PowerRelation, ...]:
-    """All Adem relations whose evaluation on some generator fits the bound."""
+    """All Adem relations whose evaluation on some generator fits the bound;
+    none without generators."""
+    if not is_odd_prime(p):
+        raise ContractError(f"Adem relations need an odd prime, got {p}")
+    if not ambient.gen_degrees:
+        return ()
     min_deg = min(ambient.gen_degrees)
     out = []
     total = 1
@@ -224,14 +231,6 @@ class SteenrodTable:
             return self.ambient.generator_element(label, self.p) ** self.p
         raise IncompleteTableError(label, k)
 
-    def entry_fn(self):
-        labels = self.ambient.gen_labels
-
-        def fn(gen_index: int, j: int):
-            return self.generator_power(labels[gen_index], j).terms_dict()
-
-        return fn
-
     def stored_keys(self) -> list[tuple[str, int]]:
         order = self.ambient.label_index
         return sorted(self.entries, key=lambda lk: (order[lk[0]], lk[1]))
@@ -293,7 +292,7 @@ def cartan_extend(table: SteenrodTable, a: AlgebraElement, k: int) -> AlgebraEle
         raise ContractError("operation index must be non-negative")
     if a.ambient != table.ambient or a.p != table.p:
         raise ContractError("element does not live in the table's algebra")
-    out = apply_power(table.ambient, table.p, table.entry_fn(), a.terms_dict(), k, {})
+    out = apply_power(table, a.terms_dict(), k, {})
     return AlgebraElement.make(table.ambient, table.p, out)
 
 
@@ -343,9 +342,8 @@ class CheckReport:
 
 
 def _eval_composite(table, outer: int, inner: int, base: dict, cache) -> dict:
-    fn = table.entry_fn()
-    mid = apply_power(table.ambient, table.p, fn, base, inner, cache)
-    return apply_power(table.ambient, table.p, fn, mid, outer, cache)
+    mid = apply_power(table, base, inner, cache)
+    return apply_power(table, mid, outer, cache)
 
 
 def check_relations(

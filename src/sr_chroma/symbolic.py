@@ -1,12 +1,14 @@
-"""Sparse multivariate polynomials over F_p with integer-indexed variables.
+"""The compiled constraints of the action search, one polynomial each.
 
-The output format of constraint compilation: a polynomial is its `terms`
-dict, read directly by the solver, plus a canonical key for deduplication.
+A `SymPoly` carries the `terms` dict that `search.compile_constraints` builds,
+in the solver's format, plus a canonical key for deduplication. It has no
+arithmetic: it is kept only as the object whose `terms` a caller can count,
+and the solver reads those dicts directly.
 """
 
 from __future__ import annotations
 
-Key = tuple[tuple[int, int], ...]  # sorted ((var, exp), ...)
+Key = tuple[int, ...]  # variables repeated by exponent, ascending: x0^2*x3 is (0, 0, 3)
 
 
 class SymPoly:

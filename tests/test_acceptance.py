@@ -115,7 +115,7 @@ def test_criterion_5_sufficiency_certificates():
                 for kind, scheme in (("Ap", "A"), ("Bp", "B")):
                     width = p - 1 if kind == "Ap" else (p - 1) // 2
                     k = build_complex(FamilySpec(kind, (chi,) * width, p), g)
-                    part = partition_from_coloring(k, coloring, scheme)
+                    part = partition_from_coloring(k, coloring)
                     if not verify_partition(k, part, scheme):
                         failures += 1
                     checked += 1

@@ -3,9 +3,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import sr_chroma
 from sr_chroma.cli import main
 
 K3 = "v 1\nv 2\nv 3\ne 1 2\ne 2 3\ne 1 3\n"
@@ -156,6 +161,47 @@ def test_action_search_even_prime_usage_error(capsys):
     code, _, err = run(capsys, ["action-search", "--free", "y:8", "--p", "2"])
     assert code == 2
     assert "odd prime" in err
+
+
+def test_action_check_even_prime_usage_error(capsys, tmp_path):
+    table_file = tmp_path / "empty.tbl"
+    table_file.write_text("")
+    argv = ["action-check", "--free", "y:8", "--p", "2", "--table", str(table_file)]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert "odd prime" in err
+
+
+def test_action_search_p_below_two_is_input_error():
+    # a subprocess with a timeout, since the full Adem set never ended for p <= 1
+    src = str(Path(sr_chroma.__file__).resolve().parents[1])
+    for p in ("1", "-1"):
+        argv = ["action-search", "--free", "x:4", f"--p={p}", "--relations", "adem-full"]
+        proc = subprocess.run(
+            [sys.executable, "-m", "sr_chroma.cli", *argv],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+            timeout=60,
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == f"error: Adem relations need an odd prime, got {p}\n"
+
+
+def test_action_search_full_adem_set_without_generators(capsys, tmp_path):
+    path = tmp_path / "empty.g"
+    path.write_text("")
+    argv = ["action-search", "--family", "B", "--vector", "0", str(path)]
+    assert run(capsys, argv) == (0, "found\n", "")
+    assert run(capsys, argv + ["--relations", "adem-full"]) == (0, "found\n", "")
+
+
+@pytest.mark.parametrize("spec", ["x:3", "1:", "1:2:3", "3"])
+def test_action_search_bad_relation_spec_is_input_error(capsys, spec):
+    argv = ["action-search", "--free", "x:4", "--p", "3", "--relations", spec]
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: bad relation spec {spec!r}, expected a:b\n"
 
 
 def test_action_search_cap_exit(capsys):

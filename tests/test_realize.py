@@ -57,7 +57,7 @@ def test_scheme_multisets():
 def test_partition_from_coloring_identity_on_k3():
     k = build_complex(FamilySpec("Ap", (3, 3), 3), complete_graph(3))
     coloring = Coloring(3, {"1": 1, "2": 2, "3": 3})
-    part = partition_from_coloring(k, coloring, "A")
+    part = partition_from_coloring(k, coloring)
     assert part.blocks == (
         frozenset({"x1^(1)", "x1^(2)", "y_1"}),
         frozenset({"x2^(1)", "x2^(2)", "y_2"}),
@@ -68,7 +68,7 @@ def test_partition_from_coloring_identity_on_k3():
 
 def test_partition_from_coloring_empty_graph():
     k = build_complex(FamilySpec("Ap", (2, 2), 3), Graph.build([], []))
-    part = partition_from_coloring(k, Coloring(0, {}), "A")
+    part = partition_from_coloring(k, Coloring(0, {}))
     assert part.blocks == (
         frozenset({"x1^(1)", "x1^(2)"}),
         frozenset({"x2^(1)", "x2^(2)"}),
@@ -79,7 +79,7 @@ def test_partition_from_coloring_empty_graph():
 def test_partition_from_coloring_b5_edge():
     k = build_complex(FamilySpec("Bp", (2, 2), 5), complete_graph(2))
     coloring = Coloring(2, {"1": 1, "2": 2})
-    part = partition_from_coloring(k, coloring, "B")
+    part = partition_from_coloring(k, coloring)
     assert part.blocks == (
         frozenset({"x1^(1)", "x1^(2)", "y_1"}),
         frozenset({"x2^(1)", "x2^(2)", "y_2"}),
@@ -90,10 +90,10 @@ def test_partition_from_coloring_b5_edge():
 def test_partition_from_coloring_contract_errors():
     k = build_complex(FamilySpec("Bp", (2, 1), 5), complete_graph(2))
     with pytest.raises(ContractError, match="block sizes"):
-        partition_from_coloring(k, Coloring(2, {"1": 1, "2": 2}), "B")
+        partition_from_coloring(k, Coloring(2, {"1": 1, "2": 2}))
     k2 = build_complex(FamilySpec("B", (1,)), complete_graph(2))
     with pytest.raises(ContractError, match="bound"):
-        partition_from_coloring(k2, Coloring(2, {"1": 1, "2": 2}), "B")
+        partition_from_coloring(k2, Coloring(2, {"1": 1, "2": 2}))
 
 
 def test_verify_partition_one_block_fails():
@@ -117,7 +117,7 @@ def test_coloring_partitions_verify_on_random_graphs():
             width = p - 1 if kind == "Ap" else (p - 1) // 2
             spec = FamilySpec(kind, (chi,) * width, p)
             k = build_complex(spec, g)
-            part = partition_from_coloring(k, coloring, scheme)
+            part = partition_from_coloring(k, coloring)
             assert verify_partition(k, part, scheme)
 
 
@@ -405,20 +405,20 @@ def test_verdict_trichotomy_fields():
 
 def test_sufficiency_partition_is_the_coloring_partition_on_uniform_families():
     # the decomposition construction reproduces the uniform coloring partition
-    # wherever that applies (chi <= n); the scheme is A for A_p, B for B and B_p
+    # wherever that applies (chi <= n)
     cases = 0
     for order in range(6):
         for g in all_graphs(order):
             chi, coloring = chromatic_number(g)
             for n in (chi, chi + 1):
-                for spec, scheme in (
-                    (FamilySpec("B", (n,)), "B"),
-                    (FamilySpec("Bp", (n, n), 5), "B"),
-                    (FamilySpec("Ap", (n, n), 3), "A"),
-                    (FamilySpec("Ap", (n,) * 4, 5), "A"),
+                for spec in (
+                    FamilySpec("B", (n,)),
+                    FamilySpec("Bp", (n, n), 5),
+                    FamilySpec("Ap", (n, n), 3),
+                    FamilySpec("Ap", (n,) * 4, 5),
                 ):
                     k = build_complex(spec, g)
-                    expect = partition_from_coloring(k, coloring, scheme)
+                    expect = partition_from_coloring(k, coloring)
                     assert sufficiency_partition(k) == expect, (spec, g)
                     cases += 1
     assert cases == 8 * sum(2 ** (v * (v - 1) // 2) for v in range(6))

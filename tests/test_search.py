@@ -18,6 +18,7 @@ from sr_chroma.graph import Graph
 from sr_chroma.errors import ContractError, SearchSpaceExceeded
 from sr_chroma.families import FamilySpec, build_complex
 from sr_chroma.search import (
+    _Solver,
     compile_constraints,
     search_action,
     table_from_assignment,
@@ -242,10 +243,11 @@ def test_search_counters_match_oracle(p, make, status, nodes, variables, digest)
 # -- oracle: the compiled constraint list, in content and order --------------
 #
 # The DFS breaks ties by constraint index, so compile must keep the order as
-# well as the content. Digests are sha256 of the repr of
-# `[poly.canonical_key() for poly in constraints]` at the default degree
-# bound, plus three free algebras at high bounds whose exponents (up to 50 of
-# x:2, 30 of x:2 next to y:4, 25 of x:4) exercise the packed-exponent width.
+# well as the content. Digests are sha256 of the repr of each constraint's
+# sorted (key, coefficient) items, with every key written as its sorted
+# (variable, exponent) pairs, at the default degree bound, plus three free
+# algebras at high bounds whose exponents (up to 50 of x:2, 30 of x:2 next to
+# y:4, 25 of x:4) exercise the packed-exponent width.
 
 COMPILE_ORACLE = {
     "B(2,C4)": "7c34e6c681a89b8dc1b6669aaac7753e2534cbc090aa2d4a7ddf159e33b09dbe",
@@ -292,8 +294,33 @@ def _compile(ambient, p, bound=None):
     "name, p, make, bound", COMPILE_INSTANCES, ids=[row[0] for row in COMPILE_INSTANCES]
 )
 def test_compiled_constraints_match_oracle(name, p, make, bound):
-    keys = [poly.canonical_key() for poly in _compile(make(), p, bound)]
+    keys = [
+        tuple(sorted((_as_pairs(key), c) for key, c in poly.terms.items()))
+        for poly in _compile(make(), p, bound)
+    ]
     assert hashlib.sha256(repr(keys).encode()).hexdigest() == COMPILE_ORACLE[name]
+
+
+def _as_pairs(key: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """(0, 0, 3) -> ((0, 2), (3, 1))"""
+    return tuple((v, key.count(v)) for v in sorted(set(key)))
+
+
+@pytest.mark.parametrize(
+    "name, p, make, bound", COMPILE_INSTANCES, ids=[row[0] for row in COMPILE_INSTANCES]
+)
+def test_compile_emits_the_solver_format(name, p, make, bound):
+    """Keys are variable indices repeated by exponent in ascending order, and
+    the solver starts from the compiled terms as they are."""
+    ambient = make()
+    _, nvars = unknown_entry_blocks(ambient, p)
+    constraints = _compile(ambient, p, bound)
+    for poly in constraints:
+        for key in poly.terms:
+            assert all(type(v) is int and 0 <= v < nvars for v in key), key
+            assert list(key) == sorted(key), key
+    solver = _Solver(p, nvars, constraints, 0)
+    assert solver.residuals == [poly.terms for poly in constraints]
 
 
 # -- compile against the independent verifier --------------------------------
@@ -311,8 +338,8 @@ CROSS_CHECKED = [
 def _vanishes(poly, assignment, p) -> bool:
     total = 0
     for key, c in poly.terms.items():
-        for v, e in key:
-            c *= pow(assignment[v], e, p)
+        for v in key:
+            c *= assignment[v]
         total += c
     return total % p == 0
 

@@ -23,6 +23,7 @@ from sr_chroma.steenrod import (
     cokernel_report,
     coloring_from_action,
     decompose_pp,
+    full_adem_relation_set,
     necessary_condition,
     parse_element,
     parse_table,
@@ -41,6 +42,15 @@ def test_adem_expansion_default_pair():
     # the classical P^1 P^1 = 2 P^2 at p = 3
     rel = adem_relation(1, 1, 3)
     assert rel.rhs == ((2, 2, 0),)
+
+
+def test_adem_relations_need_an_odd_prime():
+    amb = free(("x", 4))
+    for p in (2, 4, 9):
+        with pytest.raises(ContractError, match="odd prime"):
+            adem_relation(1, 1, p)
+        with pytest.raises(ContractError, match="odd prime"):
+            full_adem_relation_set(amb, p, 40)
 
 
 def test_cartan_identity_and_top_power():
