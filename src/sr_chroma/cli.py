@@ -3,13 +3,18 @@
 Exit codes: 0 positive result, 1 certified negative, 2 input error,
 3 resource cap exceeded, 4 inconclusive. Reports are reproducible byte for
 byte, and `--format json` mirrors the text report structure one to one.
-Options may also come from a `key=value` config file; flags win.
+Options may also come from a `key=value` config file: its values become the
+subcommand's defaults, typed and checked like the flags, and flags win.
+A table file that names an entry twice and a multiset-family file with a
+degree that is not a positive even integer are input errors. A reader that
+closes stdout early does not change the exit code.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .algebra import parse_free_algebra
@@ -54,174 +59,140 @@ CONFIG_KEYS = (
     "multiset_family",
     "format",
 )
+FAMILIES = ("A", "Ap", "Bp", "B", "A_p", "B_p")
+
+# what a command hands back: its JSON report, its text lines and its exit code
+Report = tuple[dict, list[str], int]
+
+
+def _read_text(path: str, what: str) -> str:
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise ContractError(f"cannot read {what} file: {exc}") from None
 
 
 def _read_config(path: str) -> dict[str, str]:
     cfg: dict[str, str] = {}
-    try:
-        fh = open(path, encoding="utf-8")
-    except OSError as exc:
-        raise ContractError(f"cannot read config file: {exc}") from None
-    with fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, sep, value = line.partition("=")
-            key = key.strip()
-            if not sep or key not in CONFIG_KEYS:
-                raise ContractError(f"config line {lineno}: expected `key=value` with a known key")
-            cfg[key] = value.strip()
+    for lineno, raw in enumerate(_read_text(path, "config").splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, sep, value = line.partition("=")
+        key = key.strip()
+        if not sep or key not in CONFIG_KEYS:
+            raise ContractError(f"config line {lineno}: expected `key=value` with a known key")
+        cfg[key] = value.strip()
     return cfg
 
 
-def _load_graph(path: str) -> Graph:
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return parse_graph(fh.read())
-    except OSError as exc:
-        raise ContractError(f"cannot read graph file: {exc}") from None
-
-
 def _emit(report: dict, lines: list[str], fmt: str) -> None:
-    if fmt == "json":
-        print(json.dumps(report, sort_keys=True))
-    else:
-        for line in lines:
-            print(line)
+    try:
+        if fmt == "json":
+            print(json.dumps(report, sort_keys=True))
+        else:
+            for line in lines:
+                print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader has gone. Point stdout at /dev/null so that neither this
+        # write nor the interpreter's flush at exit replaces the exit code.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
-class _Options:
-    """Flag values backed by the optional config file; flags win."""
-
-    def __init__(self, args: argparse.Namespace):
-        self.args = args
-        self.cfg = _read_config(args.config) if getattr(args, "config", None) else {}
-
-    def get(self, name: str, default=None):
-        value = getattr(self.args, name, None)
-        if value is not None:
-            return value
-        if name in self.cfg:
-            return self.cfg[name]
-        return default
-
-    def get_int(self, name: str, default=None):
-        value = self.get(name, default)
-        if value is None or isinstance(value, int):
-            return value
-        try:
-            return int(value)
-        except ValueError:
-            raise ContractError(f"option {name} expects an integer, got {value!r}") from None
-
-    @property
-    def fmt(self) -> str:
-        fmt = self.get("format", "text")
-        if fmt not in ("text", "json"):
-            raise ContractError(f"unknown output format {fmt!r}")
-        return fmt
+def _int_list(text: str, what: str) -> tuple[int, ...]:
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise ContractError(f"bad {what} {text!r}") from None
 
 
-def _family_from(opts: _Options) -> FamilySpec:
-    kind = opts.get("family")
-    vector = opts.get("vector")
-    if kind is None or vector is None:
+def _family_from(args: argparse.Namespace) -> FamilySpec:
+    if args.family is None or args.vector is None:
         raise ContractError("--family and --vector are required (or config keys family/vector)")
-    return parse_family(kind, vector, opts.get_int("p"))
+    return parse_family(args.family, args.vector, args.p)
 
 
-def _graph_from(opts: _Options) -> Graph:
-    path = opts.get("graph")
-    if path is None:
+def _graph_from(args: argparse.Namespace) -> Graph:
+    if args.graph is None:
         raise ContractError("a graph file is required")
-    return _load_graph(path)
+    return parse_graph(_read_text(args.graph, "graph"))
 
 
-def _ambient_and_p(opts: _Options):
-    free = opts.get("free")
-    if free is not None:
-        p = opts.get_int("p")
-        if p is None:
+def _ambient_and_p(args: argparse.Namespace):
+    if args.free is not None:
+        if args.p is None:
             raise ContractError("--p is required with --free")
-        return parse_free_algebra(free), p, None
-    spec = _family_from(opts)
-    p = spec.p if spec.p is not None else opts.get_int("p")
+        return parse_free_algebra(args.free), args.p
+    spec = _family_from(args)
+    p = spec.p if spec.p is not None else args.p
     if p is None:
         raise ContractError("--p is required for the general A family")
-    return build_complex(spec, _graph_from(opts)), p, spec
+    return build_complex(spec, _graph_from(args)), p
 
 
-def _relations_from(opts: _Options, ambient, p: int, bound: int):
-    text = opts.get("relations", "default")
-    if text == "default":
-        return default_relation_set(p)
-    if text == "adem-full":
-        return full_adem_relation_set(ambient, p, bound)
+def _bound_and_relations(args: argparse.Namespace, ambient, p: int):
+    bound = default_degree_bound(p) if args.degree_bound is None else args.degree_bound
+    if args.relations == "default":
+        return bound, default_relation_set(p)
+    if args.relations == "adem-full":
+        return bound, full_adem_relation_set(ambient, p, bound)
     rels = []
-    for chunk in text.split(","):
+    for chunk in args.relations.split(","):
         try:
             a, b = (int(x) for x in chunk.split(":"))
         except ValueError:
             raise ContractError(f"bad relation spec {chunk!r}, expected a:b") from None
         rels.append(adem_relation(a, b, p))
-    return tuple(rels)
+    return bound, tuple(rels)
 
 
-def _multiset_family_from(opts: _Options):
-    path = opts.get("multiset_family")
-    if path is None:
+def _multiset_family_from(args: argparse.Namespace):
+    if args.multiset_family is None:
         return None
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return load_family_file(fh.read())
-    except OSError as exc:
-        raise ContractError(f"cannot read multiset family file: {exc}") from None
+    return load_family_file(_read_text(args.multiset_family, "multiset family"))
+
+
+def _span_report(g: Graph, p: int) -> tuple[dict, list[str]]:
+    value, witness = span_chromatic_number(g, p)
+    lines = [f"s_{p}chi = {value}"] + witness.serialize().rstrip("\n").splitlines()
+    report = {
+        "p": p,
+        "value": value,
+        "witness": {v: list(vec.coords) for v, vec in sorted(witness.assignment.items())},
+    }
+    return report, lines
 
 
 # --------------------------------------------------------------------------
 # commands
 # --------------------------------------------------------------------------
 
-def _cmd_chromatic(opts: _Options) -> int:
-    g = _graph_from(opts)
+def _cmd_chromatic(args: argparse.Namespace) -> Report:
+    g = _graph_from(args)
     chi, witness = chromatic_number(g)
     lines = [f"chi = {chi}"]
     report: dict = {"chi": chi, "coloring": dict(sorted(witness.assignment.items()))}
-    span_p = opts.get_int("span")
-    if span_p is not None:
-        value, span_witness = span_chromatic_number(g, span_p)
-        lines.append(f"s_{span_p}chi = {value}")
-        lines += span_witness.serialize().rstrip("\n").splitlines()
-        report["span"] = {
-            "p": span_p,
-            "value": value,
-            "witness": {v: list(vec.coords) for v, vec in sorted(span_witness.assignment.items())},
-        }
-    _emit(report, lines, opts.fmt)
-    return EXIT_OK
+    if args.span is not None:
+        report["span"], span_lines = _span_report(g, args.span)
+        lines += span_lines
+    return report, lines, EXIT_OK
 
 
-def _cmd_span_chromatic(opts: _Options) -> int:
-    g = _graph_from(opts)
-    p = opts.get_int("p")
-    if p is None:
+def _cmd_span_chromatic(args: argparse.Namespace) -> Report:
+    g = _graph_from(args)
+    if args.p is None:
         raise ContractError("--p is required")
-    value, witness = span_chromatic_number(g, p)
-    lines = [f"s_{p}chi = {value}"]
-    lines += witness.serialize().rstrip("\n").splitlines()
-    report = {
-        "p": p,
-        "value": value,
-        "witness": {v: list(vec.coords) for v, vec in sorted(witness.assignment.items())},
-    }
-    _emit(report, lines, opts.fmt)
-    return EXIT_OK
+    report, lines = _span_report(g, args.p)
+    return report, lines, EXIT_OK
 
 
-def _cmd_build_complex(opts: _Options) -> int:
-    spec = _family_from(opts)
-    g = _graph_from(opts)
+def _cmd_build_complex(args: argparse.Namespace) -> Report:
+    spec = _family_from(args)
+    g = _graph_from(args)
     k = build_complex(spec, g)
     lines = [
         f"family = {spec.kind}",
@@ -240,52 +211,32 @@ def _cmd_build_complex(opts: _Options) -> int:
         "generators": {lbl: k.gen_degrees[i] for i, lbl in enumerate(k.gen_labels)},
         "graph": serialize_graph(g),
     }
-    _emit(report, lines, opts.fmt)
-    return EXIT_OK
+    return report, lines, EXIT_OK
 
 
-def _cmd_action_search(opts: _Options) -> int:
-    ambient, p, _spec = _ambient_and_p(opts)
-    bound = opts.get_int("degree_bound", default_degree_bound(p))
-    relations = _relations_from(opts, ambient, p, bound)
-    cap = opts.get_int("cap", DEFAULT_NODE_CAP)
-    outcome = search_action(ambient, p, bound, relations, cap)
-    if outcome.found:
-        lines = ["found"] + outcome.table.serialize().rstrip("\n").splitlines()
-        report = {
-            "status": "found",
-            "table": {f"P^{k}({lbl})": str(el) for (lbl, k), el in sorted(
-                outcome.table.entries.items(), key=lambda kv: (ambient.label_index[kv[0][0]], kv[0][1])
-            )},
-            "degree_bound": outcome.degree_bound,
-            "relations": list(outcome.relation_names),
-            "nodes": outcome.nodes,
-        }
-        _emit(report, lines, opts.fmt)
-        return EXIT_OK
-    lines = [outcome.relativity()]
+def _cmd_action_search(args: argparse.Namespace) -> Report:
+    ambient, p = _ambient_and_p(args)
+    bound, relations = _bound_and_relations(args, ambient, p)
+    outcome = search_action(ambient, p, bound, relations, args.cap)
     report = {
-        "status": "exhausted",
+        "status": "found" if outcome.found else "exhausted",
         "degree_bound": outcome.degree_bound,
         "relations": list(outcome.relation_names),
         "nodes": outcome.nodes,
     }
-    _emit(report, lines, opts.fmt)
-    return EXIT_NEGATIVE
+    if not outcome.found:
+        return report, [outcome.relativity()], EXIT_NEGATIVE
+    table = outcome.table
+    report["table"] = {f"P^{k}({lbl})": str(table.entries[lbl, k]) for lbl, k in table.stored_keys()}
+    return report, ["found"] + table.serialize().rstrip("\n").splitlines(), EXIT_OK
 
 
-def _cmd_action_check(opts: _Options) -> int:
-    ambient, p, _spec = _ambient_and_p(opts)
-    table_path = opts.get("table")
-    if table_path is None:
+def _cmd_action_check(args: argparse.Namespace) -> Report:
+    ambient, p = _ambient_and_p(args)
+    if args.table is None:
         raise ContractError("--table is required")
-    try:
-        with open(table_path, encoding="utf-8") as fh:
-            table = parse_table(fh.read(), ambient, p)
-    except OSError as exc:
-        raise ContractError(f"cannot read table file: {exc}") from None
-    bound = opts.get_int("degree_bound", default_degree_bound(p))
-    relations = _relations_from(opts, ambient, p, bound)
+    table = parse_table(_read_text(args.table, "table"), ambient, p)
+    bound, relations = _bound_and_relations(args, ambient, p)
     reports = [
         check_relations(table, relations, bound),
         check_ideal_preservation(table),
@@ -295,13 +246,12 @@ def _cmd_action_check(opts: _Options) -> int:
     for rep in reports:
         lines += rep.to_text().splitlines()
     report = {"checks": [rep.to_json_dict() for rep in reports]}
-    _emit(report, lines, opts.fmt)
-    return EXIT_OK if all(rep.ok for rep in reports) else EXIT_NEGATIVE
+    return report, lines, EXIT_OK if all(rep.ok for rep in reports) else EXIT_NEGATIVE
 
 
-def _cmd_necessary(opts: _Options) -> int:
-    spec = _family_from(opts)
-    g = _graph_from(opts)
+def _cmd_necessary(args: argparse.Namespace) -> Report:
+    spec = _family_from(args)
+    g = _graph_from(args)
     outcome = necessary_condition(spec, g)
     lines = [outcome.describe()]
     report = {
@@ -310,69 +260,54 @@ def _cmd_necessary(opts: _Options) -> int:
         "bound": outcome.bound,
         "span_chromatic": outcome.span_value,
     }
-    _emit(report, lines, opts.fmt)
-    return EXIT_INCONCLUSIVE if outcome.passed else EXIT_NEGATIVE
+    return report, lines, EXIT_INCONCLUSIVE if outcome.passed else EXIT_NEGATIVE
 
 
-def _cmd_partition(opts: _Options) -> int:
-    spec = _family_from(opts)
-    g = _graph_from(opts)
+def _cmd_partition(args: argparse.Namespace) -> Report:
+    spec = _family_from(args)
+    g = _graph_from(args)
     k = build_complex(spec, g)
-    part = sufficiency_partition(k, _multiset_family_from(opts))
+    part = sufficiency_partition(k, _multiset_family_from(args))
     if part is None:
         chi, _ = chromatic_number(g)
         lines = [f"no partition construction applies (chi = {chi})"]
-        _emit({"status": "unavailable", "chi": chi}, lines, opts.fmt)
-        return EXIT_INCONCLUSIVE
+        return {"status": "unavailable", "chi": chi}, lines, EXIT_INCONCLUSIVE
     lines = part.serialize(k).rstrip("\n").splitlines()
     lines.append("verified: True")
     report = {
         "partition": [sorted(b, key=k.label_index.get) for b in part.blocks],
         "verified": True,
     }
-    _emit(report, lines, opts.fmt)
-    return EXIT_OK
+    return report, lines, EXIT_OK
 
 
-def _cmd_decompose(opts: _Options) -> int:
-    vector_text = opts.get("vector")
-    if vector_text is None:
+def _cmd_decompose(args: argparse.Namespace) -> Report:
+    if args.vector is None:
         raise ContractError("--vector is required")
-    try:
-        s = tuple(int(x) for x in vector_text.split(","))
-    except ValueError:
-        raise ContractError(f"bad vector {vector_text!r}") from None
-    c = opts.get_int("c")
+    s = _int_list(args.vector, "vector")
+    c = args.c
     if c is None:
-        g = _graph_from(opts)
-        c, _ = chromatic_number(g)
+        c, _ = chromatic_number(_graph_from(args))
     dec = decompose_s(s, c)
     if dec is None:
-        lines = [f"no decomposition of ({vector_text}) for c = {c} (exhausted all candidates)"]
-        _emit({"status": "none", "c": c, "s": list(s)}, lines, opts.fmt)
-        return EXIT_NEGATIVE
+        lines = [f"no decomposition of ({args.vector}) for c = {c} (exhausted all candidates)"]
+        return {"status": "none", "c": c, "s": list(s)}, lines, EXIT_NEGATIVE
     sp, sd = dec
     lines = [f"s'  = {','.join(map(str, sp))}", f"s'' = {','.join(map(str, sd))}"]
     report = {"status": "found", "c": c, "s": list(s), "s_prime": list(sp), "s_dprime": list(sd)}
-    _emit(report, lines, opts.fmt)
-    return EXIT_OK
+    return report, lines, EXIT_OK
 
 
-def _cmd_multiset(opts: _Options) -> int:
-    entries_text = opts.get("entries")
-    if entries_text is None:
+def _cmd_multiset(args: argparse.Namespace) -> Report:
+    if args.entries is None:
         raise ContractError("--entries is required")
-    try:
-        ms = tuple(int(x) for x in entries_text.split(","))
-    except ValueError:
-        raise ContractError(f"bad multiset {entries_text!r}") from None
-    fam = _multiset_family_from(opts)
+    ms = _int_list(args.entries, "multiset")
+    fam = _multiset_family_from(args)
     dec = multiset_decomposable(ms, fam)
     family_desc = (fam if fam is not None else DEFAULT_FAMILY).describe()
     if dec is None:
         lines = [f"not decomposable under family {family_desc}"]
-        _emit({"status": "no", "multiset": list(ms), "family": family_desc}, lines, opts.fmt)
-        return EXIT_NEGATIVE
+        return {"status": "no", "multiset": list(ms), "family": family_desc}, lines, EXIT_NEGATIVE
     rendered = " + ".join("{" + ",".join(map(str, block)) + "}" for block in dec)
     lines = [f"decomposable: {rendered}"]
     report = {
@@ -381,129 +316,123 @@ def _cmd_multiset(opts: _Options) -> int:
         "blocks": [list(b) for b in dec],
         "family": family_desc,
     }
-    _emit(report, lines, opts.fmt)
-    return EXIT_OK
+    return report, lines, EXIT_OK
 
 
-def _cmd_realizable(opts: _Options) -> int:
-    spec = _family_from(opts)
-    g = _graph_from(opts)
-    verdict = check_realizable(spec, g, _multiset_family_from(opts))
+def _cmd_realizable(args: argparse.Namespace) -> Report:
+    spec = _family_from(args)
+    g = _graph_from(args)
+    verdict = check_realizable(spec, g, _multiset_family_from(args))
+    exit_codes = {"CertifiedRealizable": EXIT_OK, "CertifiedNotRealizable": EXIT_NEGATIVE}
     lines = verdict.to_text().splitlines()
-    _emit(verdict.to_json_dict(), lines, opts.fmt)
-    if verdict.status == "CertifiedRealizable":
-        return EXIT_OK
-    if verdict.status == "CertifiedNotRealizable":
-        return EXIT_NEGATIVE
-    return EXIT_INCONCLUSIVE
+    return verdict.to_json_dict(), lines, exit_codes.get(verdict.status, EXIT_INCONCLUSIVE)
 
 
 # --------------------------------------------------------------------------
 # parser
 # --------------------------------------------------------------------------
 
-def _build_parser() -> argparse.ArgumentParser:
+def _family_options(sp, families=FAMILIES) -> None:
+    sp.add_argument("--family", default=None, choices=families)
+    sp.add_argument("--vector", default=None)
+    sp.add_argument("--p", type=int, default=None)
+
+
+def _ambient_options(sp) -> None:
+    sp.add_argument("--free", default=None, metavar="GENS", help="free algebra `x:4,y:8,...`")
+    sp.add_argument("--degree-bound", dest="degree_bound", type=int, default=None)
+    sp.add_argument("--relations", default="default", help="default | adem-full | a:b,a:b,...")
+
+
+def _multiset_family_option(sp) -> None:
+    sp.add_argument("--multiset-family", dest="multiset_family", default=None)
+
+
+def _common_options(sp, fn, cfg: dict[str, str], graph_positional: bool = True) -> None:
+    sp.add_argument("--format", choices=("text", "json"), default="text")
+    sp.add_argument("--config", default=None, help="key=value config file; flags win")
+    if graph_positional:
+        sp.add_argument("graph", nargs="?", default=None, help="edge-list graph file")
+    # last: an argument added after set_defaults keeps its own default
+    sp.set_defaults(fn=fn, **cfg)
+
+
+def _build_parser(cfg: dict[str, str]) -> argparse.ArgumentParser:
+    """The parser, with the config file's values `cfg` as every subcommand's
+    defaults; argparse types and checks them like the flags they stand for."""
     parser = argparse.ArgumentParser(
         prog="sr-chroma",
         description="Exact span-coloring, power-operation, and realizability certificates.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, graph_positional=True):
-        sp.add_argument("--format", choices=("text", "json"), default=None)
-        sp.add_argument("--config", default=None, help="key=value config file; flags win")
-        if graph_positional:
-            sp.add_argument("graph", nargs="?", default=None, help="edge-list graph file")
-
     sp = sub.add_parser("chromatic", help="exact chromatic number (optionally s_p-chi)")
     sp.add_argument("--span", type=int, default=None, metavar="P")
-    common(sp)
-    sp.set_defaults(fn=_cmd_chromatic)
+    _common_options(sp, _cmd_chromatic, cfg)
 
     sp = sub.add_parser("span-chromatic", help="exact span chromatic number over F_p")
     sp.add_argument("--p", type=int, default=None)
-    common(sp)
-    sp.set_defaults(fn=_cmd_span_chromatic)
+    _common_options(sp, _cmd_span_chromatic, cfg)
 
     sp = sub.add_parser("build-complex", help="print the family's join complex")
-    sp.add_argument("--family", default=None, choices=("A", "Ap", "Bp", "B", "A_p", "B_p"))
-    sp.add_argument("--vector", default=None)
-    sp.add_argument("--p", type=int, default=None)
-    common(sp)
-    sp.set_defaults(fn=_cmd_build_complex)
+    _family_options(sp)
+    _common_options(sp, _cmd_build_complex, cfg)
 
     sp = sub.add_parser("action-search", help="search for a power-operation table")
-    sp.add_argument("--family", default=None, choices=("A", "Ap", "Bp", "B", "A_p", "B_p"))
-    sp.add_argument("--vector", default=None)
-    sp.add_argument("--p", type=int, default=None)
-    sp.add_argument("--free", default=None, metavar="GENS", help="free algebra `x:4,y:8,...`")
-    sp.add_argument("--degree-bound", dest="degree_bound", type=int, default=None)
-    sp.add_argument("--relations", default=None, help="default | adem-full | a:b,a:b,...")
-    sp.add_argument("--cap", type=int, default=None, help="branch-node budget")
-    common(sp)
-    sp.set_defaults(fn=_cmd_action_search)
+    _family_options(sp)
+    _ambient_options(sp)
+    sp.add_argument("--cap", type=int, default=DEFAULT_NODE_CAP, help="branch-node budget")
+    _common_options(sp, _cmd_action_search, cfg)
 
     sp = sub.add_parser("action-check", help="check a serialized table")
     sp.add_argument("--table", default=None, help="file of `P^k(gen) = element` lines")
-    sp.add_argument("--family", default=None, choices=("A", "Ap", "Bp", "B", "A_p", "B_p"))
-    sp.add_argument("--vector", default=None)
-    sp.add_argument("--p", type=int, default=None)
-    sp.add_argument("--free", default=None, metavar="GENS")
-    sp.add_argument("--degree-bound", dest="degree_bound", type=int, default=None)
-    sp.add_argument("--relations", default=None)
-    common(sp)
-    sp.set_defaults(fn=_cmd_action_check)
+    _family_options(sp)
+    _ambient_options(sp)
+    _common_options(sp, _cmd_action_check, cfg)
 
     sp = sub.add_parser("necessary", help="span-chromatic necessary condition")
-    sp.add_argument("--family", default=None, choices=("Ap", "Bp", "B", "A_p", "B_p"))
-    sp.add_argument("--vector", default=None)
-    sp.add_argument("--p", type=int, default=None)
-    common(sp)
-    sp.set_defaults(fn=_cmd_necessary)
+    _family_options(sp, families=("Ap", "Bp", "B", "A_p", "B_p"))
+    _common_options(sp, _cmd_necessary, cfg)
 
     sp = sub.add_parser("partition", help="sufficiency partition certificate")
-    sp.add_argument("--family", default=None, choices=("A", "Ap", "Bp", "B", "A_p", "B_p"))
-    sp.add_argument("--vector", default=None)
-    sp.add_argument("--p", type=int, default=None)
-    sp.add_argument("--multiset-family", dest="multiset_family", default=None)
-    common(sp)
-    sp.set_defaults(fn=_cmd_partition)
+    _family_options(sp)
+    _multiset_family_option(sp)
+    _common_options(sp, _cmd_partition, cfg)
 
     sp = sub.add_parser("decompose", help="split a size vector against a chromatic bound")
     sp.add_argument("--vector", default=None, help="comma-separated sizes")
     sp.add_argument("--c", type=int, default=None, help="chromatic bound (or give a graph)")
-    common(sp)
-    sp.set_defaults(fn=_cmd_decompose)
+    _common_options(sp, _cmd_decompose, cfg)
 
     sp = sub.add_parser("multiset", help="decompose a degree multiset into allowed lists")
     sp.add_argument("--entries", default=None, help="comma-separated even degrees")
-    sp.add_argument("--multiset-family", dest="multiset_family", default=None)
-    common(sp, graph_positional=False)
-    sp.set_defaults(fn=_cmd_multiset)
+    _multiset_family_option(sp)
+    _common_options(sp, _cmd_multiset, cfg, graph_positional=False)
 
     sp = sub.add_parser("realizable", help="full realizability verdict")
-    sp.add_argument("--family", default=None, choices=("A", "Ap", "Bp", "B", "A_p", "B_p"))
-    sp.add_argument("--vector", default=None)
-    sp.add_argument("--p", type=int, default=None)
-    sp.add_argument("--multiset-family", dest="multiset_family", default=None)
-    common(sp)
-    sp.set_defaults(fn=_cmd_realizable)
+    _family_options(sp)
+    _multiset_family_option(sp)
+    _common_options(sp, _cmd_realizable, cfg)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser({}).parse_args(argv)
     try:
-        opts = _Options(args)
-        return args.fn(opts)
+        if args.config:
+            args = _build_parser(_read_config(args.config)).parse_args(argv)
+        report, lines, code = args.fn(args)
+        if args.format not in ("text", "json"):
+            raise ContractError(f"unknown output format {args.format!r}")
     except SearchSpaceExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP
     except SrChromaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    _emit(report, lines, args.format)
+    return code
 
 
 if __name__ == "__main__":

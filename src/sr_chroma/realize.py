@@ -127,16 +127,20 @@ DEFAULT_FAMILY = AndersonGrodalFamily()
 
 
 def load_family_file(text: str) -> ExplicitFamily:
-    """One allowed multiset per line, comma-separated degrees; `#` comments."""
+    """One allowed multiset per line, comma-separated positive even degrees;
+    `#` comments."""
     allowed = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         try:
-            allowed.append(tuple(int(x) for x in line.split(",")))
+            degrees = tuple(int(x) for x in line.split(","))
         except ValueError:
             raise ContractError(f"line {lineno}: bad multiset {line!r}") from None
+        if any(d <= 0 or d % 2 for d in degrees):
+            raise ContractError(f"line {lineno}: degrees must be positive even integers, got {line!r}")
+        allowed.append(degrees)
     if not allowed:
         raise ContractError("multiset family file lists no multisets")
     return ExplicitFamily(tuple(allowed))

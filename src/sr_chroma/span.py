@@ -7,6 +7,7 @@ every call returns its own copy of the witness.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Sequence
@@ -123,24 +124,12 @@ def verify_span_coloring(g: Graph, c: SpanColoring) -> bool:
 @lru_cache(maxsize=None)
 def _projective_reps(p: int, r: int) -> tuple[tuple[int, ...], ...]:
     """All vectors in F_p^r with first nonzero coordinate 1, in lex order."""
-    if r == 0:
-        return ()
-    reps = []
-
-    def fill(prefix: tuple[int, ...], normalized: bool) -> None:
-        if len(prefix) == r:
-            if normalized:
-                reps.append(prefix)
-            return
-        if not normalized:
-            fill(prefix + (0,), False)
-            fill(prefix + (1,), True)
-        else:
-            for c in range(p):
-                fill(prefix + (c,), True)
-
-    fill((), False)
-    return tuple(reps)
+    # vectors with a later leading 1 start with more zeros, so they come first
+    return tuple(
+        (0,) * i + (1,) + tail
+        for i in reversed(range(r))
+        for tail in itertools.product(range(p), repeat=r - 1 - i)
+    )
 
 
 def _search_dimension(g: Graph, p: int, n: int) -> dict[str, tuple[int, ...]] | None:

@@ -282,6 +282,8 @@ def parse_table(text: str, ambient, p: int) -> SteenrodTable:
             k = int(k_text)
         except ValueError:
             raise ContractError(f"line {lineno}: bad operation index {k_text!r}") from None
+        if (label, k) in entries:
+            raise ContractError(f"line {lineno}: duplicate entry P^{k}({label})")
         entries[(label, k)] = parse_element(rhs, ambient, p)
     return SteenrodTable(p, ambient, entries)
 

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -33,6 +34,16 @@ def edge_file(tmp_path):
 
 def run(capsys, argv):
     code = main(argv)
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def run_code(capsys, argv):
+    """`run`, with argparse's SystemExit read as the exit code."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -360,6 +371,22 @@ def test_config_file_supplies_defaults_and_flags_win(capsys, tmp_path, k3_file):
     assert code == 1
 
 
+def test_config_vector_reaches_decompose(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("vector=5,3,4,2\n")
+    code, out, _ = run(capsys, ["decompose", "--c", "3", "--config", str(cfg)])
+    assert (code, out) == (0, "s'  = 3,3,2,2\ns'' = 2,0,2,0\n")
+
+
+@pytest.mark.parametrize("text", ["p=abc\n", "p=3\ndegree_bound=x\n"])
+def test_non_integer_config_value_is_input_error(capsys, tmp_path, text):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    code, out, err = run_code(capsys, ["action-search", "--free", "x:4", "--config", str(cfg)])
+    assert (code, out) == (2, "")
+    assert "invalid int value" in err
+
+
 def test_unknown_config_key_rejected(capsys, tmp_path, k3_file):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("nonsense=1\n")
@@ -372,3 +399,140 @@ def test_missing_config_file(capsys, tmp_path, k3_file):
     code, _, err = run(capsys, ["chromatic", k3_file, "--config", str(tmp_path / "no.cfg")])
     assert code == 2
     assert "config" in err
+
+
+# -- oracle: the CLI reports, stdout and exit code ---------------------------
+#
+# A refactor of the CLI must leave every report byte-identical. The digest is
+# sha256 over (argv template, exit code, stdout) of each invocation below, run
+# once as written and once with `--format json` appended, in this order. The
+# `{name}` fields are files written from CLI_FILES into a temporary directory;
+# the digest takes the template, so it does not depend on where that is.
+
+CLI_FILES = {
+    "k3": K3,
+    "edge": EDGE,
+    "c4": "v 1\nv 2\nv 3\nv 4\ne 1 2\ne 2 3\ne 3 4\ne 4 1\n",
+    "c5": "v 1\nv 2\nv 3\nv 4\nv 5\ne 1 2\ne 2 3\ne 3 4\ne 4 5\ne 5 1\n",
+    "chains": "4,8\n4\n",
+    "wide": "4,6,8,8\n",
+    "x_table": "P^1(x) = 1*x^2\nP^2(x) = 1*x^3\n",
+    "y_table": "P^1(y) = 0\nP^2(y) = 0\nP^3(y) = 0\n",
+    "empty": "",
+    "real_cfg": "family=B\nvector=3\ngraph={k3}\n",
+    "json_cfg": "graph={k3}\nformat=json\n",
+    "span_cfg": "p=3\ngraph={edge}\n",
+    "action_cfg": "p=3\ndegree_bound=12\nrelations=adem-full\n",
+    "decompose_cfg": "vector=5,3,4,2\n",
+    "multiset_cfg": "multiset_family={wide}\n",
+}
+CLI_CORPUS = (
+    "chromatic {k3}",
+    "chromatic {k3} --span 2",
+    "chromatic {c5} --span 3",
+    "chromatic {missing}",
+    "span-chromatic {edge} --p 3",
+    "span-chromatic {c5} --p 2",
+    "span-chromatic {edge}",
+    "build-complex --family B --vector 2 {k3}",
+    "build-complex --family Ap --p 3 --vector 2,1 {edge}",
+    "build-complex --family A --vector 1,1 {edge}",
+    "action-search --free y:8 --p 3",
+    "action-search --family B --vector 2 {c4}",
+    "action-search --free x:4 --p 3 --degree-bound 12 --relations 1:1",
+    "action-search --free x:4 --p 3 --cap 1",
+    "action-check --free x:4 --p 3 --table {x_table}",
+    "action-check --free y:8 --p 3 --table {y_table}",
+    "action-check --family B --vector 2 {c4} --table {empty}",
+    "action-check --free x:4 --p 3 --table {missing}",
+    "necessary --family B --vector 1 {edge}",
+    "necessary --family B --vector 3 {k3}",
+    "necessary --family Bp --p 5 --vector 1,1 {k3}",
+    "partition --family B --vector 3 {k3}",
+    "partition --family Bp --p 5 --vector 3,2 {edge}",
+    "partition --family A --vector 1,1 {k3}",
+    "partition --family A --vector 2,1 --multiset-family {chains} {edge}",
+    "decompose --vector 5,3,4,2 --c 3",
+    "decompose --vector 1,1 --c 3",
+    "decompose --vector 3,2 {k3}",
+    "decompose --vector 3,x --c 2",
+    "multiset --entries 4,6,8,8",
+    "multiset --entries 4,4,6,8,8",
+    "multiset --entries 4,6,8,8 --multiset-family {wide}",
+    "multiset --entries 4,y",
+    "realizable --family B --vector 3 {k3}",
+    "realizable --family B --vector 2 {k3}",
+    "realizable --family A --vector 1,1 {k3}",
+    "realizable --family A --vector 2,2 {c5}",
+    "realizable --family B --vector 3 --multiset-family {chains} {k3}",
+    "realizable --family B --vector 3 --multiset-family {missing} {k3}",
+    "realizable --config {real_cfg}",
+    "realizable --config {real_cfg} --vector 2",
+    "necessary --config {real_cfg}",
+    "partition --config {real_cfg}",
+    "build-complex --config {real_cfg}",
+    "decompose --config {real_cfg}",
+    "chromatic --config {json_cfg}",
+    "chromatic --config {json_cfg} --format text",
+    "span-chromatic --config {span_cfg}",
+    "action-search --free x:4 --config {action_cfg}",
+    "action-check --free x:4 --table {x_table} --config {action_cfg}",
+    "decompose --c 3 --config {decompose_cfg}",
+    "multiset --entries 4,6,8,8 --config {multiset_cfg}",
+    "chromatic {k3} --config {missing}",
+)
+CLI_REPORTS_SHA256 = "b6b0cc7a331ce0fa09b9242631016b4bd12d95997f2cc4d66dbd28ca073eceb1"
+
+
+def test_cli_reports_oracle(capsys, tmp_path):
+    paths = {name: str(tmp_path / name) for name in CLI_FILES}
+    paths["missing"] = str(tmp_path / "missing")
+    for name, text in CLI_FILES.items():
+        (tmp_path / name).write_text(text.format(**paths))
+    digest = hashlib.sha256()
+    for template in CLI_CORPUS:
+        for extra in ((), ("--format", "json")):
+            argv = template.format(**paths).split() + list(extra)
+            code, out, _ = run_code(capsys, argv)
+            digest.update(repr((template.split() + list(extra), code, out)).encode())
+    assert digest.hexdigest() == CLI_REPORTS_SHA256
+
+
+def test_duplicate_table_entry_is_input_error(capsys, tmp_path):
+    table_file = tmp_path / "table.txt"
+    table_file.write_text("P^1(x) = 2*x^2\nP^1(x) = 1*x^2\n")
+    argv = ["action-check", "--free", "x:4", "--p", "3", "--table", str(table_file)]
+    assert run(capsys, argv) == (2, "", "error: line 2: duplicate entry P^1(x)\n")
+
+
+@pytest.mark.parametrize("bad", ["4,-8", "4,7"])
+def test_family_file_degree_typo_is_input_error(capsys, tmp_path, k3_file, bad):
+    argv = ["realizable", "--family", "B", "--vector", "3", "--multiset-family"]
+    code, out, _ = run(capsys, argv + [_family_file(tmp_path, "4,8\n4\n"), k3_file])
+    assert (code, out.splitlines()[0]) == (0, "status: CertifiedRealizable")
+    code, out, err = run(capsys, argv + [_family_file(tmp_path, f"{bad}\n4\n"), k3_file])
+    assert (code, out) == (2, "")
+    assert err == f"error: line 1: degrees must be positive even integers, got '{bad}'\n"
+
+
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_closed_stdout_keeps_the_exit_code(k3_file, unbuffered):
+    src = str(Path(sr_chroma.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = src
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "sr_chroma.cli", "realizable", "--family", "B", "--vector", "3", k3_file],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (0, "")

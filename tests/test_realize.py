@@ -323,6 +323,12 @@ def test_explicit_family_override():
         load_family_file("not numbers\n")
 
 
+@pytest.mark.parametrize("line", ["4,-8", "4,7", "0", "6,8,3"])
+def test_family_file_rejects_degrees_no_generator_has(line):
+    with pytest.raises(ContractError, match=f"^line 3: degrees must be positive even integers, got '{line}'$"):
+        load_family_file(f"4\n# comment\n{line}\n")
+
+
 def test_chromatic_bounds():
     assert chromatic_bounds(complete_graph(3), 3) == (3, 3)
     assert chromatic_bounds(empty_graph(3), 5) == (1, 1)

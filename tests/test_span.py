@@ -258,6 +258,15 @@ def _witness_graphs():
         yield Graph.build(labels, edges)
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_projective_reps_are_the_normalized_vectors_in_lex_order(p):
+    for r in range(5):
+        normalized = [
+            v for v in itertools.product(range(p), repeat=r) if any(v) and next(c for c in v if c) == 1
+        ]
+        assert span_module._projective_reps(p, r) == tuple(sorted(normalized))
+
+
 def test_witness_oracle():
     digest = hashlib.sha256()
     for g in _witness_graphs():

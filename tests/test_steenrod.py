@@ -253,6 +253,12 @@ def test_table_serialize_parse_round_trip():
     assert "P^3(y_1)" in text
 
 
+def test_parse_table_rejects_a_duplicate_entry():
+    amb = free(("x", 4))
+    with pytest.raises(ContractError, match=r"^line 2: duplicate entry P\^1\(x\)$"):
+        parse_table("P^1(x) = 2*x^2\nP^1(x) = 1*x^2\n", amb, 3)
+
+
 def test_parse_element_forms():
     amb = free(("x", 4), ("y", 8))
     assert parse_element("0", amb, 3).is_zero()
