@@ -5,9 +5,10 @@ Exit codes: 0 positive result, 1 certified negative, 2 input error,
 byte, and `--format json` mirrors the text report structure one to one.
 Options may also come from a `key=value` config file: its values become the
 subcommand's defaults, typed and checked like the flags, and flags win.
-A table file that names an entry twice and a multiset-family file with a
-degree that is not a positive even integer are input errors. A reader that
-closes stdout early does not change the exit code.
+A config file that sets a key twice, a table file that names an entry twice
+and a multiset-family file with a degree that is not a positive even integer
+are input errors. A reader that closes stdout early does not change the exit
+code.
 """
 
 from __future__ import annotations
@@ -83,6 +84,8 @@ def _read_config(path: str) -> dict[str, str]:
         key = key.strip()
         if not sep or key not in CONFIG_KEYS:
             raise ContractError(f"config line {lineno}: expected `key=value` with a known key")
+        if key in cfg:
+            raise ContractError(f"config line {lineno}: duplicate key {key!r}")
         cfg[key] = value.strip()
     return cfg
 
@@ -422,9 +425,10 @@ def main(argv=None) -> int:
     try:
         if args.config:
             args = _build_parser(_read_config(args.config)).parse_args(argv)
-        report, lines, code = args.fn(args)
+        # a config default is not checked against --format's choices
         if args.format not in ("text", "json"):
             raise ContractError(f"unknown output format {args.format!r}")
+        report, lines, code = args.fn(args)
     except SearchSpaceExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAP

@@ -163,20 +163,29 @@ def max_clique(g: Graph) -> tuple[str, ...]:
 
 
 def _max_clique(g: Graph) -> tuple[str, ...]:
+    """Branch and bound over candidates in degree order, on an explicit stack.
+
+    A frame [clique, candidates, i] tries each of candidates[i:] as the next
+    member of `clique`. It is popped once adding all of them could not beat
+    the best clique so far; the bound only shrinks for later candidates, and
+    it always holds when they run out, since `best` is never shorter than a
+    frame's clique."""
     order = sorted(g.vertices, key=lambda v: (-g.degree(v), g.index[v]))
     adj = g.adjacency
     best: list[str] = []
-
-    def extend(clique: list[str], candidates: list[str]) -> None:
-        nonlocal best
-        if len(clique) > len(best):
-            best = list(clique)
-        if len(clique) + len(candidates) <= len(best):
-            return
-        for i, v in enumerate(candidates):
-            extend(clique + [v], [u for u in candidates[i + 1 :] if u in adj[v]])
-
-    extend([], order)
+    stack: list[list] = [[[], order, 0]]
+    while stack:
+        frame = stack[-1]
+        clique, candidates, i = frame
+        if len(clique) + len(candidates) - i <= len(best):
+            stack.pop()
+            continue
+        frame[2] = i + 1
+        v = candidates[i]
+        grown = clique + [v]
+        if len(grown) > len(best):
+            best = grown
+        stack.append([grown, [u for u in candidates[i + 1 :] if u in adj[v]], 0])
     return tuple(best)
 
 

@@ -29,12 +29,36 @@ contain it and replaces them (never mutates them); the old residual and live
 set go on a single trail, together with the assignment itself, and
 backtracking pops the trail back to a mark.
 The DFS runs on an explicit stack of frames, so deep instances need no
-recursion limit. The search rules are those of the propagating DFS it
-replaced: the variable->constraint order, the LIFO propagation queue, values
-tried 0..p-1, fail-first picking with ties to the lowest constraint and then
-the lowest variable, a node counted before the budget is checked, and free
-variables set to 0. Residuals are the same polynomials, merely stored
-differently, so every node count and every found table is unchanged.
+recursion limit. The search rules are: the variable->constraint order, the
+LIFO propagation queue, values tried 0..p-1, fail-first picking with ties to
+the lowest constraint and then the lowest variable, a node counted before the
+budget is checked, and free variables set to 0.
+
+Sign symmetry prunes the DFS. For a vector a over GF(2), one bit per
+generator, let s_a multiply each generator j by (-1)^(a_j).
+- s_a is a graded automorphism of the Stanley-Reisner ring: it preserves the
+  monomial ideal and every (y_v) + (y_j y_k). It also fixes each forced top
+  g^p, because p is odd.
+- Conjugating a table T by s_a gives the table s_a T s_a, and it multiplies
+  variable i by (-1)^<a, d_i>. Here variable i is the coefficient of the
+  basis monomial m in P^k(g), and its sign mask d_i = (exps(m) - e_g) mod 2
+  is a bitmask over the generators (`sign_masks`).
+- Every compiled constraint is sign-homogeneous: all of its terms share one
+  character, the XOR of the masks of their variables. So s_a multiplies a
+  constraint by one sign, and the solution set is invariant under every s_a.
+- If s_a fixes the current assignment A and negates the branch variable x,
+  it maps the solutions that extend A + {x = c} onto those that extend
+  A + {x = -c}.
+- Such an a exists exactly when d_x lies outside the GF(2) span of the masks
+  of the variables A sets to nonzero values, because over a field the
+  annihilator of the annihilator of a subspace is the subspace.
+So when a frame reaches the value (p+1)/2 and such an a exists, its
+remaining values are -c for values c whose subtrees were already exhausted
+without a solution, and the frame is dropped; those values are not counted
+as nodes. The pruned DFS is the unpruned DFS with only solution-free
+subtrees removed. It gives the same status, the same relativity string and
+the same first table, and it never explores more nodes. A `_Solver` built
+without masks runs the unpruned DFS, which the tests keep as the reference.
 """
 
 from __future__ import annotations
@@ -104,6 +128,22 @@ def unknown_entry_blocks(ambient, p: int) -> tuple[list[EntryBlock], int]:
                 blocks.append(EntryBlock(label, k, tuple(basis), offset))
                 offset += len(basis)
     return blocks, offset
+
+
+def sign_masks(ambient, blocks: list[EntryBlock]) -> list[int]:
+    """Per variable, in variable order, the generators whose sign change
+    negates it: for the coefficient of m in P^k(g), bit i is the parity of
+    the exponent of generator i in m, flipped when i is g."""
+    masks: list[int] = []
+    for block in blocks:
+        own = 1 << ambient.label_index[block.label]
+        for m in block.basis:
+            mask = own
+            for i, e in enumerate(m.exps):
+                if e & 1:
+                    mask ^= 1 << i
+            masks.append(mask)
+    return masks
 
 
 class _CompileKernel:
@@ -296,11 +336,20 @@ class _Solver:
     """Propagating DFS over plain residuals, undone through one trail.
 
     The initial residuals are the compiled constraints' `terms` dicts, in the
-    format they were compiled in."""
+    format they were compiled in. With the variables' sign masks the DFS
+    prunes by sign symmetry; without them it is the unpruned reference."""
 
-    def __init__(self, p: int, nvars: int, constraints: list[SymPoly], node_cap: int):
+    def __init__(
+        self,
+        p: int,
+        nvars: int,
+        constraints: list[SymPoly],
+        node_cap: int,
+        masks: list[int] | None = None,
+    ):
         self.p = p
         self.node_cap = node_cap
+        self.masks = masks
         self.assign: list[int | None] = [None] * nvars
         # residuals are never mutated: an assignment replaces them, so the
         # trail can hold the old dict and live set by reference
@@ -434,11 +483,37 @@ class _Solver:
             return None
         return min(self.live[best_ci])
 
+    def _negatable(self, var: int) -> bool:
+        """Whether some sign change fixes the assignment and negates `var`:
+        its mask lies outside the GF(2) span of the masks of the variables
+        assigned nonzero values."""
+        masks = self.masks
+        target = masks[var]
+        if not target:
+            return False
+        pivots: dict[int, int] = {}  # leading bit -> basis vector
+        for mask in {masks[i] for i, v in enumerate(self.assign) if v}:
+            while mask:
+                top = mask.bit_length() - 1
+                basis = pivots.get(top)
+                if basis is None:
+                    pivots[top] = mask
+                    break
+                mask ^= basis
+        while target:
+            basis = pivots.get(target.bit_length() - 1)
+            if basis is None:
+                return True
+            target ^= basis
+        return False
+
     def _dfs(self) -> list[int] | None:
         """Depth-first over the values 0..p-1 of each picked variable, on an
         explicit stack of [var, next value, trail mark] frames. Trying a value
         first undoes the trail back to its frame's mark, which also undoes
         every deeper frame."""
+        mirror = (self.p + 1) // 2  # values from here on are -c for a c < mirror
+        prune = self.masks is not None
         frames: list[list[int]] = []
         var = self._pick_variable()
         while var is not None:
@@ -451,8 +526,11 @@ class _Solver:
                 if val == self.p:
                     frames.pop()
                     continue
-                frame[1] = val + 1
                 self._undo(mark)
+                if val == mirror and prune and self._negatable(var):
+                    frames.pop()
+                    continue
+                frame[1] = val + 1
                 self.nodes += 1
                 if self.nodes > self.node_cap:
                     raise SearchSpaceExceeded(
@@ -513,7 +591,7 @@ def search_action(
     relations = default_relation_set(p) if relation_set is None else tuple(relation_set)
     blocks, nvars = unknown_entry_blocks(ambient, p)
     constraints = compile_constraints(ambient, p, relations, bound, blocks)
-    solver = _Solver(p, nvars, constraints, node_cap)
+    solver = _Solver(p, nvars, constraints, node_cap, sign_masks(ambient, blocks))
     assignment = solver.solve()
     names = tuple(r.name for r in relations)
     if assignment is None:

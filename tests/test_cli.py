@@ -387,6 +387,20 @@ def test_non_integer_config_value_is_input_error(capsys, tmp_path, text):
     assert "invalid int value" in err
 
 
+def test_duplicate_config_key_is_input_error(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("p=abc\np=3\n")
+    argv = ["action-search", "--free", "y:8", "--config", str(cfg)]
+    assert run(capsys, argv) == (2, "", "error: config line 2: duplicate key 'p'\n")
+
+
+def test_config_format_is_checked_before_the_command_runs(capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("format=xml\n")
+    argv = ["action-search", "--free", "x:4", "--p", "3", "--cap", "1", "--config", str(cfg)]
+    assert run(capsys, argv) == (2, "", "error: unknown output format 'xml'\n")
+
+
 def test_unknown_config_key_rejected(capsys, tmp_path, k3_file):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("nonsense=1\n")

@@ -24,6 +24,7 @@ from sr_chroma.graph import (
     Graph,
     chromatic_number,
     coloring_is_valid,
+    max_clique,
     neighbors,
     parse_graph,
     serialize_graph,
@@ -136,6 +137,37 @@ def test_chromatic_on_a_long_path():
     n, witness = chromatic_number(g)
     assert n == 2
     assert coloring_is_valid(g, witness)
+
+
+def _recursive_max_clique(g: Graph) -> tuple[str, ...]:
+    """The branch and bound as first written, one call per clique member."""
+    order = sorted(g.vertices, key=lambda v: (-g.degree(v), g.index[v]))
+    best: list[str] = []
+
+    def extend(clique: list[str], candidates: list[str]) -> None:
+        nonlocal best
+        if len(clique) > len(best):
+            best = list(clique)
+        if len(clique) + len(candidates) <= len(best):
+            return
+        for i, v in enumerate(candidates):
+            extend(clique + [v], [u for u in candidates[i + 1 :] if u in g.adjacency[v]])
+
+    extend([], order)
+    return tuple(best)
+
+
+def test_max_clique_matches_the_recursive_search():
+    rng = Random(41)
+    graphs = list(all_graphs(5)) + [random_graph(rng, 12) for _ in range(60)]
+    for g in graphs:
+        assert max_clique(g) == _recursive_max_clique(g), g
+
+
+def test_max_clique_on_a_1100_vertex_complete_graph():
+    # one recursive call per member used to pass the default recursion limit
+    g = complete_graph(1100)
+    assert max_clique(g) == g.vertices
 
 
 def test_two_core_examples():

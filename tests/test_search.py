@@ -10,6 +10,8 @@ from pathlib import Path
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import complete_graph, cycle_graph
 import sr_chroma
@@ -18,9 +20,12 @@ from sr_chroma.graph import Graph
 from sr_chroma.errors import ContractError, SearchSpaceExceeded
 from sr_chroma.families import FamilySpec, build_complex
 from sr_chroma.search import (
+    DEFAULT_NODE_CAP,
+    SearchOutcome,
     _Solver,
     compile_constraints,
     search_action,
+    sign_masks,
     table_from_assignment,
     unknown_entry_blocks,
 )
@@ -109,13 +114,16 @@ def test_node_cap_refusal_carries_estimate():
 
 def test_node_cap_deep_in_the_dfs():
     k = build_complex(FamilySpec("B", (2,)), complete_graph(3))
-    with pytest.raises(SearchSpaceExceeded) as exc:
-        search_action(k, 3, node_cap=1000)
-    assert str(exc.value).endswith(
-        "after exploring 1001 branch nodes (full coefficient space 3^75)"
-    )
-    assert exc.value.estimate == 3**75
+    for search in (search_action, _reference_search):
+        with pytest.raises(SearchSpaceExceeded) as exc:
+            search(k, 3, node_cap=1000)
+        assert str(exc.value).endswith(
+            "after exploring 1001 branch nodes (full coefficient space 3^75)"
+        )
+        assert exc.value.estimate == 3**75
     out = search_action(k, 3)
+    assert (out.status, out.nodes) == ("exhausted", 1230)
+    out = _reference_search(k, 3)
     assert (out.status, out.nodes) == ("exhausted", 24492)
 
 
@@ -173,71 +181,208 @@ def test_custom_relation_pair():
 #
 # A change to the solver that keeps the variable order, the propagation rule
 # and the value order must leave (status, nodes, variables) and every found
-# table unchanged. The table hashes are sha256 of `table.serialize()`.
+# table unchanged. The table hashes are sha256 of `table.serialize()`. `nodes`
+# counts the unpruned reference DFS, `pruned` the DFS with sign-symmetry
+# pruning that `search_action` runs; both find the same tables.
 
 K3_PLUS_K1 = Graph.build(
     complete_graph(3).vertices + ("4",), complete_graph(3).edges
 )  # the isolated vertex last: first, B(2, .) explores 281,448 nodes
 
 ORACLE = [
-    # name, p, ambient factory, status, nodes, variables, table sha256
+    # name, p, ambient factory, status, nodes, pruned, variables, table sha256
     ("B(2,C4)", 3, lambda: build_complex(FamilySpec("B", (2,)), cycle_graph(4)),
-     "found", 41, 110, "0e5bd335464076d46e236a584d77c72303dc9fac753c4f2cfb2bb26e899436b3"),
+     "found", 41, 41, 110, "0e5bd335464076d46e236a584d77c72303dc9fac753c4f2cfb2bb26e899436b3"),
     ("B(3,K3)", 3, lambda: build_complex(FamilySpec("B", (3,)), complete_graph(3)),
-     "found", 36, 132, "fa90e3850562aee543cd3b295c25af598d20c9ed8bbc0321aa47edcb60f3998b"),
+     "found", 36, 36, 132, "fa90e3850562aee543cd3b295c25af598d20c9ed8bbc0321aa47edcb60f3998b"),
     ("B(3,C5)", 3, lambda: build_complex(FamilySpec("B", (3,)), cycle_graph(5)),
-     "found", 64, 248, "c677d3385526034741ca796704bcf06011aeb850ea3b3e1fbd5fb7f28be1637e"),
+     "found", 64, 64, 248, "c677d3385526034741ca796704bcf06011aeb850ea3b3e1fbd5fb7f28be1637e"),
     ("B(3,C6)", 3, lambda: build_complex(FamilySpec("B", (3,)), cycle_graph(6)),
-     "found", 78, 318, "7c252e4338770a71cec93d2ec708b4c84238c9106fea3bc7adc7ec1795ff1e0f"),
+     "found", 78, 78, 318, "7c252e4338770a71cec93d2ec708b4c84238c9106fea3bc7adc7ec1795ff1e0f"),
     ("B(4,C4)", 3, lambda: build_complex(FamilySpec("B", (4,)), cycle_graph(4)),
-     "found", 273, 292, "1792cb7099039dcd6a5f8747655643a21abd051c376459e384ee4cbea673a04c"),
+     "found", 273, 156, 292, "1792cb7099039dcd6a5f8747655643a21abd051c376459e384ee4cbea673a04c"),
     ("A_3(3,3),C4", 3, lambda: build_complex(FamilySpec("Ap", (3, 3), 3), cycle_graph(4)),
-     "found", 65, 327, "32de395d4fd4914d697caecb80689771bf50d6a35b157dbc0e18e555d388d19a"),
+     "found", 65, 65, 327, "32de395d4fd4914d697caecb80689771bf50d6a35b157dbc0e18e555d388d19a"),
     ("B_5(2,1),K2", 5, lambda: build_complex(FamilySpec("Bp", (2, 1), 5), complete_graph(2)),
-     "found", 35, 561, "7348d659dcac0edc09cc32fd25370810577b511064c7d8e158d46ceb2be0b6a9"),
+     "found", 35, 35, 561, "7348d659dcac0edc09cc32fd25370810577b511064c7d8e158d46ceb2be0b6a9"),
     ("B_5(2,2),K2", 5, lambda: build_complex(FamilySpec("Bp", (2, 2), 5), complete_graph(2)),
-     "found", 68, 1180, "d61ca5836d7112c9b77abdbfab4b66d2853912cb1b3dacf33cc59ad60f6db6b0"),
+     "found", 68, 68, 1180, "d61ca5836d7112c9b77abdbfab4b66d2853912cb1b3dacf33cc59ad60f6db6b0"),
     ("Z/5[x1:4,x2:8,y:12]", 5, lambda: FreePolynomialAlgebra((("x1", 4), ("x2", 8), ("y", 12))),
-     "found", 10, 86, "51cf49145a0e1972199fb91a7b7d7dbee2b8def760ce152ba57252e8fb233895"),
+     "found", 10, 10, 86, "51cf49145a0e1972199fb91a7b7d7dbee2b8def760ce152ba57252e8fb233895"),
     ("Z/7[x:4,y:16]", 7, lambda: FreePolynomialAlgebra((("x", 4), ("y", 16))),
-     "found", 3, 34, "ccf1ddde6021a6cb836d9a6bf9c107eb355ba11a88143bd76fa83020b78a0f4a"),
+     "found", 3, 3, 34, "ccf1ddde6021a6cb836d9a6bf9c107eb355ba11a88143bd76fa83020b78a0f4a"),
     ("Z/3[y:8]", 3, lambda: FreePolynomialAlgebra((("y", 8),)),
-     "exhausted", 0, 1, None),
+     "exhausted", 0, 0, 1, None),
     ("Z/3[x:4,y1:8,y2:8]", 3, lambda: FreePolynomialAlgebra((("x", 4), ("y1", 8), ("y2", 8))),
-     "exhausted", 3, 33, None),
+     "exhausted", 3, 2, 33, None),
     ("Z/5[x1:8,y:12]", 5, lambda: FreePolynomialAlgebra((("x1", 8), ("y", 12))),
-     "exhausted", 0, 13, None),
+     "exhausted", 0, 0, 13, None),
     ("Z/5[x1:4,x2:8,y1:12,y2:12]", 5,
      lambda: FreePolynomialAlgebra((("x1", 4), ("x2", 8), ("y1", 12), ("y2", 12))),
-     "exhausted", 5, 285, None),
+     "exhausted", 5, 3, 285, None),
     ("Z/7[x1:4,x2:8,y1:16,y2:16]", 7,
      lambda: FreePolynomialAlgebra((("x1", 4), ("x2", 8), ("y1", 16), ("y2", 16))),
-     "exhausted", 7, 914, None),
+     "exhausted", 7, 4, 914, None),
     ("B(1,C4)", 3, lambda: build_complex(FamilySpec("B", (1,)), cycle_graph(4)),
-     "exhausted", 15, 57, None),
+     "exhausted", 15, 7, 57, None),
     ("B(1,C5)", 3, lambda: build_complex(FamilySpec("B", (1,)), cycle_graph(5)),
-     "exhausted", 15, 81, None),
+     "exhausted", 15, 7, 81, None),
     ("A_3(1,1),K2", 3, lambda: build_complex(FamilySpec("Ap", (1, 1), 3), complete_graph(2)),
-     "exhausted", 15, 23, None),
+     "exhausted", 15, 7, 23, None),
     ("B_5(1,1),K2", 5, lambda: build_complex(FamilySpec("Bp", (1, 1), 5), complete_graph(2)),
-     "exhausted", 5, 161, None),
+     "exhausted", 5, 3, 161, None),
     ("B(2,K3)", 3, lambda: build_complex(FamilySpec("B", (2,)), complete_graph(3)),
-     "exhausted", 24492, 75, None),
+     "exhausted", 24492, 1230, 75, None),
     ("B(2,K3+K1)", 3, lambda: build_complex(FamilySpec("B", (2,)), K3_PLUS_K1),
-     "exhausted", 24732, 98, None),
+     "exhausted", 24732, 1260, 98, None),
 ]
 
 
+def _reference_search(ambient, p: int, node_cap: int = DEFAULT_NODE_CAP) -> SearchOutcome:
+    """`search_action` at the default relation set and degree bound, solved by
+    the unpruned `_Solver` (built without sign masks)."""
+    relations = default_relation_set(p)
+    bound = default_degree_bound(p)
+    blocks, nvars = unknown_entry_blocks(ambient, p)
+    solver = _Solver(p, nvars, compile_constraints(ambient, p, relations, bound, blocks), node_cap)
+    assignment = solver.solve()
+    names = tuple(r.name for r in relations)
+    if assignment is None:
+        return SearchOutcome("exhausted", None, names, bound, nvars, solver.nodes)
+    table = table_from_assignment(ambient, p, blocks, assignment)
+    return SearchOutcome("found", table, names, bound, nvars, solver.nodes)
+
+
+def _digest(table) -> str:
+    return hashlib.sha256(table.serialize().encode()).hexdigest()
+
+
 @pytest.mark.parametrize(
-    "p, make, status, nodes, variables, digest",
+    "p, make, status, nodes, pruned, variables, digest",
     [row[1:] for row in ORACLE],
     ids=[row[0] for row in ORACLE],
 )
-def test_search_counters_match_oracle(p, make, status, nodes, variables, digest):
+def test_search_counters_match_oracle(p, make, status, nodes, pruned, variables, digest):
     out = search_action(make(), p)
+    assert (out.status, out.nodes, out.variables) == (status, pruned, variables)
+    if digest is not None:
+        assert _digest(out.table) == digest
+
+
+@pytest.mark.parametrize(
+    "p, make, status, nodes, pruned, variables, digest",
+    [row[1:] for row in ORACLE],
+    ids=[row[0] for row in ORACLE],
+)
+def test_reference_search_matches_oracle(p, make, status, nodes, pruned, variables, digest):
+    out = _reference_search(make(), p)
     assert (out.status, out.nodes, out.variables) == (status, nodes, variables)
     if digest is not None:
-        assert hashlib.sha256(out.table.serialize().encode()).hexdigest() == digest
+        assert _digest(out.table) == digest
+
+
+# -- the premise of sign-symmetry pruning, and its equivalence ---------------
+#
+# The pruning is sound because every compiled constraint is sign-homogeneous:
+# the XOR of the sign masks of a term's variables (repeated by exponent) is
+# the same for every term, so a sign change of generators multiplies the
+# whole constraint by one sign.
+
+
+def _characters(poly, masks: list[int]) -> set[int]:
+    chars = set()
+    for key in poly.terms:
+        char = 0
+        for v in key:
+            char ^= masks[v]
+        chars.add(char)
+    return chars
+
+
+@pytest.mark.parametrize(
+    "name, p, make", [row[:3] for row in ORACLE], ids=[row[0] for row in ORACLE]
+)
+def test_compiled_constraints_are_sign_homogeneous(name, p, make):
+    ambient = make()
+    blocks, nvars = unknown_entry_blocks(ambient, p)
+    masks = sign_masks(ambient, blocks)
+    assert len(masks) == nvars
+    bound = default_degree_bound(p)
+    relation_sets = [default_relation_set(p)]
+    if p == 3:
+        relation_sets.append(full_adem_relation_set(ambient, p, bound))
+    for relations in relation_sets:
+        for poly in compile_constraints(ambient, p, relations, bound, blocks):
+            assert len(_characters(poly, masks)) == 1, poly.terms
+
+
+def test_sign_masks_flip_the_entry_generator():
+    # coefficient of m in P^k(g): bit i is the parity of m's exponent of i, flipped at g
+    amb = FreePolynomialAlgebra((("x", 4), ("y1", 8), ("y2", 8)))
+    blocks, _ = unknown_entry_blocks(amb, 3)
+    masks = sign_masks(amb, blocks)
+    index = amb.label_index
+    for block in blocks:
+        for t, m in enumerate(block.basis):
+            odd = {i for i, e in enumerate(m.exps) if e % 2} ^ {index[block.label]}
+            assert masks[block.offset + t] == sum(1 << i for i in odd)
+
+
+DIFFERENTIAL_CAP = 3000
+
+_family_specs = st.one_of(
+    st.integers(1, 3).map(lambda n: FamilySpec("B", (n,))),
+    st.tuples(st.integers(0, 2), st.integers(0, 2)).map(lambda s: FamilySpec("Ap", s, 3)),
+    st.tuples(st.integers(0, 1), st.integers(0, 1)).map(lambda r: FamilySpec("Bp", r, 5)),
+)
+
+
+@st.composite
+def _small_graphs(draw):
+    n = draw(st.integers(1, 4))
+    labels = [str(i + 1) for i in range(n)]
+    pairs = [(labels[i], labels[j]) for i in range(n) for j in range(i + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return Graph.build(labels, [e for e, k in zip(pairs, keep) if k])
+
+
+_join_complexes = st.tuples(_family_specs, _small_graphs()).map(
+    lambda sg: (build_complex(*sg), sg[0].p or 3)
+)
+_free_algebras = st.sampled_from([3, 5]).flatmap(
+    lambda p: st.lists(st.sampled_from([2, 4, 6, 8, 2 * p + 2]), min_size=1, max_size=3).map(
+        lambda degrees: (
+            FreePolynomialAlgebra(tuple((f"x{i}", d) for i, d in enumerate(degrees))),
+            p,
+        )
+    )
+)
+
+
+def _capped(search, ambient, p):
+    try:
+        return search(ambient, p, node_cap=DIFFERENTIAL_CAP)
+    except SearchSpaceExceeded:
+        return None
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.one_of(_join_complexes, _free_algebras))
+def test_pruned_search_agrees_with_reference(instance):
+    """Same status, relativity and table, in no more nodes; a reference run past
+    the budget leaves only the node bound to check."""
+    ambient, p = instance
+    pruned = _capped(search_action, ambient, p)
+    reference = _capped(_reference_search, ambient, p)
+    if reference is None:
+        assert pruned is None or pruned.nodes <= DIFFERENTIAL_CAP
+        return
+    assert pruned is not None and pruned.nodes <= reference.nodes
+    assert (pruned.status, pruned.variables) == (reference.status, reference.variables)
+    if pruned.found:
+        assert pruned.table.serialize() == reference.table.serialize()
+    else:
+        assert pruned.relativity() == reference.relativity()
 
 
 # -- oracle: the compiled constraint list, in content and order --------------
