@@ -1,14 +1,17 @@
 """Join complexes, free polynomial ambients, and exact arithmetic mod p.
 
-Both ambient flavors expose the same surface: an ordered generator list with
-even degrees, a downward-closed face predicate on generator supports, graded
-monomial bases, and reduction of monomials whose support is not a face.
+Both ambient flavors are Stanley-Reisner rings with one face rule: an ordered
+generator list with even degrees, the simplex generators first and the graph
+generators after them, and a generator support is a face exactly when its
+graph part is empty, one graph generator, or an edge. A free polynomial
+algebra is the case with no graph generators, so every support is a face.
+Both give graded monomial bases and reduce monomials whose support is not a
+face to zero.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Iterable, Sequence
 
 from .errors import ContractError
@@ -49,7 +52,9 @@ class _AmbientBase:
     gen_labels: tuple[str, ...]
     gen_degrees: tuple[int, ...]
 
-    def _init_generators(self, labels: Sequence[str], degrees: Sequence[int]) -> None:
+    def _init_generators(
+        self, labels: Sequence[str], degrees: Sequence[int], graph_start: int | None = None, graph_edges=()
+    ) -> None:
         if len(set(labels)) != len(labels):
             raise ContractError("generator labels are not distinct")
         for lbl, d in zip(labels, degrees):
@@ -60,13 +65,27 @@ class _AmbientBase:
         object.__setattr__(self, "gen_degrees", tuple(degrees))
         object.__setattr__(self, "label_index", {lbl: i for i, lbl in enumerate(labels)})
         object.__setattr__(self, "_basis_cache", {})
+        # the generators from graph_start on are graph generators; none by default
+        object.__setattr__(self, "_graph_start", len(labels) if graph_start is None else graph_start)
+        object.__setattr__(self, "graph_edge_indices", frozenset(graph_edges))
 
-    # -- face structure (trivial in the free case) ---------------------------
-    def face_ok(self, support: Iterable[int]) -> bool:
-        raise NotImplementedError
-
+    # -- face structure ---------------------------------------------------------
     def graph_generator_indices(self) -> tuple[int, ...]:
-        return ()
+        return tuple(range(self._graph_start, self.num_generators))
+
+    def is_graph_generator(self, index: int) -> bool:
+        return index >= self._graph_start
+
+    def face_ok(self, support: Iterable[int]) -> bool:
+        """The graph part of the support is empty, one generator, or an edge
+        (a pair (i, j), i < j, of `graph_edge_indices`)."""
+        ys = [i for i in support if i >= self._graph_start]
+        if len(ys) <= 1:
+            return True
+        if len(ys) > 2:
+            return False
+        i, j = sorted(ys)
+        return (i, j) in self.graph_edge_indices
 
     # -- monomial helpers -----------------------------------------------------
     @property
@@ -195,23 +214,10 @@ class JoinComplex(_AmbientBase):
         for v in self.graph.vertices:
             labels.append(y_label(v))
             degrees.append(self.graph_degree)
-        self._init_generators(labels, degrees)
-        object.__setattr__(self, "_graph_start", x_count)
-
-    @cached_property
-    def _edge_index_pairs(self) -> frozenset[tuple[int, int]]:
-        pairs = set()
-        for u, v in self.graph.edges:
-            i = self.label_index[y_label(u)]
-            j = self.label_index[y_label(v)]
-            pairs.add((min(i, j), max(i, j)))
-        return frozenset(pairs)
-
-    def graph_generator_indices(self) -> tuple[int, ...]:
-        return tuple(range(self._graph_start, self.num_generators))
-
-    def is_graph_generator(self, index: int) -> bool:
-        return index >= self._graph_start
+        # graph edges are stored with the earlier vertex first
+        at = self.graph.index
+        edges = [(x_count + at[u], x_count + at[v]) for u, v in self.graph.edges]
+        self._init_generators(labels, degrees, x_count, edges)
 
     def y_index(self, vertex: str) -> int:
         return self._index_of(y_label(vertex))
@@ -226,15 +232,6 @@ class JoinComplex(_AmbientBase):
             return ()
         size = self.blocks[0][0]
         return tuple(x_label(1, i) for i in range(1, size + 1))
-
-    def face_ok(self, support: Iterable[int]) -> bool:
-        ys = [i for i in support if i >= self._graph_start]
-        if len(ys) <= 1:
-            return True
-        if len(ys) > 2:
-            return False
-        i, j = sorted(ys)
-        return (i, j) in self._edge_index_pairs
 
     def maximal_graph_faces(self) -> list[frozenset[str]]:
         """The graph part of each maximal face, in `maximal_faces` order: each
@@ -259,15 +256,13 @@ class JoinComplex(_AmbientBase):
 
 @dataclass(frozen=True)
 class FreePolynomialAlgebra(_AmbientBase):
-    """Free graded polynomial algebra on labelled even-degree generators."""
+    """Free graded polynomial algebra on labelled even-degree generators: the
+    face rule with no graph generators."""
 
     generators: tuple[tuple[str, int], ...]
 
     def __post_init__(self):
         self._init_generators([g for g, _ in self.generators], [d for _, d in self.generators])
-
-    def face_ok(self, support: Iterable[int]) -> bool:
-        return True
 
 
 def parse_free_algebra(text: str) -> FreePolynomialAlgebra:
@@ -401,20 +396,19 @@ def ideal_membership(a: AlgebraElement, gens: Sequence[Monomial]) -> bool:
 
 
 def graph_ideal_generators(k: JoinComplex, vertex: str) -> list[Monomial]:
-    """Generators of (y_v) + (y_j y_k : j < k) inside the complex's ring."""
+    """Generators of (y_v) + (y_j y_k : j < k) inside the complex's ring: y_v
+    and the product of each edge's two graph generators (the only face-supported
+    y_j y_k)."""
     gens = [k.generator_monomial(y_label(vertex))]
-    ys = [y_label(v) for v in k.graph.vertices]
-    for a in range(len(ys)):
-        for b in range(a + 1, len(ys)):
-            m = k.monomial({ys[a]: 1, ys[b]: 1})
-            if k.reduce_monomial(m) is not None:
-                gens.append(m)
+    for i, j in sorted(k.graph_edge_indices):
+        gens.append(k.monomial({k.gen_labels[i]: 1, k.gen_labels[j]: 1}))
     return gens
 
 
-def monomial_in_graph_ideal(k: JoinComplex, m: Monomial, vertex: str) -> bool:
-    """Membership of a single monomial in (y_v) + (y_j y_k : j < k)."""
-    if m.exponent(k.y_index(vertex)) >= 1:
+def monomial_in_graph_ideal(k, m: Monomial, index: int) -> bool:
+    """Membership of a single monomial in (y_i) + (y_j y_k : j < k), for the
+    graph generator y_i at `index`."""
+    if m.exponent(index) >= 1:
         return True
     distinct_ys = sum(1 for i in k.graph_generator_indices() if m.exponent(i) >= 1)
     return distinct_ys >= 2

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from operator import add, lt, sub
 
 from .algebra import JoinComplex, x_label, y_label
 from .errors import ContractError
@@ -202,7 +203,8 @@ def decompose_s(s: tuple[int, ...], c: int) -> tuple[tuple[int, ...], tuple[int,
     """Split s = s' + s'' with s' weakly decreasing and s'' supported on odd
     slots (weakly decreasing there), subject to the tail condition against c;
     odd-slot values are tried in downward lexicographic order and the first
-    valid split wins. None only after exhausting every candidate."""
+    split that passes `validate_decomposition` wins. None only after
+    exhausting every candidate."""
     if c < 0:
         raise ContractError("chromatic bound must be non-negative")
     if any(v < 0 for v in s):
@@ -226,18 +228,12 @@ def decompose_s(s: tuple[int, ...], c: int) -> tuple[tuple[int, ...], tuple[int,
         s_dprime = [0] * n
         for j, v in zip(odd_slots, odd_values):
             s_dprime[j] = v
-        s_prime = [a - b for a, b in zip(s, s_dprime)]
-        if any(v < 0 for v in s_prime):
+        split = tuple(map(sub, s, s_dprime)), tuple(s_dprime)
+        try:
+            validate_decomposition(s, *split, c)
+        except ContractError:
             continue
-        if any(s_prime[i] < s_prime[i + 1] for i in range(n - 1)):
-            continue
-        if n % 2 == 0:
-            if s_dprime[n - 2] + s_prime[n - 1] < c:
-                continue
-        else:
-            if s_prime[n - 1] < c:
-                continue
-        return tuple(s_prime), tuple(s_dprime)
+        return split
     return None
 
 
@@ -247,16 +243,16 @@ def validate_decomposition(
     n = len(s)
     if len(s_prime) != n or len(s_dprime) != n:
         raise ContractError("decomposition length mismatch")
-    if tuple(a + b for a, b in zip(s_prime, s_dprime)) != tuple(s):
+    if tuple(map(add, s_prime, s_dprime)) != tuple(s):
         raise ContractError("s' + s'' does not reconstruct s")
-    if any(v < 0 for v in s_prime) or any(v < 0 for v in s_dprime):
+    if min(s_prime, default=0) < 0 or min(s_dprime, default=0) < 0:
         raise ContractError("decomposition entries must be non-negative")
-    if any(s_prime[i] < s_prime[i + 1] for i in range(n - 1)):
+    if any(map(lt, s_prime, s_prime[1:])):
         raise ContractError("s' must be weakly decreasing")
-    if any(s_dprime[i] for i in range(1, n, 2)):
+    if any(s_dprime[1::2]):
         raise ContractError("s'' must vanish in even slots")
-    odd = [s_dprime[i] for i in range(0, n, 2)]
-    if any(odd[i] < odd[i + 1] for i in range(len(odd) - 1)):
+    odd = s_dprime[::2]
+    if any(map(lt, odd, odd[1:])):
         raise ContractError("s'' must be weakly decreasing along odd slots")
     if n % 2 == 0:
         if s_dprime[n - 2] + s_prime[n - 1] < c:

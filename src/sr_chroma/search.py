@@ -11,11 +11,13 @@ certificate that no table passes the checkers, relative to the relation set
 and degree bound.
 
 Compilation has a kernel of its own (`_CompileKernel`): monomials are packed
-ints with a y-support bitmask for the face check, coefficients are plain dicts
-over the variables, and the Cartan series of a monomial is built from the
-memoized series of its prefix. The public checkers in `steenrod` keep their
-separate engine, so a found table is re-verified by code that shares nothing
-with the compile that produced it.
+ints with a graph-support bitmask for the face check, coefficients are plain
+dicts over the variables, and the Cartan series of a monomial is built from
+the memoized series of its prefix. From the ambient the kernel reads only
+which generators are graph generators and which pairs are edges, and it runs
+its own face test and arithmetic on them. The public checkers in `steenrod`
+keep their separate engine, so a found table is re-verified by code that
+shares nothing with the compile that produced it.
 
 Constraints have one format from compile to solve: a dict from a monomial in
 the variables, written as its variables repeated by exponent in ascending
@@ -65,7 +67,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .algebra import AlgebraElement, JoinComplex, Monomial, monomial_in_graph_ideal
+from .algebra import AlgebraElement, Monomial, monomial_in_graph_ideal
 from .errors import ContractError, SearchSpaceExceeded
 from .span import is_odd_prime
 from .steenrod import (
@@ -116,14 +118,12 @@ def unknown_entry_blocks(ambient, p: int) -> tuple[list[EntryBlock], int]:
     preserved ideal (a table outside it fails check_ideal_preservation anyway)."""
     blocks: list[EntryBlock] = []
     offset = 0
-    is_join = isinstance(ambient, JoinComplex)
     for i, label in enumerate(ambient.gen_labels):
         deg = ambient.gen_degrees[i]
         for k in range(1, deg // 2):
             basis = list(ambient.monomial_basis(deg + 2 * k * (p - 1)))
-            if is_join and ambient.is_graph_generator(i):
-                vertex = ambient.vertex_of_index(i)
-                basis = [m for m in basis if monomial_in_graph_ideal(ambient, m, vertex)]
+            if ambient.is_graph_generator(i):
+                basis = [m for m in basis if monomial_in_graph_ideal(ambient, m, i)]
             if basis:
                 blocks.append(EntryBlock(label, k, tuple(basis), offset))
                 offset += len(basis)
@@ -152,11 +152,11 @@ class _CompileKernel:
     A monomial is one int with a bit field per generator (generator i at bit
     `i * width`), so multiplying monomials is adding ints; the field width
     holds every exponent up to the degree bound, so no sum carries into the
-    next field. On a join complex each monomial also has a y-support bitmask
-    (bit i for graph generator i), and a product is face-supported exactly
-    when the union of the two masks is empty, one vertex or one edge. A
-    coefficient is a dict from a sorted tuple of variables, repeated by
-    exponent, to a nonzero int mod p.
+    next field. Each monomial also has a graph-support bitmask (bit i for
+    graph generator i; 0 on a free algebra, which has none), and a product is
+    face-supported exactly when the union of the two masks is empty, one
+    graph generator or one edge. A coefficient is a dict from a sorted tuple
+    of variables, repeated by exponent, to a nonzero int mod p.
 
     A power series [P^0(m), ..., P^kmax(m)] maps each degree to a dict from
     monomial to coefficient. The series of m is the series of m without its
@@ -171,15 +171,10 @@ class _CompileKernel:
         # no exponent passes degree_bound // (least degree); degrees are >= 2
         self.width = max(1, (degree_bound // min(ambient.gen_degrees, default=2)).bit_length())
         self.blocks = {(ambient.label_index[b.label], b.k): b for b in blocks}
-        if isinstance(ambient, JoinComplex):
-            ys = ambient.graph_generator_indices()
-            y = ambient.y_index
-            edges = {(1 << y(u)) | (1 << y(v)) for u, v in ambient.graph.edges}
-            self.faces: set[int] | None = {0} | {1 << i for i in ys} | edges
-            self.ys = frozenset(ys)
-        else:
-            self.faces = None
-            self.ys = frozenset()
+        ys = ambient.graph_generator_indices()
+        edges = {(1 << i) | (1 << j) for i, j in ambient.graph_edge_indices}
+        self.faces: set[int] = {0} | {1 << i for i in ys} | edges
+        self.ys = frozenset(ys)
         self.ymask: dict[int, int] = {0: 0}
         self.gen_cache: dict[tuple[int, int], list[dict]] = {}
         self.series_cache: dict[tuple[int, int], list[dict]] = {}
@@ -254,18 +249,16 @@ class _CompileKernel:
                     continue
                 acc = out[i + j]
                 for m1, c1 in t1.items():
-                    y1 = ymask[m1] if faces is not None else 0
+                    y1 = ymask[m1]
                     for m2, c2 in t2.items():
-                        if faces is not None:
-                            y = y1 | ymask[m2]
-                            if y not in faces:
-                                continue
+                        y = y1 | ymask[m2]
+                        if y not in faces:
+                            continue
                         m = m1 + m2
                         coeff = acc.get(m)
                         if coeff is None:
                             coeff = acc[m] = {}
-                            if faces is not None:
-                                ymask[m] = y
+                            ymask[m] = y
                         _add_product(coeff, c1, c2, p)
         return [{m: c for m, c in d.items() if c} for d in out]
 

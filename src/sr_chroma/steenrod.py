@@ -396,24 +396,22 @@ def check_ideal_preservation(table: SteenrodTable) -> CheckReport:
     """Every stored P^a(y_i) must lie in (y_i) + (y_j y_k : j < k)."""
     ambient = table.ambient
     violations: list[Violation] = []
-    if isinstance(ambient, JoinComplex):
-        for v in ambient.graph.vertices:
-            label = y_label(v)
-            gens = graph_ideal_generators(ambient, v)
-            top = ambient.gen_degrees[ambient._index_of(label)] // 2
-            for k in range(1, top + 1):
-                try:
-                    elem = table.generator_power(label, k)
-                except IncompleteTableError:
-                    continue
-                if not ideal_membership(elem, gens):
-                    violations.append(
-                        Violation(
-                            "ideal preservation",
-                            f"P^{k}({label})",
-                            f"{elem} is outside (y_{v}) + (y_j*y_k)",
-                        )
+    for i in ambient.graph_generator_indices():
+        label = ambient.gen_labels[i]
+        gens = graph_ideal_generators(ambient, ambient.vertex_of_index(i))
+        for k in range(1, ambient.gen_degrees[i] // 2 + 1):
+            try:
+                elem = table.generator_power(label, k)
+            except IncompleteTableError:
+                continue
+            if not ideal_membership(elem, gens):
+                violations.append(
+                    Violation(
+                        "ideal preservation",
+                        f"P^{k}({label})",
+                        f"{elem} is outside ({label}) + (y_j*y_k)",
                     )
+                )
     return CheckReport("ideal preservation", {}, violations)
 
 

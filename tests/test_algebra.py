@@ -12,6 +12,7 @@ from sr_chroma.algebra import (
     AlgebraElement,
     FreePolynomialAlgebra,
     JoinComplex,
+    graph_ideal_generators,
     ideal_membership,
     maximal_faces,
     parse_free_algebra,
@@ -131,6 +132,31 @@ def test_reduce_matches_face_enumeration_small():
             for m in _all_monomials(k, d):
                 expected = frozenset(k.gen_labels[i] for i in m.support()) in faces
                 assert (k.reduce_monomial(m) is not None) == expected
+    # a free algebra is the join with no graph generators: every support is a face
+    for free in (FreePolynomialAlgebra((("x", 4), ("y1", 8), ("y2", 8))), parse_free_algebra("a:2,b:4,c:6")):
+        assert free.graph_generator_indices() == ()
+        assert free.graph_edge_indices == frozenset()
+        for d in range(0, 25, 2):
+            for m in _all_monomials(free, d):
+                assert free.reduce_monomial(m) == m
+
+
+def test_graph_ideal_generators_match_definition():
+    # y_v and every y_j*y_k (j < k) whose support is a face, as a set
+    for n in range(6):
+        for g in all_graphs(n):
+            k = b_complex(1, g)
+            faces = oracle_face_set(k)
+            ys = [y_label(v) for v in g.vertices]
+            pairs = {
+                k.monomial({a: 1, b: 1})
+                for a, b in itertools.combinations(ys, 2)
+                if frozenset({a, b}) in faces
+            }
+            for v in g.vertices:
+                gens = graph_ideal_generators(k, v)
+                assert len(gens) == len(set(gens))
+                assert set(gens) == {k.generator_monomial(y_label(v))} | pairs
 
 
 def _all_monomials(k, degree):

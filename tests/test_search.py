@@ -13,15 +13,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import complete_graph, cycle_graph
+from helpers import all_graphs, complete_graph, cycle_graph
 import sr_chroma
-from sr_chroma.algebra import FreePolynomialAlgebra
+from sr_chroma.algebra import FreePolynomialAlgebra, parse_free_algebra
 from sr_chroma.graph import Graph
 from sr_chroma.errors import ContractError, SearchSpaceExceeded
 from sr_chroma.families import FamilySpec, build_complex
 from sr_chroma.search import (
     DEFAULT_NODE_CAP,
     SearchOutcome,
+    _CompileKernel,
     _Solver,
     compile_constraints,
     search_action,
@@ -42,11 +43,29 @@ from sr_chroma.symbolic import SymPoly
 
 
 def test_sympoly_arithmetic():
+    # keys repeat each variable by its exponent: x1^2 is (1, 1), x0*x1 is (0, 1);
     # coefficients are reduced mod p and zero terms dropped on construction
-    poly = SymPoly(5, {((1, 2),): 9, ((0, 2),): 6, ((0, 1), (1, 1)): 10, (): -1})
-    assert poly.terms == {((1, 2),): 4, ((0, 2),): 1, (): 4}
-    assert poly.canonical_key() == (((), 4), (((0, 2),), 1), (((1, 2),), 4))
-    assert SymPoly(5, {((0, 1),): 5}).terms == {}
+    poly = SymPoly(5, {(1, 1): 9, (0, 0): 6, (0, 1): 10, (): -1})
+    assert poly.terms == {(1, 1): 4, (0, 0): 1, (): 4}
+    assert poly.canonical_key() == (((), 4), ((0, 0), 1), ((1, 1), 4))
+    assert SymPoly(5, {(0,): 5}).terms == {}
+
+
+def test_compile_kernel_faces_match_face_ok():
+    # the kernel's own face test (the union of two graph-support masks lies in
+    # its face set) agrees with the ambient's one rule on every support of one
+    # or two generators
+    ambients = [FreePolynomialAlgebra((("x", 4), ("y1", 8), ("y2", 8))), parse_free_algebra("a:2,b:4")]
+    for n in range(5):
+        for g in all_graphs(n):
+            ambients.append(build_complex(FamilySpec("B", (1,)), g))
+            ambients.append(build_complex(FamilySpec("Ap", (1, 1), 3), g))
+    for amb in ambients:
+        kernel = _CompileKernel(amb, 3, default_degree_bound(3), [])
+        masks = [kernel.ymask[kernel.pack(amb.generator_monomial(lbl))] for lbl in amb.gen_labels]
+        for i in range(amb.num_generators):
+            for j in range(i, amb.num_generators):
+                assert ((masks[i] | masks[j]) in kernel.faces) == amb.face_ok({i, j}), (amb, i, j)
 
 
 def test_exhausted_z3_single_generator():
