@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import add, lt, sub
 
 from .algebra import JoinComplex, x_label, y_label
@@ -150,33 +151,59 @@ def load_family_file(text: str) -> ExplicitFamily:
 def multiset_decomposable(
     multiset: tuple[int, ...], family: DegreeMultisetFamily | None = None
 ) -> tuple[tuple[int, ...], ...] | None:
-    """Partition the multiset into allowed blocks (exact, memoized); None if
-    impossible. Entries must be positive and even."""
+    """Partition the multiset into allowed blocks (exact); None if impossible.
+    Entries must be positive and even; they are checked on every call.
+
+    The answer depends only on the sorted multiset and the family, and the
+    realizability check asks about the same few face multisets on every graph,
+    so the last `_DECOMPOSITIONS_KEPT` answers are kept per (sorted multiset,
+    family object). A family is told apart by identity and must not change
+    its answers once used."""
     fam = family if family is not None else DEFAULT_FAMILY
     for entry in multiset:
         if not isinstance(entry, int) or entry <= 0 or entry % 2:
             raise ContractError(f"multiset entries must be positive even integers, got {entry!r}")
-    failed: set[tuple[int, ...]] = set()
+    return _decompose_multiset(tuple(sorted(multiset)), fam)
 
-    def go(counter: Counter) -> tuple[tuple[int, ...], ...] | None:
-        if not counter:
-            return ()
-        key = tuple(sorted(counter.elements()))
-        if key in failed:
-            return None
-        top = max(counter)
-        for block in fam.blocks_with_max(top):
+
+_DECOMPOSITIONS_KEPT = 256
+
+
+@lru_cache(maxsize=_DECOMPOSITIONS_KEPT)
+def _decompose_multiset(
+    multiset: tuple[int, ...], fam: DegreeMultisetFamily
+) -> tuple[tuple[int, ...], ...] | None:
+    """Depth-first over blocks that hold the largest remaining entry, in the
+    family's `blocks_with_max` order, on an explicit stack so a long multiset
+    needs no deep recursion; remainders already shown to fail are skipped."""
+
+    def fits(counter: Counter):
+        for block in fam.blocks_with_max(max(counter)):
             need = Counter(block)
-            if any(counter[d] < c for d, c in need.items()):
-                continue
-            rest = counter - need
-            sub = go(rest)
-            if sub is not None:
-                return (tuple(block),) + sub
-        failed.add(key)
-        return None
+            if all(counter[d] >= c for d, c in need.items()):
+                yield tuple(block), counter - need
 
-    return go(Counter(multiset))
+    if not multiset:
+        return ()
+    failed: set[tuple[int, ...]] = set()
+    path: list[tuple[int, ...]] = []  # blocks taken on the way to the top frame
+    frames = [(multiset, fits(Counter(multiset)))]
+    while frames:
+        key, options = frames[-1]
+        for block, rest in options:
+            if not rest:
+                return tuple(path) + (block,)
+            rest_key = tuple(sorted(rest.elements()))
+            if rest_key not in failed:
+                path.append(block)
+                frames.append((rest_key, fits(rest)))
+                break
+        else:
+            failed.add(key)
+            frames.pop()
+            if path:
+                path.pop()
+    return None
 
 
 def partition_from_coloring(k: JoinComplex, c: Coloring) -> Partition:
@@ -202,9 +229,20 @@ def partition_from_coloring(k: JoinComplex, c: Coloring) -> Partition:
 def decompose_s(s: tuple[int, ...], c: int) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
     """Split s = s' + s'' with s' weakly decreasing and s'' supported on odd
     slots (weakly decreasing there), subject to the tail condition against c;
-    odd-slot values are tried in downward lexicographic order and the first
-    split that passes `validate_decomposition` wins. None only after
-    exhausting every candidate."""
+    of all such splits, the first in downward lexicographic order of the
+    odd-slot values v_1, v_3, ... of s''. None when there is no split.
+
+    Every condition of `validate_decomposition` other than the chain
+    v_1 >= v_3 >= ... bounds a single odd slot i to an interval [lo_i, hi_i]:
+    0 <= v_i <= s_i; s'_i >= s'_{i+1} gives v_i <= s_i - s_{i+1};
+    s'_{i-1} >= s'_i gives v_i >= s_i - s_{i-1}; and the tail condition is
+    v_{n-1} >= c - s_n for even n, v_n <= s_n - c for odd n. Odd slots are
+    never adjacent, so no condition ties two of them except the chain. Raising
+    any v_i towards hi_i only loosens the chain for later slots, so the
+    lexicographically first split takes v_i = min(hi_i, v_{i-2}) at every
+    slot, and a split exists exactly when that greedy choice stays >= lo_i
+    throughout: a shortfall at slot i cannot be repaired by a smaller earlier
+    value, nor, once v_i < lo_i, by any later one. O(n) time."""
     if c < 0:
         raise ContractError("chromatic bound must be non-negative")
     if any(v < 0 for v in s):
@@ -212,29 +250,20 @@ def decompose_s(s: tuple[int, ...], c: int) -> tuple[tuple[int, ...], tuple[int,
     n = len(s)
     if n == 0:
         raise ContractError("empty size vector")
-    odd_slots = list(range(0, n, 2))  # 0-based indices of s_1, s_3, ...
-
-    def candidates(j: int, prev: int, acc: list[int]):
-        if j == len(odd_slots):
-            yield tuple(acc)
-            return
-        limit = min(s[odd_slots[j]], prev)
-        for v in range(limit, -1, -1):
-            acc.append(v)
-            yield from candidates(j + 1, v, acc)
-            acc.pop()
-
-    for odd_values in candidates(0, max(s, default=0), []):
-        s_dprime = [0] * n
-        for j, v in zip(odd_slots, odd_values):
-            s_dprime[j] = v
-        split = tuple(map(sub, s, s_dprime)), tuple(s_dprime)
-        try:
-            validate_decomposition(s, *split, c)
-        except ContractError:
-            continue
-        return split
-    return None
+    s_dprime = [0] * n
+    v = s[0]
+    for i in range(0, n, 2):  # 0-based indices of s_1, s_3, ...
+        lo = max(0, s[i] - s[i - 1]) if i else 0
+        hi = s[i] - s[i + 1] if i + 1 < n else s[i] - c
+        if i == n - 2:
+            lo = max(lo, c - s[n - 1])
+        v = min(v, hi)
+        if v < lo:
+            return None
+        s_dprime[i] = v
+    split = tuple(map(sub, s, s_dprime)), tuple(s_dprime)
+    validate_decomposition(s, *split, c)
+    return split
 
 
 def validate_decomposition(

@@ -10,7 +10,9 @@ from __future__ import annotations
 import itertools
 from random import Random
 
+from sr_chroma.errors import ContractError
 from sr_chroma.graph import Graph
+from sr_chroma.realize import validate_decomposition
 
 
 def complete_graph(n: int) -> Graph:
@@ -266,3 +268,34 @@ def oracle_multiset_decomposable(entries: tuple[int, ...], fam) -> bool:
         all(fam.is_allowed(tuple(sorted(block))) for block in part)
         for part in partitions(items)
     )
+
+
+# -- decomposition enumeration reference -------------------------------------
+
+def reference_decompose_s(s: tuple[int, ...], c: int):
+    """Every odd-slot vector of s'' that is weakly decreasing and bounded by s,
+    in downward lexicographic order; the first split that passes
+    `validate_decomposition` wins, None after the last candidate."""
+    n = len(s)
+    odd_slots = list(range(0, n, 2))
+
+    def candidates(j: int, prev: int, acc: list[int]):
+        if j == len(odd_slots):
+            yield tuple(acc)
+            return
+        for v in range(min(s[odd_slots[j]], prev), -1, -1):
+            acc.append(v)
+            yield from candidates(j + 1, v, acc)
+            acc.pop()
+
+    for odd_values in candidates(0, max(s), []):
+        s_dprime = [0] * n
+        for j, v in zip(odd_slots, odd_values):
+            s_dprime[j] = v
+        split = tuple(a - b for a, b in zip(s, s_dprime)), tuple(s_dprime)
+        try:
+            validate_decomposition(s, *split, c)
+        except ContractError:
+            continue
+        return split
+    return None

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -330,6 +331,27 @@ def test_decompose_command(capsys):
     assert code == 1
 
 
+def test_decompose_long_vector_answers_at_once(capsys):
+    vector = ",".join(["30"] * 24)
+    start = time.perf_counter()
+    code, out, _ = run(capsys, ["decompose", "--vector", vector, "--c", "100"])
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert out == f"no decomposition of ({vector}) for c = 100 (exhausted all candidates)\n"
+
+
+def test_realizable_long_vector_on_k61_answers_at_once(capsys, tmp_path):
+    path = tmp_path / "k61.g"
+    path.write_text("".join(f"v {i}\n" for i in range(61)) + "".join(
+        f"e {i} {j}\n" for i in range(61) for j in range(i + 1, 61)
+    ))
+    start = time.perf_counter()
+    code, out, _ = run(capsys, ["realizable", "--family", "A", "--vector", ",".join(["30"] * 24), str(path)])
+    assert time.perf_counter() - start < 1.0
+    assert code == 4
+    assert out.splitlines()[0] == "status: Inconclusive"
+
+
 def test_decompose_negative_size_is_input_error(capsys):
     for vector, c in (("-1,2", "1"), ("3,-1", "0")):
         code, out, err = run(capsys, ["decompose", f"--vector={vector}", "--c", c])
@@ -349,6 +371,18 @@ def test_multiset_command(capsys):
     code, out, _ = run(capsys, ["multiset", "--entries", "4,4,6,8,8"])
     assert code == 0
     assert "{4,6,8} + {4,8}" in out
+
+
+def test_multiset_of_1000_entries(capsys):
+    code, out, err = run(capsys, ["multiset", "--entries", ",".join(["2"] * 1000)])
+    assert (code, err) == (0, "")
+    assert out == "decomposable: " + " + ".join(["{2}"] * 1000) + "\n"
+
+
+def test_realizable_on_a_block_of_1000(capsys, edge_file):
+    code, out, err = run(capsys, ["realizable", "--family", "B", "--vector", "1000", edge_file])
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == "status: CertifiedRealizable"
 
 
 def test_multiset_family_file_override(capsys, tmp_path):

@@ -21,6 +21,7 @@ from helpers import (
     oracle_multiset_decomposable,
     oracle_verify_partition,
     random_graph,
+    reference_decompose_s,
 )
 from sr_chroma.algebra import JoinComplex
 from sr_chroma.errors import ContractError
@@ -31,6 +32,7 @@ from sr_chroma.realize import (
     AndersonGrodalFamily,
     ExplicitFamily,
     Partition,
+    _decompose_multiset,
     _general_sizes,
     check_realizable,
     chromatic_bounds,
@@ -150,6 +152,22 @@ def test_decompose_soundness(s, c):
     got = decompose_s(tuple(s), c)
     if got is not None:
         validate_decomposition(tuple(s), got[0], got[1], c)
+
+
+def test_decompose_matches_the_enumeration_on_every_small_input():
+    for n in range(1, 7):
+        for s in itertools.product(range(5), repeat=n):
+            for c in range(8):
+                assert decompose_s(s, c) == reference_decompose_s(s, c), (s, c)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.lists(st.integers(0, 6), min_size=7, max_size=12),
+    st.integers(0, 8),
+)
+def test_decompose_matches_the_enumeration_on_longer_vectors(s, c):
+    assert decompose_s(tuple(s), c) == reference_decompose_s(tuple(s), c)
 
 
 def test_partition_from_decomposition_seven_block_shape():
@@ -282,21 +300,23 @@ def test_multiset_examples():
     got = multiset_decomposable((4, 4, 6, 8, 8))
     assert got == ((4, 6, 8), (4, 8))
     assert multiset_decomposable((2, 2)) == ((2,), (2,))
-    with pytest.raises(ContractError):
-        multiset_decomposable((4, 5))
-    with pytest.raises(ContractError):
-        multiset_decomposable((0,))
+    for _ in range(3):  # an input error is never remembered as an answer
+        for bad in ((4, 5), (0,)):
+            with pytest.raises(ContractError):
+                multiset_decomposable(bad)
 
 
 def test_multiset_order_independence():
     rng = Random(37)
-    base = [4, 4, 6, 8, 8, 12]
-    for _ in range(10):
-        shuffled = base[:]
-        rng.shuffle(shuffled)
-        assert (multiset_decomposable(tuple(shuffled)) is None) == (
-            multiset_decomposable(tuple(base)) is None
-        )
+    for base in ([4, 4, 6, 8, 8, 12], [4, 6, 8, 8]):
+        expected = multiset_decomposable(tuple(base))
+        assert multiset_decomposable(base) == expected
+        for _ in range(10):
+            shuffled = base[:]
+            rng.shuffle(shuffled)
+            assert multiset_decomposable(tuple(shuffled)) == expected
+            assert multiset_decomposable(shuffled) == expected
+    assert multiset_decomposable((12, 8, 8, 6, 4, 4)) == ((4, 8, 12), (4, 6, 8))
 
 
 def test_multiset_matches_partition_oracle():
@@ -433,6 +453,27 @@ def test_sufficiency_partition_is_the_coloring_partition_on_uniform_families():
 TWO_FAMILIES = (ExplicitFamily(((4,), (8,))), ExplicitFamily(((4,), (6,), (8,))))
 # admits the blocks of B's coloring partitions, so some verdicts under it are positive
 SOME_CHAINS = ExplicitFamily(((4,), (4, 8), (4, 6, 8)))
+
+
+def test_multiset_memo_keeps_each_familys_answer():
+    _decompose_multiset.cache_clear()
+    rng = Random(47)
+    families = (DEFAULT_FAMILY,) + TWO_FAMILIES
+    pool = [2, 4, 6, 8, 10, 12]
+    multisets = [(4, 6, 8), (4, 6, 8, 8), (8, 8), (4, 8, 12)]
+    multisets += [tuple(sorted(rng.choice(pool) for _ in range(rng.randint(1, 6)))) for _ in range(30)]
+    for _ in range(2):  # cold, then from the memo
+        for ms in multisets:
+            for fam in families:
+                got = multiset_decomposable(ms, fam)
+                assert got == _decompose_multiset.__wrapped__(ms, fam)
+                assert (got is not None) == oracle_multiset_decomposable(ms, fam)
+    # the three families answer (4, 6, 8) differently, so a shared entry would show
+    assert [multiset_decomposable((4, 6, 8), fam) for fam in families] == [
+        ((4, 6, 8),),
+        None,
+        ((8,), (6,), (4,)),
+    ]
 
 
 def test_partition_rejected_by_callers_family_is_not_certified():
