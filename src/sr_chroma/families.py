@@ -65,16 +65,12 @@ class FamilySpec:
 
 def build_complex(spec: FamilySpec, g: Graph) -> JoinComplex:
     """Join complex with the family's block degrees and graph degree."""
-    if spec.kind == "Ap":
-        blocks = tuple((s, 2 * k + 2) for k, s in enumerate(spec.vector, 1))
-        graph_degree = 2 * spec.p + 2
-    elif spec.kind in ("Bp", "B"):
+    if spec.kind in ("Bp", "B"):
         blocks = tuple((r, 4 * k) for k, r in enumerate(spec.vector, 1))
         graph_degree = 2 * spec.p + 2
-    else:  # general A
-        n = len(spec.vector)
+    else:  # A and A_p; A_p's vector has length p - 1, so 2n + 4 is 2p + 2
         blocks = tuple((s, 2 * k + 2) for k, s in enumerate(spec.vector, 1))
-        graph_degree = 2 * n + 4
+        graph_degree = 2 * len(spec.vector) + 4
     return JoinComplex(blocks, g, graph_degree)
 
 

@@ -6,10 +6,10 @@ maximal face meets every block in an allowed degree multiset or not at all;
 one construction reads the general block-size vector off the complex (a
 block of degree d sits at level (d - 2) / 2, the graph degree 2n + 4 fixes
 the length n), splits it into a weakly decreasing part plus an odd-slot part
-(`decompose_s`) and lays out blocks from it; on uniform families it
-reproduces the coloring partition. Degree multisets of maximal faces are
-tested for decomposability into the realizable polynomial-algebra degree
-lists.
+(`decompose_s`) and lays the complex's own generators out from it in two
+cases; on uniform families it reproduces the coloring partition. Degree
+multisets of maximal faces are tested for decomposability into the family's
+lists, the realizable polynomial-algebra degree lists by default.
 """
 
 from __future__ import annotations
@@ -67,10 +67,15 @@ def scheme_multisets(p: int, scheme: str) -> tuple[tuple[int, ...], tuple[int, .
 
 
 class DegreeMultisetFamily:
-    """Predicate over degree multisets, with candidate blocks for the search."""
+    """A family of allowed degree lists, stated once: `blocks_with_max(top)`
+    gives its sorted lists whose largest degree is `top`, which is what the
+    decomposition search walks. Membership is derived from them: a multiset is
+    allowed when it is nonempty and, sorted, one of the lists of its own top
+    degree."""
 
     def is_allowed(self, multiset: tuple[int, ...]) -> bool:
-        raise NotImplementedError
+        ms = tuple(sorted(multiset))
+        return bool(ms) and ms in self.blocks_with_max(ms[-1])
 
     def blocks_with_max(self, top: int) -> list[tuple[int, ...]]:
         raise NotImplementedError
@@ -83,28 +88,14 @@ class AndersonGrodalFamily(DegreeMultisetFamily):
     """Degree lists of the realizable integral polynomial algebras: {2},
     the contiguous even chains {4,6,...,2n}, and the chains {4,8,...,4m}."""
 
-    def is_allowed(self, multiset: tuple[int, ...]) -> bool:
-        ms = tuple(sorted(multiset))
-        if not ms:
-            return False
-        if ms == (2,):
-            return True
-        if ms[0] != 4:
-            return False
-        if ms == tuple(range(4, 4 + 2 * len(ms), 2)):
-            return True
-        return ms == tuple(range(4, 4 + 4 * len(ms), 4))
-
     def blocks_with_max(self, top: int) -> list[tuple[int, ...]]:
         if top == 2:
             return [(2,)]
         if top < 4 or top % 2:
             return []
         out = [tuple(range(4, top + 1, 2))]
-        if top % 4 == 0:
-            chain4 = tuple(range(4, top + 1, 4))
-            if chain4 != out[0]:
-                out.append(chain4)
+        if top > 4 and top % 4 == 0:
+            out.append(tuple(range(4, top + 1, 4)))
         return out
 
     def describe(self) -> str:
@@ -114,9 +105,6 @@ class AndersonGrodalFamily(DegreeMultisetFamily):
 class ExplicitFamily(DegreeMultisetFamily):
     def __init__(self, allowed: tuple[tuple[int, ...], ...]):
         self.allowed = tuple(tuple(sorted(ms)) for ms in allowed)
-
-    def is_allowed(self, multiset: tuple[int, ...]) -> bool:
-        return tuple(sorted(multiset)) in self.allowed
 
     def blocks_with_max(self, top: int) -> list[tuple[int, ...]]:
         return [ms for ms in self.allowed if ms and max(ms) == top]
@@ -311,93 +299,69 @@ def _general_sizes(k: JoinComplex) -> tuple[int, ...]:
     return tuple(size or 0 for size in sizes)
 
 
-class _Allocator:
-    """Hands out unused generators per general level (a level without a block
-    has none) and unused color classes; the construction's subscripts are
-    only counting, so any unused generator of the right level serves. Call
-    `_general_sizes` first: it rejects complexes outside the general shape."""
-
-    def __init__(self, k: JoinComplex, c: Coloring):
-        self.pools = {
-            (degree - 2) // 2: [x_label(j, i) for i in range(1, size + 1)]
-            for j, (size, degree) in enumerate(k.blocks, 1)
-        }
-        self.color_classes = {
-            col: [y_label(v) for v in k.graph.vertices if c.assignment[v] == col]
-            for col in range(1, c.num_colors + 1)
-        }
-        self.next_color = 1
-
-    def take(self, levels, colored: bool) -> frozenset[str]:
-        members = []
-        for level in levels:
-            if not self.pools.get(level):
-                raise ContractError(f"level {level} exhausted during construction")
-            members.append(self.pools[level].pop(0))
-        if colored:
-            if self.next_color not in self.color_classes:
-                raise ContractError("color classes exhausted during construction")
-            members += self.color_classes.pop(self.next_color)
-            self.next_color += 1
-        return frozenset(members)
-
-    def exhausted(self) -> bool:
-        return all(not pool for pool in self.pools.values()) and not self.color_classes
-
-
 def partition_from_decomposition(
     k: JoinComplex,
     s_prime: tuple[int, ...],
     s_dprime: tuple[int, ...],
     c: Coloring,
 ) -> Partition:
-    """The case-by-case block lists of the decomposition construction, for a
-    split of k's general block-size vector; the result is validated
-    structurally and should be re-checked against the degree-multiset family
-    by the caller."""
+    """The block lists of the decomposition construction, for a split of k's
+    general block-size vector; the result is validated structurally and
+    should be re-checked against the degree-multiset family by the caller.
+
+    Each general level's generators are a slice of `k.gen_labels` and the
+    color classes are k's graph generators grouped by color; the subscripts
+    only count, so any unused generator of the right level serves. Both
+    layout cases emit full-range blocks, the descending prefixes, then the
+    odd chains from the last odd slot. Odd n, or even n with s'_n >= chi,
+    colors chi full-range blocks; otherwise all s'_n of them are colored, and
+    the first chi - s'_n blocks of the top odd chain."""
     sizes = _general_sizes(k)
     n = len(sizes)
     validate_decomposition(sizes, s_prime, s_dprime, c.num_colors)
     if not coloring_is_valid(k.graph, c):
         raise ContractError("not a valid coloring of the complex's graph")
     chi = c.num_colors
-    alloc = _Allocator(k, c)
+    # unused generators per level and unused color classes, each reversed so
+    # that pop() hands out the first one
+    pools: dict[int, list[str]] = {}
+    start = 0
+    for size, degree in k.blocks:
+        pools[(degree - 2) // 2] = list(reversed(k.gen_labels[start : start + size]))
+        start += size
+    color_classes: list[list[str]] = [[] for _ in range(chi)]
+    for v, label in zip(k.graph.vertices, k.gen_labels[start:]):
+        color_classes[chi - c.assignment[v]].append(label)
     blocks: list[frozenset[str]] = []
 
     def emit(levels: range, colored_count: int, uncolored_count: int) -> None:
-        for _ in range(colored_count):
-            blocks.append(alloc.take(levels, colored=True))
-        for _ in range(uncolored_count):
-            blocks.append(alloc.take(levels, colored=False))
+        for colored in [True] * colored_count + [False] * uncolored_count:
+            members = []
+            for level in levels:
+                if not pools.get(level):
+                    raise ContractError(f"level {level} exhausted during construction")
+                members.append(pools[level].pop())
+            if colored:
+                if not color_classes:
+                    raise ContractError("color classes exhausted during construction")
+                members += color_classes.pop()
+            blocks.append(frozenset(members))
 
-    def descending_prefixes() -> None:
-        for j in range(n - 1, 0, -1):
-            emit(range(1, j + 1), 0, s_prime[j - 1] - s_prime[j])
+    last = s_prime[n - 1]
+    if n % 2 or last >= chi:
+        emit(range(1, n + 1), chi, last - chi)
+        colors_left = 0
+    else:  # the top odd chain takes the colors the full-range blocks lack
+        emit(range(1, n + 1), last, 0)
+        colors_left = chi - last
+    for j in range(n - 1, 0, -1):  # descending prefixes
+        emit(range(1, j + 1), 0, s_prime[j - 1] - s_prime[j])
+    odd = tuple(s_dprime) + (0, 0)  # s''_{j+2} is 0 past the end
+    for j in range(n if n % 2 else n - 1, 0, -2):  # odd chains from the last odd slot
+        emit(range(1, j + 1, 2), colors_left, odd[j - 1] - odd[j + 1] - colors_left)
+        colors_left = 0
 
-    def odd_chains(top_odd: int) -> None:
-        for j in range(top_odd, 0, -2):
-            emit(range(1, j + 1, 2), 0, odd_value(j) - odd_value(j + 2))
-
-    def odd_value(i: int) -> int:  # 1-based slot, 0 past the end
-        return s_dprime[i - 1] if 1 <= i <= n else 0
-
-    if n % 2 == 0:
-        if s_prime[n - 1] >= chi:
-            emit(range(1, n + 1), chi, s_prime[n - 1] - chi)
-            descending_prefixes()
-            odd_chains(n - 1)
-        else:
-            emit(range(1, n + 1), s_prime[n - 1], 0)
-            descending_prefixes()
-            colored = chi - s_prime[n - 1]
-            emit(range(1, n, 2), colored, odd_value(n - 1) - odd_value(n + 1) - colored)
-            odd_chains(n - 3)
-    else:
-        emit(range(1, n + 1), chi, s_prime[n - 1] - chi)
-        descending_prefixes()
-        odd_chains(n)
-
-    if not alloc.exhausted():
+    if any(pools.values()) or color_classes:
         raise ContractError("construction left generators unassigned")
     part = Partition(tuple(b for b in blocks if b))
     part.validate_against(k)

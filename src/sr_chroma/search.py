@@ -76,9 +76,8 @@ from .steenrod import (
     check_ideal_preservation,
     check_relations,
     check_unstability,
-    default_degree_bound,
-    default_relation_set,
     relation_instance_bases,
+    relations_and_bound,
 )
 from .symbolic import SymPoly
 
@@ -578,10 +577,7 @@ def search_action(
         raise ContractError(f"action search needs an odd prime, got {p}")
     if node_cap < 0:
         raise ContractError(f"node cap must be non-negative, got {node_cap}")
-    bound = default_degree_bound(p) if degree_bound is None else degree_bound
-    if bound < 0:
-        raise ContractError(f"degree bound must be non-negative, got {bound}")
-    relations = default_relation_set(p) if relation_set is None else tuple(relation_set)
+    relations, bound = relations_and_bound(p, relation_set, degree_bound)
     blocks, nvars = unknown_entry_blocks(ambient, p)
     constraints = compile_constraints(ambient, p, relations, bound, blocks)
     solver = _Solver(p, nvars, constraints, node_cap, sign_masks(ambient, blocks))

@@ -167,6 +167,17 @@ def default_degree_bound(p: int) -> int:
     return 2 * p * p + 2 * p
 
 
+def relations_and_bound(
+    p: int, relation_set: tuple[PowerRelation, ...] | None, degree_bound: int | None
+) -> tuple[tuple[PowerRelation, ...], int]:
+    """The relation set and bound a check or search runs with, defaults at p
+    for None; a negative bound is rejected."""
+    bound = default_degree_bound(p) if degree_bound is None else degree_bound
+    if bound < 0:
+        raise ContractError(f"degree bound must be non-negative, got {bound}")
+    return (default_relation_set(p) if relation_set is None else tuple(relation_set)), bound
+
+
 def relation_instance_bases(ambient, p: int, relation: PowerRelation, degree_bound: int) -> list[Monomial]:
     """Base monomials to check: generators first, then composite basis monomials
     of every graded piece whose evaluation stays within the degree bound."""
@@ -357,10 +368,7 @@ def check_relations(
     graded piece whose image stays within the degree bound; violations carry
     both evaluations. The verdict is relative to the relation set and bound."""
     p = table.p
-    relations = default_relation_set(p) if relation_set is None else tuple(relation_set)
-    bound = default_degree_bound(p) if degree_bound is None else degree_bound
-    if bound < 0:
-        raise ContractError(f"degree bound must be non-negative, got {bound}")
+    relations, bound = relations_and_bound(p, relation_set, degree_bound)
     ambient = table.ambient
     cache: dict = {}
     violations: list[Violation] = []

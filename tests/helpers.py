@@ -246,6 +246,23 @@ def oracle_verify_partition(k, part, fam, maximal_faces=None) -> bool:
     return True
 
 
+# -- default-family membership reference ------------------------------------
+
+def reference_anderson_grodal_allowed(multiset: tuple[int, ...]) -> bool:
+    """The Andersen-Grodal degree lists in closed form: {2}, the contiguous
+    even chains from 4, and the chains 4, 8, ..., 4m."""
+    ms = tuple(sorted(multiset))
+    if not ms:
+        return False
+    if ms == (2,):
+        return True
+    if ms[0] != 4:
+        return False
+    if ms == tuple(range(4, 4 + 2 * len(ms), 2)):
+        return True
+    return ms == tuple(range(4, 4 + 4 * len(ms), 4))
+
+
 # -- multiset partition oracle -----------------------------------------------
 
 def oracle_multiset_decomposable(entries: tuple[int, ...], fam) -> bool:
@@ -272,10 +289,10 @@ def oracle_multiset_decomposable(entries: tuple[int, ...], fam) -> bool:
 
 # -- decomposition enumeration reference -------------------------------------
 
-def reference_decompose_s(s: tuple[int, ...], c: int):
-    """Every odd-slot vector of s'' that is weakly decreasing and bounded by s,
-    in downward lexicographic order; the first split that passes
-    `validate_decomposition` wins, None after the last candidate."""
+def odd_slot_splits(s: tuple[int, ...]):
+    """Every split s = s' + s'' whose s'' lives on the odd slots, is weakly
+    decreasing there and is bounded by s, in downward lexicographic order of
+    the odd-slot values; the splits are not checked against anything else."""
     n = len(s)
     odd_slots = list(range(0, n, 2))
 
@@ -292,7 +309,13 @@ def reference_decompose_s(s: tuple[int, ...], c: int):
         s_dprime = [0] * n
         for j, v in zip(odd_slots, odd_values):
             s_dprime[j] = v
-        split = tuple(a - b for a, b in zip(s, s_dprime)), tuple(s_dprime)
+        yield tuple(a - b for a, b in zip(s, s_dprime)), tuple(s_dprime)
+
+
+def reference_decompose_s(s: tuple[int, ...], c: int):
+    """The first of `odd_slot_splits(s)` that passes `validate_decomposition`;
+    None after the last candidate."""
+    for split in odd_slot_splits(s):
         try:
             validate_decomposition(s, *split, c)
         except ContractError:

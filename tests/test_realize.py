@@ -17,10 +17,12 @@ from helpers import (
     complete_graph,
     cycle_graph,
     empty_graph,
+    odd_slot_splits,
     oracle_maximal_faces,
     oracle_multiset_decomposable,
     oracle_verify_partition,
     random_graph,
+    reference_anderson_grodal_allowed,
     reference_decompose_s,
 )
 from sr_chroma.algebra import JoinComplex
@@ -252,6 +254,56 @@ def test_partition_from_decomposition_rejects_bad_split():
         partition_from_decomposition(k, (1, 2), (1, 0), coloring)  # s' not decreasing
 
 
+# -- oracle: the construction on every split ---------------------------------
+#
+# `sufficiency_partition` only ever builds from `decompose_s`'s first split;
+# this pins the construction on every odd-slot split of the general size
+# vector instead, valid or not, under a minimum coloring of every graph on at
+# most 4 vertices. The digest is sha256 over each partition's serialization,
+# or the ContractError's text, in the order below.
+
+SPLIT_SPECS_SHA256 = "104d0dbbe59a07cd85f4535fd621ce8366219852fb1213e21ac97d73df3d6bf3"
+
+
+def _split_specs():
+    def vectors(n, top):
+        return itertools.product(range(top + 1), repeat=n)
+
+    yield from (FamilySpec("A", s) for n in range(1, 4) for s in vectors(n, 3))
+    yield from (FamilySpec("A", s) for s in vectors(4, 2))
+    yield from (FamilySpec("Ap", s, 3) for s in vectors(2, 3))
+    yield from (FamilySpec("Ap", s, 5) for s in vectors(4, 2))
+    yield from (FamilySpec("B", s) for s in vectors(1, 4))
+    yield from (FamilySpec("Bp", s, 5) for s in vectors(2, 3))
+    yield from (FamilySpec("Bp", s, 7) for s in vectors(3, 3))
+
+
+def test_partition_from_decomposition_on_every_split_oracle():
+    digest = hashlib.sha256()
+    layouts = Counter()
+    specs = tuple(_split_specs())
+    for g in (g for order in range(5) for g in all_graphs(order)):
+        chi, coloring = chromatic_number(g)
+        for spec in specs:
+            k = build_complex(spec, g)
+            s = _general_sizes(k)
+            n = len(s)
+            for s_prime, s_dprime in odd_slot_splits(s):
+                try:
+                    validate_decomposition(s, s_prime, s_dprime, chi)
+                    layouts["odd n" if n % 2 else f"even n, s'_n {'>=' if s_prime[-1] >= chi else '<'} chi"] += 1
+                except ContractError:
+                    layouts["invalid"] += 1
+                try:
+                    out = partition_from_decomposition(k, s_prime, s_dprime, coloring).serialize(k)
+                except ContractError as exc:
+                    out = f"ContractError: {exc}\n"
+                digest.update(out.encode())
+    # each of the paper's layout cases is reached
+    assert layouts == {"odd n": 643, "even n, s'_n >= chi": 818, "even n, s'_n < chi": 1947, "invalid": 90072}
+    assert digest.hexdigest() == SPLIT_SPECS_SHA256
+
+
 def test_general_shape_is_read_off_the_complex():
     edge = complete_graph(2)
     assert _general_sizes(build_complex(FamilySpec("A", (2, 0, 1)), edge)) == (2, 0, 1)
@@ -453,6 +505,26 @@ def test_sufficiency_partition_is_the_coloring_partition_on_uniform_families():
 TWO_FAMILIES = (ExplicitFamily(((4,), (8,))), ExplicitFamily(((4,), (6,), (8,))))
 # admits the blocks of B's coloring partitions, so some verdicts under it are positive
 SOME_CHAINS = ExplicitFamily(((4,), (4, 8), (4, 6, 8)))
+
+
+def test_membership_is_derived_from_the_lists():
+    # a family states only its lists per top degree; `is_allowed` is read off
+    # them, so it must agree with the closed form and with plain list lookup
+    rng = Random(53)
+    explicit = (ExplicitFamily(((4, 6, 8, 8),)), SOME_CHAINS) + TWO_FAMILIES
+    checked = 0
+    for length in range(6):
+        for ms in itertools.combinations_with_replacement(range(2, 25, 2), length):
+            shuffled = list(ms)
+            rng.shuffle(shuffled)
+            for order in (ms, tuple(shuffled)):
+                assert DEFAULT_FAMILY.is_allowed(order) == reference_anderson_grodal_allowed(order), order
+                for fam in explicit:
+                    assert fam.is_allowed(order) == (bool(ms) and ms in fam.allowed), (fam.allowed, order)
+            checked += 1
+    assert checked == 6188
+    # no family allows the empty multiset, even one that lists it
+    assert not ExplicitFamily(((), (4,))).is_allowed(())
 
 
 def test_multiset_memo_keeps_each_familys_answer():
