@@ -57,7 +57,6 @@ from .span import (
 )
 from .steenrod import (
     CheckReport,
-    GFunction,
     NecessaryOutcome,
     PowerRelation,
     PpDecomposition,
@@ -66,6 +65,7 @@ from .steenrod import (
     cartan_extend,
     check_ideal_preservation,
     check_relations,
+    check_table,
     check_unstability,
     cokernel_report,
     coloring_from_action,

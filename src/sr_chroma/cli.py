@@ -34,14 +34,11 @@ from .search import DEFAULT_NODE_CAP, search_action
 from .span import span_chromatic_number
 from .steenrod import (
     adem_relation,
-    check_ideal_preservation,
-    check_relations,
-    check_unstability,
-    default_degree_bound,
-    default_relation_set,
+    check_table,
     full_adem_relation_set,
     necessary_condition,
     parse_table,
+    relations_and_bound,
 )
 
 EXIT_OK = 0
@@ -138,19 +135,19 @@ def _ambient_and_p(args: argparse.Namespace):
 
 
 def _bound_and_relations(args: argparse.Namespace, ambient, p: int):
-    bound = default_degree_bound(p) if args.degree_bound is None else args.degree_bound
-    if args.relations == "default":
-        return bound, default_relation_set(p)
+    rels = None
+    if args.relations not in ("default", "adem-full"):
+        rels = []
+        for chunk in args.relations.split(","):
+            try:
+                a, b = (int(x) for x in chunk.split(":"))
+            except ValueError:
+                raise ContractError(f"bad relation spec {chunk!r}, expected a:b") from None
+            rels.append(adem_relation(a, b, p))
+    relations, bound = relations_and_bound(p, rels, args.degree_bound)
     if args.relations == "adem-full":
-        return bound, full_adem_relation_set(ambient, p, bound)
-    rels = []
-    for chunk in args.relations.split(","):
-        try:
-            a, b = (int(x) for x in chunk.split(":"))
-        except ValueError:
-            raise ContractError(f"bad relation spec {chunk!r}, expected a:b") from None
-        rels.append(adem_relation(a, b, p))
-    return bound, tuple(rels)
+        relations = full_adem_relation_set(ambient, p, bound)
+    return bound, relations
 
 
 def _multiset_family_from(args: argparse.Namespace):
@@ -240,11 +237,7 @@ def _cmd_action_check(args: argparse.Namespace) -> Report:
         raise ContractError("--table is required")
     table = parse_table(_read_text(args.table, "table"), ambient, p)
     bound, relations = _bound_and_relations(args, ambient, p)
-    reports = [
-        check_relations(table, relations, bound),
-        check_ideal_preservation(table),
-        check_unstability(table),
-    ]
+    reports = check_table(table, relations, bound)
     lines = []
     for rep in reports:
         lines += rep.to_text().splitlines()

@@ -73,9 +73,7 @@ from .span import is_odd_prime
 from .steenrod import (
     PowerRelation,
     SteenrodTable,
-    check_ideal_preservation,
-    check_relations,
-    check_unstability,
+    check_table,
     relation_instance_bases,
     relations_and_bound,
 )
@@ -586,11 +584,6 @@ def search_action(
     if assignment is None:
         return SearchOutcome("exhausted", None, names, bound, nvars, solver.nodes)
     table = table_from_assignment(ambient, p, blocks, assignment)
-    reports = (
-        check_relations(table, relations, bound),
-        check_ideal_preservation(table),
-        check_unstability(table),
-    )
-    if not all(r.ok for r in reports):
+    if not all(r.ok for r in check_table(table, relations, bound)):
         raise AssertionError("search produced a table that fails its own checkers")
     return SearchOutcome("found", table, names, bound, nvars, solver.nodes)

@@ -1,5 +1,8 @@
 """Span colorings over F_p: linear algebra, verification, exact solver.
 
+`span_conditions` is the one span check: f(v) nonzero and outside the span of
+f(N(v)). `verify_span_coloring` and `steenrod.cokernel_report` both use it.
+
 `span_chromatic_number` solves at most once per (`Graph` instance, p) and
 keeps the answer on the graph, next to chi and the max clique (see `graph`);
 every call returns its own copy of the witness.
@@ -104,8 +107,10 @@ def span_membership(vectors: Sequence[FpVector], target: FpVector) -> bool:
     return _in_span(rows, target.coords, p)
 
 
-def verify_span_coloring(g: Graph, c: SpanColoring) -> bool:
-    """Check nonzeroness and f(v) outside the span of f(N(v)) for every vertex."""
+def span_conditions(g: Graph, c: SpanColoring) -> Iterator[tuple[str, bool]]:
+    """Per vertex in graph order, whether f(v) is nonzero and outside the span
+    of f(N(v)), neighbors in graph order. Every vertex must have a vector;
+    the vectors are checked against the coloring's p and dim as they come."""
     for v in g.vertices:
         if v not in c.assignment:
             raise ContractError(f"no vector assigned to vertex {v!r}")
@@ -113,12 +118,13 @@ def verify_span_coloring(g: Graph, c: SpanColoring) -> bool:
         vec = c.assignment[v]
         if vec.p != c.p or vec.dim != c.dim:
             raise ContractError(f"vector for {v!r} does not match coloring parameters")
-        if vec.is_zero():
-            return False
         nbr_vecs = [c.assignment[u] for u in sorted(g.neighbors(v), key=g.index.get)]
-        if span_membership(nbr_vecs, vec):
-            return False
-    return True
+        yield v, not vec.is_zero() and not span_membership(nbr_vecs, vec)
+
+
+def verify_span_coloring(g: Graph, c: SpanColoring) -> bool:
+    """Whether the span condition holds at every vertex (`span_conditions`)."""
+    return all(ok for _, ok in span_conditions(g, c))
 
 
 @lru_cache(maxsize=None)

@@ -3,9 +3,11 @@
 A SteenrodTable stores P^k on generators (P^0 is the identity, the top case
 2k = |g| is forced to g^p, everything above vanishes); cartan_extend pushes a
 table to arbitrary elements. Checkers evaluate a configurable relation set on
-generators and graded bases, verify preservation of the per-vertex ideals,
-and extract the degree-4 leading coefficients of P^p that induce a span
-coloring of the underlying graph.
+generators and graded bases, verify preservation of the per-vertex ideals and
+check the forced top entries; `check_table` is the one place that runs all
+three. The degree-4 leading coefficients of P^p form a table's g-function, a
+`span.SpanColoring` in F_p^{s_1} that `cokernel_report` tests with the one
+span check, `span.span_conditions`.
 
 The checkers evaluate the Cartan formula with their own plain engine over
 `Monomial` exponent tuples and integer coefficients; `apply_power` takes the
@@ -32,7 +34,7 @@ from .algebra import (
 from .errors import ContractError, IncompleteTableError
 from .families import FamilySpec
 from .graph import Graph
-from .span import FpVector, is_odd_prime, span_chromatic_number, span_membership
+from .span import FpVector, SpanColoring, is_odd_prime, span_chromatic_number, span_conditions
 
 
 # --------------------------------------------------------------------------
@@ -171,11 +173,12 @@ def relations_and_bound(
     p: int, relation_set: tuple[PowerRelation, ...] | None, degree_bound: int | None
 ) -> tuple[tuple[PowerRelation, ...], int]:
     """The relation set and bound a check or search runs with, defaults at p
-    for None; a negative bound is rejected."""
+    for None; the set is resolved first, then a negative bound is rejected."""
+    relations = default_relation_set(p) if relation_set is None else tuple(relation_set)
     bound = default_degree_bound(p) if degree_bound is None else degree_bound
     if bound < 0:
         raise ContractError(f"degree bound must be non-negative, got {bound}")
-    return (default_relation_set(p) if relation_set is None else tuple(relation_set)), bound
+    return relations, bound
 
 
 def relation_instance_bases(ambient, p: int, relation: PowerRelation, degree_bound: int) -> list[Monomial]:
@@ -440,6 +443,20 @@ def check_unstability(table: SteenrodTable) -> CheckReport:
     return CheckReport("unstability", {}, violations)
 
 
+def check_table(
+    table: SteenrodTable,
+    relation_set: tuple[PowerRelation, ...] | None = None,
+    degree_bound: int | None = None,
+) -> tuple[CheckReport, CheckReport, CheckReport]:
+    """The relation, ideal-preservation and unstability reports of a table,
+    in that order; the table passes when all three are ok."""
+    return (
+        check_relations(table, relation_set, degree_bound),
+        check_ideal_preservation(table),
+        check_unstability(table),
+    )
+
+
 # --------------------------------------------------------------------------
 # P^p decomposition and the induced coloring data
 # --------------------------------------------------------------------------
@@ -515,15 +532,6 @@ def decompose_pp(table: SteenrodTable, vertex: str) -> PpDecomposition:
 
 
 @dataclass
-class GFunction:
-    """Degree-4 leading coefficients of P^p along y_i^{p-1}, per vertex."""
-
-    p: int
-    dim: int
-    assignment: dict[str, tuple[int, ...]]
-
-
-@dataclass
 class CokernelReport:
     entries: list[tuple[str, bool]]
 
@@ -541,28 +549,22 @@ class CokernelReport:
         return "\n".join(lines) if lines else "no graph vertices"
 
 
-def cokernel_report(g: Graph, gf: GFunction) -> CokernelReport:
+def cokernel_report(g: Graph, gf: SpanColoring) -> CokernelReport:
     """Per vertex: does g(y_i) avoid the span of its neighbors' values?"""
-    entries = []
-    for v in g.vertices:
-        target = FpVector(gf.p, gf.assignment[v])
-        nbr = [FpVector(gf.p, gf.assignment[u]) for u in sorted(g.neighbors(v), key=g.index.get)]
-        entries.append((v, not span_membership(nbr, target)))
-    return CokernelReport(entries)
+    return CokernelReport(list(span_conditions(g, gf)))
 
 
-def coloring_from_action(table: SteenrodTable) -> tuple[GFunction, CokernelReport]:
-    """Extract the g-function of a table and test the cokernel condition at
-    every vertex; requires minimum degree 2 (apply two_core first)."""
+def coloring_from_action(table: SteenrodTable) -> tuple[SpanColoring, CokernelReport]:
+    """The g-function of a table, one F_p^{s_1} vector per vertex, and its
+    cokernel report; requires minimum degree 2 (apply two_core first)."""
     ambient = table.ambient
     if not isinstance(ambient, JoinComplex):
         raise ContractError("coloring extraction needs a join complex")
     g = ambient.graph
     if any(g.degree(v) < 2 for v in g.vertices):
         raise ContractError("every vertex must have degree at least 2")
-    dim = len(ambient.first_block_labels())
-    assignment = {v: decompose_pp(table, v).leading for v in g.vertices}
-    gf = GFunction(table.p, dim, assignment)
+    assignment = {v: FpVector(table.p, decompose_pp(table, v).leading) for v in g.vertices}
+    gf = SpanColoring(table.p, len(ambient.first_block_labels()), assignment)
     return gf, cokernel_report(g, gf)
 
 

@@ -241,28 +241,32 @@ def test_criterion_8_algebra_kernel_property_suite():
 
 
 def test_criterion_9_found_tables_induce_span_colorings():
-    """Every Found table on a B-family instance with a min-degree-2 graph must
-    report all cokernels nonzero; a zero cokernel fails the build. A case the
+    """Every Found table on a join instance with a min-degree-2 graph must
+    induce a span coloring: its g-function is a SpanColoring in F_p^{s_1}
+    that verify_span_coloring accepts, so s_p-chi <= s_1. A case the
     necessary condition excludes must come back exhausted."""
-    found_instances = 0
-    for spec, g in [
+    instances = [
         (FamilySpec("B", (2,)), cycle_graph(4)),
         (FamilySpec("B", (3,)), complete_graph(3)),
-    ]:
+        (FamilySpec("B", (3,)), cycle_graph(5)),
+        (FamilySpec("B", (3,)), cycle_graph(6)),
+        (FamilySpec("B", (4,)), cycle_graph(4)),
+        (FamilySpec("Ap", (3, 3), 3), cycle_graph(4)),
+    ]
+    for spec, g in instances:
         k = build_complex(spec, g)
         out = search_action(k, 3)
-        if not out.found:
-            continue
-        found_instances += 1
+        assert out.found, f"no table on {spec.describe()}"
         gfun, report = coloring_from_action(out.table)
         assert report.all_nonzero, f"zero cokernel on {spec.describe()}: {report.to_text()}"
         # the g-function is then an honest span coloring certificate
+        assert verify_span_coloring(g, gfun)
+        assert gfun.dim == k.blocks[0][0] == spec.first_bound
         value, _ = span_chromatic_number(g, 3)
-        assert value <= spec.first_bound
-    assert found_instances == 2, "expected both instances to yield tables"
+        assert value <= gfun.dim
 
     # s_3chi(K3) = 3 > 2, so no table may exist on B(2, K3)
     k = build_complex(FamilySpec("B", (2,)), complete_graph(3))
     out = search_action(k, 3)
     assert out.status == "exhausted"
-    _report(9, f"{found_instances} found tables, all cokernels nonzero; B(2,K3) exhausted")
+    _report(9, f"{len(instances)} found tables, each a span coloring; B(2,K3) exhausted")

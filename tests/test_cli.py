@@ -546,6 +546,41 @@ def test_cli_reports_oracle(capsys, tmp_path):
     assert digest.hexdigest() == CLI_REPORTS_SHA256
 
 
+# -- oracle: which input error the action commands report first ---------------
+#
+# A malformed relation pair, an even or too small prime and a negative degree
+# bound can meet in one invocation; this pins which of them is reported. The
+# digest is sha256 over (argv template, exit code, stdout, stderr)
+# of each command below under every --relations value, --p from 1 to 5 and
+# --degree-bound -1, 0 or unset, nested in that order. The valid cells run
+# their search or check, so stdout is pinned too.
+
+ERROR_ORDER_COMMANDS = (
+    "action-search --free x:4",
+    "action-check --free x:4 --table {empty}",
+    "action-search --family A --vector 1,1 {k3}",
+)
+ERROR_ORDER_RELATIONS = ("default", "adem-full", "1:3", "1:x", "1:2,1:x")
+ERROR_ORDER_SHA256 = "4295397b4e140424845b8a36b70a7812d184774f269a320e58bda3a5e353d39e"
+
+
+def test_action_error_order_oracle(capsys, tmp_path):
+    paths = {"empty": str(tmp_path / "empty"), "k3": str(tmp_path / "k3")}
+    (tmp_path / "empty").write_text("")
+    (tmp_path / "k3").write_text(K3)
+    digest = hashlib.sha256()
+    for command in ERROR_ORDER_COMMANDS:
+        for relations in ERROR_ORDER_RELATIONS:
+            for p in range(1, 6):
+                for bound in ("-1", "0", None):
+                    template = f"{command} --relations {relations} --p {p}"
+                    if bound is not None:
+                        template += f" --degree-bound {bound}"
+                    code, out, err = run_code(capsys, template.format(**paths).split())
+                    digest.update(repr((template.split(), code, out, err)).encode())
+    assert digest.hexdigest() == ERROR_ORDER_SHA256
+
+
 def test_duplicate_table_entry_is_input_error(capsys, tmp_path):
     table_file = tmp_path / "table.txt"
     table_file.write_text("P^1(x) = 2*x^2\nP^1(x) = 1*x^2\n")

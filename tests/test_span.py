@@ -33,6 +33,7 @@ from sr_chroma.span import (
     span_membership,
     verify_span_coloring,
 )
+from sr_chroma.steenrod import cokernel_report
 
 
 def vec(p, *coords):
@@ -151,6 +152,34 @@ def test_scaling_invariance(seed, p):
         for v, w in witness.assignment.items()
     }
     assert verify_span_coloring(g, SpanColoring(p, n, scaled))
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(
+    st.integers(1, 5),
+    st.integers(0, 2**10 - 1),
+    st.sampled_from([2, 3, 5]),
+    st.integers(1, 3),
+    st.data(),
+)
+def test_cokernel_report_and_verify_share_one_span_check(n, edge_bits, p, dim, data):
+    labels = [str(i + 1) for i in range(n)]
+    pairs = itertools.combinations(labels, 2)
+    g = Graph.build(labels, [e for i, e in enumerate(pairs) if edge_bits >> i & 1])
+    coords = st.tuples(*[st.integers(0, p - 1)] * dim)
+    vectors = st.one_of(st.just((0,) * dim), coords).map(lambda cs: FpVector(p, cs))
+    c = SpanColoring(p, dim, {v: data.draw(vectors) for v in g.vertices})
+    report = cokernel_report(g, c)
+    assert report.all_nonzero == verify_span_coloring(g, c)
+    assert [v for v, _ in report.entries] == list(g.vertices)
+    for v, ok in report.entries:
+        nbrs = [c.assignment[u] for u in sorted(g.neighbors(v), key=g.index.get)]
+        assert ok == (not span_membership(nbrs, c.assignment[v]))
+    missing = SpanColoring(p, dim, {v: c.assignment[v] for v in g.vertices[:-1]})
+    with pytest.raises(ContractError, match="no vector"):
+        cokernel_report(g, missing)
+    with pytest.raises(ContractError, match="no vector"):
+        verify_span_coloring(g, missing)
 
 
 def test_deterministic_witness():

@@ -11,9 +11,8 @@ from sr_chroma.algebra import AlgebraElement, FreePolynomialAlgebra
 from sr_chroma.errors import ContractError, IncompleteTableError
 from sr_chroma.families import FamilySpec, build_complex
 from sr_chroma.graph import Graph
-from sr_chroma.span import FpVector, span_membership
+from sr_chroma.span import FpVector, SpanColoring, span_membership
 from sr_chroma.steenrod import (
-    GFunction,
     SteenrodTable,
     adem_relation,
     cartan_extend,
@@ -196,13 +195,17 @@ def test_decompose_pp_outside_ideal_rejected():
         decompose_pp(t, "1")
 
 
+def _gfun(p, dim, coords):
+    return SpanColoring(p, dim, {v: FpVector(p, c) for v, c in coords.items()})
+
+
 def test_cokernel_report_examples():
     k3 = complete_graph(3)
-    gf = GFunction(3, 3, {"1": (1, 0, 0), "2": (0, 1, 0), "3": (0, 0, 1)})
+    gf = _gfun(3, 3, {"1": (1, 0, 0), "2": (0, 1, 0), "3": (0, 0, 1)})
     assert cokernel_report(k3, gf).all_nonzero
 
     c4 = cycle_graph(4)
-    const = GFunction(3, 2, {v: (1, 1) for v in c4.vertices})
+    const = _gfun(3, 2, {v: (1, 1) for v in c4.vertices})
     rep = cokernel_report(c4, const)
     assert not rep.all_nonzero
     assert rep.failures() == list(c4.vertices)
@@ -211,11 +214,11 @@ def test_cokernel_report_examples():
 def test_cokernel_report_matches_direct_span_checks():
     c5 = cycle_graph(5)
     p = 3
-    gf = GFunction(p, 2, {v: ((0, 1) if int(v) % 2 else (1, 0)) for v in c5.vertices})
+    gf = _gfun(p, 2, {v: ((0, 1) if int(v) % 2 else (1, 0)) for v in c5.vertices})
     rep = cokernel_report(c5, gf)
     for v, ok in rep.entries:
-        nbr = [FpVector(p, gf.assignment[u]) for u in sorted(c5.neighbors(v), key=c5.index.get)]
-        assert ok == (not span_membership(nbr, FpVector(p, gf.assignment[v])))
+        nbr = [gf.assignment[u] for u in sorted(c5.neighbors(v), key=c5.index.get)]
+        assert ok == (not span_membership(nbr, gf.assignment[v]))
 
 
 def test_coloring_from_action_requires_min_degree_two():
