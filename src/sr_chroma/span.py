@@ -6,11 +6,24 @@ f(N(v)). `verify_span_coloring` and `steenrod.cokernel_report` both use it.
 `span_chromatic_number` solves at most once per (`Graph` instance, p) and
 keeps the answer on the graph, next to chi and the max clique (see `graph`);
 every call returns its own copy of the witness.
+
+All row reduction, the solver's and `span_membership`'s, runs on one kernel
+(`_Packing`), over packed ints:
+- An F_p^n vector is one int, coordinate i in bits [w*i, w*i + w), where w is
+  the least width with 2^(w-1) >= p. A field of the sum of two reduced
+  vectors holds at most 2p - 2 < 2^w, so it never carries into the next.
+- A field has reached p exactly when adding 2^(w-1) - p sets its top bit, so
+  the fold `s - (((s + OFF) & HIGH) >> (w-1)) * p` reduces every field at
+  once (OFF and HIGH hold 2^(w-1) - p and 2^(w-1) in every field).
+- An echelon row is (pivot shift, row), the row scaled to pivot
+  coefficient 1, so `res - c*row` is `res + (p - c)*row`, built by doubling
+  and adding (`_Packing.add_multiple`, the fold's one home): at most
+  2*log2(p) folds, one when c = p - 1. Nothing stored grows with p but the
+  candidates (`_packed_reps`).
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Sequence
@@ -67,30 +80,71 @@ class SpanColoring:
         return "\n".join(lines) + ("\n" if lines else "")
 
 
-def _reduce_row(rows: list[tuple[int, tuple[int, ...]]], vec: tuple[int, ...], p: int) -> tuple[int, ...]:
-    """Reduce vec against an insertion-ordered echelon row list (pivot coeff 1)."""
-    res = list(vec)
-    for pivot, row in rows:
-        c = res[pivot]
-        if c:
-            for i in range(pivot, len(res)):
-                res[i] = (res[i] - c * row[i]) % p
-    return tuple(res)
+# an echelon row: (pivot shift, row packed), the row scaled to pivot coefficient 1
+_Row = tuple[int, int]
 
 
-def _append_row(rows: list[tuple[int, tuple[int, ...]]], vec: tuple[int, ...], p: int) -> bool:
-    """Add vec to the echelon list; returns True when it enlarges the span."""
-    res = _reduce_row(rows, vec, p)
-    pivot = next((i for i, c in enumerate(res) if c), None)
-    if pivot is None:
-        return False
-    inv = pow(res[pivot], -1, p)
-    rows.append((pivot, tuple((c * inv) % p for c in res)))
-    return True
+class _Packing:
+    """The row kernel for F_p^n (format and fold: see the module docstring)."""
+
+    def __init__(self, p: int, n: int):
+        w = (p - 1).bit_length() + 1  # least w with 2^(w-1) >= p
+        ones = sum(1 << (w * i) for i in range(n))
+        self.p, self.n, self.w = p, n, w
+        self.mask = (1 << w) - 1
+        self.off = ((1 << (w - 1)) - p) * ones
+        self.high = (1 << (w - 1)) * ones
+
+    def pack(self, coords: Sequence[int]) -> int:
+        w, x = self.w, 0
+        for c in reversed(coords):
+            x = x << w | c
+        return x
+
+    def unpack(self, x: int) -> tuple[int, ...]:
+        w, mask = self.w, self.mask
+        return tuple(x >> (w * i) & mask for i in range(self.n))
+
+    def add_multiple(self, acc: int, x: int, k: int) -> int:
+        """acc + k*x for reduced acc and x and k >= 1, by doubling and adding."""
+        off, high, top, p = self.off, self.high, self.w - 1, self.p
+        while True:
+            if k & 1:
+                acc += x
+                acc -= (((acc + off) & high) >> top) * p
+                if k == 1:
+                    return acc
+            x += x
+            x -= (((x + off) & high) >> top) * p
+            k >>= 1
+
+    def reduce(self, rows: list[_Row], x: int) -> int:
+        """x minus multiples of the echelon rows, taken in insertion order;
+        zero exactly when x lies in their span."""
+        p, mask, add_multiple = self.p, self.mask, self.add_multiple
+        for shift, row in rows:
+            c = x >> shift & mask
+            if c:
+                x = add_multiple(x, row, p - c)
+        return x
+
+    def append(self, rows: list[_Row], x: int) -> bool:
+        """Add x to the echelon rows; True when it enlarges their span."""
+        x = self.reduce(rows, x)
+        if not x:
+            return False
+        shift = (x & -x).bit_length() - 1
+        shift -= shift % self.w
+        c = x >> shift & self.mask
+        # scale to pivot coefficient 1, unless it is 1 already (every row at p = 2)
+        row = x if c == 1 else self.add_multiple(0, x, pow(c, -1, self.p))
+        rows.append((shift, row))
+        return True
 
 
-def _in_span(rows: list[tuple[int, tuple[int, ...]]], vec: tuple[int, ...], p: int) -> bool:
-    return all(c == 0 for c in _reduce_row(rows, vec, p))
+@lru_cache(maxsize=None)
+def _packing(p: int, n: int) -> _Packing:
+    return _Packing(p, n)
 
 
 def span_membership(vectors: Sequence[FpVector], target: FpVector) -> bool:
@@ -101,10 +155,11 @@ def span_membership(vectors: Sequence[FpVector], target: FpVector) -> bool:
             raise ContractError(f"prime mismatch: {v.p} vs {p}")
         if v.dim != dim:
             raise ContractError(f"dimension mismatch: {v.dim} vs {dim}")
-    rows: list[tuple[int, tuple[int, ...]]] = []
+    kernel = _packing(p, dim)
+    rows: list[_Row] = []
     for v in vectors:
-        _append_row(rows, v.coords, p)
-    return _in_span(rows, target.coords, p)
+        kernel.append(rows, kernel.pack(v.coords))
+    return not kernel.reduce(rows, kernel.pack(target.coords))
 
 
 def span_conditions(g: Graph, c: SpanColoring) -> Iterator[tuple[str, bool]]:
@@ -128,14 +183,22 @@ def verify_span_coloring(g: Graph, c: SpanColoring) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _projective_reps(p: int, r: int) -> tuple[tuple[int, ...], ...]:
-    """All vectors in F_p^r with first nonzero coordinate 1, in lex order."""
-    # vectors with a later leading 1 start with more zeros, so they come first
-    return tuple(
-        (0,) * i + (1,) + tail
-        for i in reversed(range(r))
-        for tail in itertools.product(range(p), repeat=r - 1 - i)
-    )
+def _packed_reps(p: int, r: int) -> tuple[int, ...]:
+    """All vectors in F_p^r with first nonzero coordinate 1, in lex order,
+    packed; zero padding leaves a packed int alone, so these serve every n >= r."""
+    if not r:
+        return ()
+    w = _packing(p, r).w
+    # vectors with a later leading 1 start with more zeros, so they come first;
+    # after the leading 1 at coordinate i come c, then t from all of
+    # F_p^(r-2-i) in lex order
+    reps, tails = [1 << (w * (r - 1))], [0]
+    for i in reversed(range(r - 1)):
+        s = w * (i + 1)
+        reps += [1 << (w * i) | c << s | t << (s + w) for c in range(p) for t in tails]
+        if i:
+            tails = [c | t << w for c in range(p) for t in tails]
+    return tuple(reps)
 
 
 def _search_dimension(g: Graph, p: int, n: int) -> dict[str, tuple[int, ...]] | None:
@@ -145,40 +208,43 @@ def _search_dimension(g: Graph, p: int, n: int) -> dict[str, tuple[int, ...]] | 
     vectors are projective representatives inside the span of the already
     assigned vectors plus one fresh basis vector, which covers every solution
     up to a global change of basis.
+
+    Vectors are packed ints (format: see the module docstring) and every
+    span test runs on `_packing(p, n)`. The candidates of rank r are packed
+    once per (p, r), and the fresh basis vector is 1 << (w*r).
     """
+    kernel = _packing(p, n)
+    reduce, append = kernel.reduce, kernel.append
     order = sorted(g.vertices, key=lambda v: (-g.degree(v), g.index[v]))
     m = len(order)
     pos = {v: i for i, v in enumerate(order)}
     adj = [[pos[u] for u in g.adjacency[v]] for v in order]
-    assigned: list[tuple[int, ...] | None] = [None] * m
-    # per-vertex echelon basis of the assigned part of its open neighborhood
-    nbr_rows: list[list[tuple[int, tuple[int, ...]]]] = [[] for _ in range(m)]
-    global_rows: list[tuple[int, tuple[int, ...]]] = []
+    assigned: list[int] = [0] * m
+    # per-vertex echelon rows of the assigned part of its open neighborhood
+    nbr_rows: list[list[_Row]] = [[] for _ in range(m)]
+    global_rows: list[_Row] = []
 
     def candidates(rank: int):
-        for rep in _projective_reps(p, rank):
-            yield rep + (0,) * (n - rank)
+        yield from _packed_reps(p, rank)
         if rank < n:
-            yield tuple(1 if i == rank else 0 for i in range(n))
+            yield 1 << (kernel.w * rank)
 
     # one frame per placed vertex, deepest last: (its candidate iterator, the
     # neighbors whose nbr_rows gained its vector, whether global_rows grew)
-    frames: list[tuple[Iterator[tuple[int, ...]], list[int], bool]] = []
+    frames: list[tuple[Iterator[int], list[int], bool]] = []
     pending = candidates(0)  # candidates of vertex len(frames)
     while len(frames) < m:
         i = len(frames)
         for vec in pending:
-            if _in_span(nbr_rows[i], vec, p):
+            if not reduce(nbr_rows[i], vec):
                 continue
             ok = True
             touched: list[int] = []
             for u in adj[i]:
-                before = len(nbr_rows[u])
-                _append_row(nbr_rows[u], vec, p)
-                if len(nbr_rows[u]) > before:
+                if append(nbr_rows[u], vec):
                     touched.append(u)
                 if u < i:
-                    if _in_span(nbr_rows[u], assigned[u], p):
+                    if not reduce(nbr_rows[u], assigned[u]):
                         ok = False
                         break
                 elif len(nbr_rows[u]) == n:
@@ -186,7 +252,7 @@ def _search_dimension(g: Graph, p: int, n: int) -> dict[str, tuple[int, ...]] | 
                     break
             if ok:
                 assigned[i] = vec
-                frames.append((pending, touched, _append_row(global_rows, vec, p)))
+                frames.append((pending, touched, append(global_rows, vec)))
                 pending = candidates(len(global_rows))
                 break
             for u in touched:
@@ -197,10 +263,10 @@ def _search_dimension(g: Graph, p: int, n: int) -> dict[str, tuple[int, ...]] | 
             pending, touched, grew = frames.pop()
             if grew:
                 global_rows.pop()
-            assigned[len(frames)] = None
+            assigned[len(frames)] = 0
             for u in touched:
                 nbr_rows[u].pop()
-    return {order[i]: assigned[i] for i in range(m)}
+    return {order[i]: kernel.unpack(assigned[i]) for i in range(m)}
 
 
 def span_chromatic_number(g: Graph, p: int) -> tuple[int, SpanColoring]:

@@ -19,6 +19,7 @@ from helpers import (
     oracle_span_chromatic,
     path_graph,
     random_graph,
+    rref_in_span,
 )
 from sr_chroma import graph as graph_module
 from sr_chroma import span as span_module
@@ -46,6 +47,23 @@ def test_span_membership_basics():
     assert not span_membership([vec(3, 1, 0)], vec(3, 0, 1))
     # e1 = (e1+e2) - e2, row-reduced by hand
     assert span_membership([vec(3, 1, 1), vec(3, 0, 1)], vec(3, 1, 0))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(st.sampled_from([2, 3, 5, 7, 11, 13, 251]), st.integers(1, 8), st.data())
+def test_span_membership_matches_rref_oracle(p, dim, data):
+    # widths 2-9 bits and up to 8 fields: the packed fold and carry rules well
+    # past the census's p <= 5, n <= 6; coordinates may be negative or >= p
+    coord = st.one_of(st.integers(0, p - 1), st.integers(-3 * p, 3 * p))
+    fresh = st.tuples(*[coord] * dim)
+    pool = data.draw(st.lists(fresh, min_size=1, max_size=3))
+    vector = st.one_of(st.just((0,) * dim), st.sampled_from(pool), fresh)
+    vectors = data.draw(st.lists(vector, max_size=dim + 2))
+    coeffs = data.draw(st.lists(coord, min_size=len(vectors), max_size=len(vectors)))
+    combination = tuple(sum(k * v[i] for k, v in zip(coeffs, vectors)) for i in range(dim))
+    target = data.draw(st.one_of(vector, st.just(combination)))
+    expected = rref_in_span(list(vectors), target, p)
+    assert span_membership([FpVector(p, v) for v in vectors], FpVector(p, target)) == expected
 
 
 def test_span_membership_contract_errors():
@@ -110,7 +128,7 @@ def test_span_solver_matches_oracle_small():
 
 def test_span_solver_matches_oracle_all_connected_4():
     for g in connected_graphs(4):
-        for p in (2, 3):
+        for p in (2, 3, 5, 7):
             assert span_chromatic_number(g, p)[0] == oracle_span_chromatic(g, p)
 
 
@@ -120,7 +138,7 @@ def test_no_span_coloring_below_the_clique_bound():
     for n in range(2, 6):
         for g in connected_graphs(n):
             below = max(2, len(max_clique(g))) - 1
-            for p in (2, 3):
+            for p in (2, 3, 5):
                 assert _search_dimension(g, p, below) is None, (g, p)
 
 
@@ -293,7 +311,8 @@ def test_projective_reps_are_the_normalized_vectors_in_lex_order(p):
         normalized = [
             v for v in itertools.product(range(p), repeat=r) if any(v) and next(c for c in v if c) == 1
         ]
-        assert span_module._projective_reps(p, r) == tuple(sorted(normalized))
+        unpack = span_module._packing(p, r).unpack
+        assert tuple(map(unpack, span_module._packed_reps(p, r))) == tuple(sorted(normalized))
 
 
 def test_witness_oracle():
