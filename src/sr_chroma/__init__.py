@@ -59,7 +59,6 @@ from .steenrod import (
     CheckReport,
     NecessaryOutcome,
     PowerRelation,
-    PpDecomposition,
     SteenrodTable,
     adem_relation,
     cartan_extend,
@@ -69,7 +68,6 @@ from .steenrod import (
     check_unstability,
     cokernel_report,
     coloring_from_action,
-    decompose_pp,
     default_relation_set,
     full_adem_relation_set,
     necessary_condition,

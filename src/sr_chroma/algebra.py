@@ -34,11 +34,6 @@ class Monomial:
     def divides(self, other: "Monomial") -> bool:
         return all(a <= b for a, b in zip(self.exps, other.exps, strict=True))
 
-    def divide_by(self, other: "Monomial") -> "Monomial":
-        if not other.divides(self):
-            raise ContractError("monomial division with negative exponent")
-        return Monomial(tuple(a - b for a, b in zip(self.exps, other.exps, strict=True)))
-
     def is_unit(self) -> bool:
         return all(e == 0 for e in self.exps)
 

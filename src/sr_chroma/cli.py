@@ -20,7 +20,7 @@ import sys
 
 from .algebra import parse_free_algebra
 from .errors import ContractError, SearchSpaceExceeded, SrChromaError
-from .families import FamilySpec, build_complex, parse_family
+from .families import SPAN_CONDITION_KINDS, FamilySpec, build_complex, parse_family
 from .graph import Graph, chromatic_number, parse_graph, serialize_graph
 from .realize import (
     DEFAULT_FAMILY,
@@ -387,7 +387,7 @@ def _build_parser(cfg: dict[str, str]) -> argparse.ArgumentParser:
     _common_options(sp, _cmd_action_check, cfg)
 
     sp = sub.add_parser("necessary", help="span-chromatic necessary condition")
-    _family_options(sp, families=("Ap", "Bp", "B", "A_p", "B_p"))
+    _family_options(sp, families=SPAN_CONDITION_KINDS + ("A_p", "B_p"))
     _common_options(sp, _cmd_necessary, cfg)
 
     sp = sub.add_parser("partition", help="sufficiency partition certificate")

@@ -17,6 +17,8 @@ from .graph import Graph
 from .span import is_odd_prime
 
 FAMILY_KINDS = ("A", "Ap", "Bp", "B")
+# the tags whose first block size bounds s_p-chi (the span necessary condition)
+SPAN_CONDITION_KINDS = ("Ap", "Bp", "B")
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from operator import add, lt, sub
 
 from .algebra import JoinComplex, x_label, y_label
 from .errors import ContractError
-from .families import FamilySpec, build_complex
+from .families import SPAN_CONDITION_KINDS, FamilySpec, build_complex
 from .graph import Coloring, Graph, chromatic_number, coloring_is_valid
 from .span import span_chromatic_number
 from .steenrod import necessary_condition
@@ -479,7 +479,7 @@ def check_realizable(
     its degree multiset depends only on t and is decided once per t."""
     fam = family if family is not None else DEFAULT_FAMILY
     k = build_complex(spec, g)
-    if spec.kind in ("Ap", "Bp", "B"):
+    if spec.kind in SPAN_CONDITION_KINDS:
         outcome = necessary_condition(spec, g)
         if not outcome.passed:
             return RealizabilityVerdict(

@@ -5,9 +5,10 @@ A SteenrodTable stores P^k on generators (P^0 is the identity, the top case
 table to arbitrary elements. Checkers evaluate a configurable relation set on
 generators and graded bases, verify preservation of the per-vertex ideals and
 check the forced top entries; `check_table` is the one place that runs all
-three. The degree-4 leading coefficients of P^p form a table's g-function, a
-`span.SpanColoring` in F_p^{s_1} that `cokernel_report` tests with the one
-span check, `span.span_conditions`.
+three. A table's g-function is read straight off P^p(y_i): g(y_i) in
+F_p^{s_1} holds the coefficients of x_j^(1) * y_i^(p-1), one per first-block
+generator x_j^(1). It is a `span.SpanColoring` that `cokernel_report` tests
+with the one span check, `span.span_conditions`.
 
 The checkers evaluate the Cartan formula with their own plain engine over
 `Monomial` exponent tuples and integer coefficients; `apply_power` takes the
@@ -29,10 +30,11 @@ from .algebra import (
     Monomial,
     graph_ideal_generators,
     ideal_membership,
+    monomial_in_graph_ideal,
     y_label,
 )
 from .errors import ContractError, IncompleteTableError
-from .families import FamilySpec
+from .families import SPAN_CONDITION_KINDS, FamilySpec
 from .graph import Graph
 from .span import FpVector, SpanColoring, is_odd_prime, span_chromatic_number, span_conditions
 
@@ -458,78 +460,8 @@ def check_table(
 
 
 # --------------------------------------------------------------------------
-# P^p decomposition and the induced coloring data
+# the g-function, read off P^p(y_i)
 # --------------------------------------------------------------------------
-
-@dataclass
-class PpDecomposition:
-    """P^p(y_i) split into the y_i^{p-1}-leading part over degree-4 generators,
-    the remaining (y_i)-part, and the mixed y_j y_k part."""
-
-    vertex: str
-    leading: tuple[int, ...]
-    middle: AlgebraElement
-    mixed: dict[tuple[str, str], AlgebraElement]
-
-    def recombine(self, ambient: JoinComplex, p: int) -> AlgebraElement:
-        yl = y_label(self.vertex)
-        total = self.middle
-        y_power = ambient.generator_element(yl, p) ** (p - 1)
-        for coeff, lbl in zip(self.leading, ambient.first_block_labels()):
-            total = total + (ambient.generator_element(lbl, p) * y_power).scale(coeff)
-        for (u, v), cof in self.mixed.items():
-            pair = ambient.generator_element(y_label(u), p) * ambient.generator_element(y_label(v), p)
-            total = total + cof * pair
-        return total
-
-
-def decompose_pp(table: SteenrodTable, vertex: str) -> PpDecomposition:
-    ambient = table.ambient
-    if not isinstance(ambient, JoinComplex):
-        raise ContractError("P^p decomposition needs a join complex")
-    p = table.p
-    if ambient.graph_degree != 2 * p + 2:
-        raise ContractError("graph generators must sit in degree 2p+2")
-    yl = y_label(vertex)
-    y_idx = ambient.y_index(vertex)
-    elem = table.generator_power(yl, p)
-    first_block = ambient.first_block_labels()
-    leading = [0] * len(first_block)
-    middle: dict[Monomial, int] = {}
-    mixed: dict[tuple[str, str], dict[Monomial, int]] = {}
-    for m, c in elem.terms:
-        e_y = m.exponent(y_idx)
-        if e_y >= p - 1:
-            residual = m.divide_by(ambient.generator_monomial(yl, p - 1))
-            support = residual.support()
-            if len(support) == 1 and residual.exps[support[0]] == 1:
-                lbl = ambient.gen_labels[support[0]]
-                if lbl in first_block:
-                    leading[first_block.index(lbl)] = c
-                    continue
-            middle[m] = c
-        elif e_y >= 1:
-            middle[m] = c
-        else:
-            ys = sorted(
-                (i for i in ambient.graph_generator_indices() if m.exponent(i) >= 1)
-            )
-            if len(ys) != 2:
-                raise ContractError(
-                    f"P^{p}({yl}) has the term {ambient.format_monomial(m)}"
-                    " outside (y_i) + (y_j*y_k)"
-                )
-            u, v = (ambient.vertex_of_index(i) for i in ys)
-            pair_mono = ambient.monomial({y_label(u): 1, y_label(v): 1})
-            cof = m.divide_by(pair_mono)
-            mixed.setdefault((u, v), {})[cof] = c
-    return PpDecomposition(
-        vertex,
-        tuple(leading),
-        AlgebraElement.make(ambient, p, middle),
-        {uv: AlgebraElement.make(ambient, p, terms) for uv, terms in mixed.items()},
-    )
-
 
 @dataclass
 class CokernelReport:
@@ -555,16 +487,34 @@ def cokernel_report(g: Graph, gf: SpanColoring) -> CokernelReport:
 
 
 def coloring_from_action(table: SteenrodTable) -> tuple[SpanColoring, CokernelReport]:
-    """The g-function of a table, one F_p^{s_1} vector per vertex, and its
-    cokernel report; requires minimum degree 2 (apply two_core first)."""
+    """The g-function of a table and its cokernel report: g(y_i) in F_p^{s_1}
+    holds the coefficients of x_j^(1) * y_i^(p-1) in P^p(y_i), one per
+    first-block generator x_j^(1). Every term of P^p(y_i) must lie in
+    (y_i) + (y_j*y_k); requires minimum degree 2 (apply two_core first)."""
     ambient = table.ambient
     if not isinstance(ambient, JoinComplex):
         raise ContractError("coloring extraction needs a join complex")
     g = ambient.graph
     if any(g.degree(v) < 2 for v in g.vertices):
         raise ContractError("every vertex must have degree at least 2")
-    assignment = {v: FpVector(table.p, decompose_pp(table, v).leading) for v in g.vertices}
-    gf = SpanColoring(table.p, len(ambient.first_block_labels()), assignment)
+    p = table.p
+    if g.vertices and ambient.graph_degree != 2 * p + 2:
+        raise ContractError("graph generators must sit in degree 2p+2")
+    first_block = ambient.first_block_labels()
+    assignment = {}
+    for v in g.vertices:
+        yl, i = y_label(v), ambient.y_index(v)
+        elem = table.generator_power(yl, p)
+        for m, _ in elem.terms:
+            if not monomial_in_graph_ideal(ambient, m, i):
+                raise ContractError(
+                    f"P^{p}({yl}) has the term {ambient.format_monomial(m)}"
+                    " outside (y_i) + (y_j*y_k)"
+                )
+        coeffs = elem.terms_dict()
+        leading = (coeffs.get(ambient.monomial({x: 1, yl: p - 1}), 0) for x in first_block)
+        assignment[v] = FpVector(p, tuple(leading))
+    gf = SpanColoring(p, len(first_block), assignment)
     return gf, cokernel_report(g, gf)
 
 
@@ -592,7 +542,7 @@ def necessary_condition(spec: FamilySpec, g: Graph) -> NecessaryOutcome:
     operations, hence that the family member is not realizable; passing is
     inconclusive (the converse does not hold).
     """
-    if spec.kind not in ("Ap", "Bp", "B"):
+    if spec.kind not in SPAN_CONDITION_KINDS:
         raise ContractError("the necessary condition needs a tagged A_p/B_p/B family")
     value, _ = span_chromatic_number(g, spec.p)
     bound = spec.first_bound

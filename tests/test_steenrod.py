@@ -2,15 +2,17 @@
 
 from __future__ import annotations
 
+import hashlib
 from random import Random
 
 import pytest
 
 from helpers import complete_graph, cycle_graph, path_graph
 from sr_chroma.algebra import AlgebraElement, FreePolynomialAlgebra
-from sr_chroma.errors import ContractError, IncompleteTableError
+from sr_chroma.errors import ContractError, IncompleteTableError, SrChromaError
 from sr_chroma.families import FamilySpec, build_complex
 from sr_chroma.graph import Graph
+from sr_chroma.search import search_action, unknown_entry_blocks
 from sr_chroma.span import FpVector, SpanColoring, span_membership
 from sr_chroma.steenrod import (
     SteenrodTable,
@@ -21,7 +23,6 @@ from sr_chroma.steenrod import (
     check_unstability,
     cokernel_report,
     coloring_from_action,
-    decompose_pp,
     full_adem_relation_set,
     necessary_condition,
     parse_element,
@@ -148,51 +149,51 @@ def _b2_k3():
     return build_complex(FamilySpec("B", (2,)), complete_graph(3))
 
 
-def test_decompose_pp_zero():
-    k = _b2_k3()
-    t = SteenrodTable(3, k, {("y_1", 3): k.zero(3)})
-    dec = decompose_pp(t, "1")
-    assert dec.leading == (0, 0)
-    assert dec.middle.is_zero()
-    assert dec.mixed == {}
-
-
-def test_decompose_pp_pure_leading():
+def test_coloring_from_action_reads_the_leading_coefficients():
     k = _b2_k3()
     p = 3
-    y1 = k.generator_element("y_1", p)
-    x1 = k.generator_element("x1^(1)", p)
-    t = SteenrodTable(p, k, {("y_1", 3): y1 * y1 * x1})
-    dec = decompose_pp(t, "1")
-    assert dec.leading == (1, 0)
-    assert dec.middle.is_zero()
-    assert dec.mixed == {}
-    assert dec.recombine(k, p) == y1 * y1 * x1
-
-
-def test_decompose_pp_middle_and_mixed():
-    k = _b2_k3()
-    p = 3
-    y1 = k.generator_element("y_1", p)
+    y = {v: k.generator_element(f"y_{v}", p) for v in "123"}
     x1 = k.generator_element("x1^(1)", p)
     x2 = k.generator_element("x2^(1)", p)
-    value = y1 * x1**3 + k.generator_element("y_2", p) * k.generator_element("y_3", p) * x2
-    t = SteenrodTable(p, k, {("y_1", 3): value})
-    dec = decompose_pp(t, "1")
-    assert dec.leading == (0, 0)
-    assert dec.middle == y1 * x1**3
-    assert list(dec.mixed) == [("2", "3")]
-    assert dec.mixed[("2", "3")] == x2
-    assert dec.recombine(k, p) == value
+    # P^3(y_1) also carries terms in (y_1) and in (y_2*y_3) that add nothing to g
+    entries = {
+        ("y_1", 3): y["1"] * y["1"] * x1 + y["1"] * x1**3 + y["2"] * y["3"] * x2,
+        ("y_2", 3): (y["2"] * y["2"] * x2).scale(2),
+        ("y_3", 3): y["3"] * y["3"] * (x1 + x2),
+    }
+    gf, rep = coloring_from_action(SteenrodTable(p, k, entries))
+    assert gf.serialize() == "1 : 1,0\n2 : 0,2\n3 : 1,1\n"
+    # two dimensions cannot span-color K3 (s_3chi(K3) = 3)
+    assert rep.failures() == ["1", "2", "3"]
 
 
-def test_decompose_pp_outside_ideal_rejected():
+def test_coloring_from_action_rejects_a_term_outside_the_ideal():
     k = _b2_k3()
     p = 3
     x1 = k.generator_element("x1^(1)", p)
     t = SteenrodTable(p, k, {("y_1", 3): x1**5})
     with pytest.raises(ContractError, match="outside"):
-        decompose_pp(t, "1")
+        coloring_from_action(t)
+
+
+def test_coloring_from_action_needs_graph_degree_2p_plus_2():
+    k = build_complex(FamilySpec("B", (2,)), cycle_graph(4))  # degree 8 = 2*3 + 2
+    with pytest.raises(ContractError, match=r"degree 2p\+2"):
+        coloring_from_action(SteenrodTable(5, k, {}))
+
+
+def test_coloring_from_action_on_a_graph_without_vertices():
+    k = build_complex(FamilySpec("B", (2,)), Graph.build([], []))
+    for p in (3, 5):  # the degree is read per vertex, so p = 5 passes too
+        gf, rep = coloring_from_action(SteenrodTable(p, k, {}))
+        assert gf.assignment == {} and gf.dim == 2
+        assert rep.entries == [] and rep.to_text() == "no graph vertices"
+
+
+def test_coloring_from_action_needs_every_pp_entry():
+    k = build_complex(FamilySpec("B", (2,)), cycle_graph(4))
+    with pytest.raises(IncompleteTableError, match=r"P\^3\(y_1\)"):
+        coloring_from_action(SteenrodTable(3, k, {}))
 
 
 def _gfun(p, dim, coords):
@@ -301,3 +302,99 @@ def test_total_operation_multiplicativity_smoke():
             for i in range(kk + 1):
                 want = want + cartan_extend(t, a, i) * cartan_extend(t, b, kk - i)
             assert cartan_extend(t, a * b, kk) == want
+
+
+# -- oracle: the g-function read-out -----------------------------------------
+#
+# sha256 over, per case, the case name and either `gfun.serialize()` and
+# `report.to_text()` from coloring_from_action, or the exception's type and
+# message. The cases: the found tables of the six join instances the action
+# search finds; seeded random tables whose P^p(y_i) are drawn from the
+# search's ideal-cut bases (so only the graph-degree guard rejects them); and
+# one case per guard, in the order the guards run.
+
+G_FUNCTION_SHA256 = "b6ac042a91ea4aeddab15563a48b9fd6b7fb86b22a442c2d9e1cd2517ca71fe7"
+
+FOUND_JOIN_INSTANCES = [
+    ("B(2,C4)", FamilySpec("B", (2,)), cycle_graph(4)),
+    ("B(3,K3)", FamilySpec("B", (3,)), complete_graph(3)),
+    ("B(3,C5)", FamilySpec("B", (3,)), cycle_graph(5)),
+    ("B(3,C6)", FamilySpec("B", (3,)), cycle_graph(6)),
+    ("B(4,C4)", FamilySpec("B", (4,)), cycle_graph(4)),
+    ("A_3(3,3),C4", FamilySpec("Ap", (3, 3), 3), cycle_graph(4)),
+]
+RANDOM_SPECS = [
+    FamilySpec("B", (2,)),
+    FamilySpec("B", (3,)),
+    FamilySpec("Ap", (2, 1), 3),
+    FamilySpec("Bp", (2, 1), 5),
+    FamilySpec("A", (1,)),
+    FamilySpec("A", (2, 2)),
+]
+RANDOM_GRAPHS = [
+    complete_graph(3),
+    cycle_graph(4),
+    cycle_graph(5),
+    cycle_graph(6),
+    complete_graph(4),
+    Graph.build([], []),
+]
+
+
+def _random_pp_table(ambient, p: int, rng: Random) -> SteenrodTable:
+    """Random P^p(y_i) over the search's cut bases; no other entry is read."""
+    entries = {}
+    for block in unknown_entry_blocks(ambient, p)[0]:
+        if block.k == p and ambient.is_graph_generator(ambient.label_index[block.label]):
+            terms = {m: rng.randrange(p) for m in block.basis if rng.random() < 0.5}
+            entries[(block.label, p)] = AlgebraElement.make(ambient, p, terms)
+    return SteenrodTable(p, ambient, entries)
+
+
+def _guard_cases():
+    """One table per guard, each breaking every later guard it can too, so
+    the digest pins the order the guards run in."""
+    b2 = FamilySpec("B", (2,))
+    b2_c4 = build_complex(b2, cycle_graph(4))
+    k = _b2_k3()
+    x1 = k.generator_element("x1^(1)", 3)
+    y1, y2 = k.generator_element("y_1", 3), k.generator_element("y_2", 3)
+    # both terms lie outside (y_1) + (y_j*y_k); the first in term order is named
+    outside = x1**5 + y2 * x1**3
+    return [
+        ("free algebra", SteenrodTable(5, free(("x", 4), ("y", 8)), {})),
+        ("degree-1 vertex at p=5", SteenrodTable(5, build_complex(b2, path_graph(3)), {})),
+        ("graph degree 8 at p=5", SteenrodTable(5, b2_c4, {})),
+        # y_1 comes first, so its missing entry is reported before y_2's bad term
+        ("missing P^3(y_1)", SteenrodTable(3, k, {("y_2", 3): y2 * x1**3 + y1 * x1**3})),
+        ("term outside the ideal", SteenrodTable(3, k, {("y_1", 3): outside})),
+    ]
+
+
+def _read_out(table) -> str:
+    try:
+        gf, rep = coloring_from_action(table)
+    except SrChromaError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return gf.serialize() + rep.to_text()
+
+
+def test_g_function_read_out_matches_oracle():
+    cases = []
+    for name, spec, g in FOUND_JOIN_INSTANCES:
+        out = search_action(build_complex(spec, g), spec.p)
+        assert out.status == "found"
+        cases.append((name, out.table))
+    rng = Random(15)
+    for spec in RANDOM_SPECS:
+        for g in RANDOM_GRAPHS:
+            ambient = build_complex(spec, g)
+            for p in (3, 5):
+                for i in range(6):
+                    name = f"{spec.describe()} on {g.vertices} p={p} #{i}"
+                    cases.append((name, _random_pp_table(ambient, p, rng)))
+    cases += _guard_cases()
+    digest = hashlib.sha256()
+    for name, table in cases:
+        digest.update(f"{name}\n{_read_out(table)}\n".encode())
+    assert digest.hexdigest() == G_FUNCTION_SHA256
