@@ -286,7 +286,7 @@ def _cmd_decompose(args: argparse.Namespace) -> Report:
         c, _ = chromatic_number(_graph_from(args))
     dec = decompose_s(s, c)
     if dec is None:
-        lines = [f"no decomposition of ({args.vector}) for c = {c} (exhausted all candidates)"]
+        lines = [f"no decomposition of ({args.vector}) for c = {c} exists"]
         return {"status": "none", "c": c, "s": list(s)}, lines, EXIT_NEGATIVE
     sp, sd = dec
     lines = [f"s'  = {','.join(map(str, sp))}", f"s'' = {','.join(map(str, sd))}"]

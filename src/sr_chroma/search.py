@@ -23,13 +23,17 @@ Constraints have one format from compile to solve: a dict from a monomial in
 the variables, written as its variables repeated by exponent in ascending
 order (x0^2*x3 is (0, 0, 3)), to a nonzero coefficient mod p. The kernel
 builds its coefficients in that format, each constraint carries one of them
-as its `terms`, and the solver takes those dicts as its initial residuals.
+as its `terms`, and the solver copies those dicts as its initial residuals.
 
-The solver keeps each constraint's residual with the set of variables still
-live in it. Assigning a variable substitutes it into the residuals that
-contain it and replaces them (never mutates them); the old residual and live
-set go on a single trail, together with the assignment itself, and
-backtracking pops the trail back to a mark.
+The solver keeps its own copy of each constraint as its residual, with the
+number of occurrences of each variable still live in it. Assigning a variable
+changes in place only the terms that hold it: each is popped, and its
+reduction is merged back, dropped where it cancels; the occurrence counts
+follow, and no other term is copied. Every term change goes on a single trail
+as (constraint, key, old coefficient), together with the assignment itself,
+and backtracking replays the trail in reverse back to a mark (the trail of
+MiniSat, Een & Sorensson, SAT 2003). A residual left in one variable is solved
+in closed form up to degree 2, and by trying every value above that.
 The DFS runs on an explicit stack of frames, so deep instances need no
 recursion limit. The search rules are: the variable->constraint order, the
 LIFO propagation queue, values tried 0..p-1, fail-first picking with ties to
@@ -66,6 +70,7 @@ without masks runs the unpruned DFS, which the tests keep as the reference.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 from .algebra import AlgebraElement, Monomial, monomial_in_graph_ideal
 from .errors import ContractError, SearchSpaceExceeded
@@ -323,11 +328,15 @@ def compile_constraints(
 
 
 class _Solver:
-    """Propagating DFS over plain residuals, undone through one trail.
+    """Propagating DFS over in-place residuals, undone through a term-level trail.
 
-    The initial residuals are the compiled constraints' `terms` dicts, in the
-    format they were compiled in. With the variables' sign masks the DFS
-    prunes by sign symmetry; without them it is the unpruned reference."""
+    Each residual starts as a copy of a compiled constraint's `terms` dict, in
+    the format it was compiled in; the compiled constraints are never touched.
+    `live[ci]` maps each variable of residual ci to its occurrences in the
+    residual's terms and `count[ci]` is its length, so an assignment costs work
+    in proportion to the terms that hold the variable. With the variables' sign
+    masks the DFS prunes by sign symmetry; without them it is the unpruned
+    reference."""
 
     def __init__(
         self,
@@ -341,39 +350,75 @@ class _Solver:
         self.node_cap = node_cap
         self.masks = masks
         self.assign: list[int | None] = [None] * nvars
-        # residuals are never mutated: an assignment replaces them, so the
-        # trail can hold the old dict and live set by reference
-        self.residuals: list[dict[tuple[int, ...], int]] = [poly.terms for poly in constraints]
-        self.live: list[set[int]] = [set().union(*terms) for terms in self.residuals]
-        self.count: list[int] = [len(live) for live in self.live]
+        self.residuals: list[dict[tuple[int, ...], int]] = [dict(poly.terms) for poly in constraints]
+        # per residual, each live variable's occurrences in its nonzero terms,
+        # counted with multiplicity (x0^2*x3 counts x0 twice)
+        self.live: list[dict[int, int]] = []
+        for terms in self.residuals:
+            occ: dict[int, int] = {}
+            for key in terms:
+                for v in key:
+                    occ[v] = occ.get(v, 0) + 1
+            self.live.append(occ)
+        self.count: list[int] = [len(occ) for occ in self.live]
         self.by_var: list[list[int]] = [[] for _ in range(nvars)]
-        for ci, live in enumerate(self.live):
-            for v in live:
+        for ci, occ in enumerate(self.live):
+            for v in occ:
                 self.by_var[v].append(ci)
-        degree = max((len(key) for terms in self.residuals for key in terms), default=0)
+        degree = max(map(len, chain.from_iterable(self.residuals)), default=0)
         self.powers = [[pow(x, e, p) for e in range(degree + 1)] for x in range(p)]
-        # (ci, old residual, old live set) for a replaced residual,
-        # (-1, var) for an assignment
+        self.inverse = [0] + [pow(x, p - 2, p) for x in range(1, p)]
+        self.squares = {x * x % p for x in range(1, p)}
+        # (ci, key, coefficient before the change, or None where the key was
+        # absent) for a term change, (-1, var, None) for an assignment
         self.trail: list[tuple] = []
         self.nodes = 0
 
     def _classify(self, ci: int, queue: list[tuple[int, int]]) -> bool:
         """False on a conflict; queues the root of a residual in one variable
         when that root is unique."""
-        live = self.live[ci]
-        if not live:
+        occ = self.live[ci]
+        if not occ:
             return not self.residuals[ci]
-        if len(live) == 1:
-            terms = [(len(key), c) for key, c in self.residuals[ci].items()]
-            root = None
-            for x, pw in enumerate(self.powers):
-                if sum(c * pw[e] for e, c in terms) % self.p == 0:
-                    if root is not None:
-                        return True
-                    root = x
-            if root is None:
-                return False
-            queue.append((next(iter(live)), root))
+        if len(occ) == 1:
+            p = self.p
+            var = next(iter(occ))
+            c0 = c1 = c2 = 0
+            for key, c in self.residuals[ci].items():
+                e = len(key)
+                if e == 1:
+                    c1 = c
+                elif e == 0:
+                    c0 = c
+                elif e == 2:
+                    c2 = c
+                else:
+                    return self._classify_by_values(ci, var, queue)
+            if c2:
+                # c2 x^2 + c1 x + c0 over F_p, p odd: one root exactly when the
+                # discriminant is 0, two when it is a nonzero square
+                disc = (c1 * c1 - 4 * c2 * c0) % p
+                if disc:
+                    return disc in self.squares
+                root = -c1 * self.inverse[2 * c2 % p] % p
+            else:
+                root = -c0 * self.inverse[c1] % p
+            queue.append((var, root))
+        return True
+
+    def _classify_by_values(self, ci: int, var: int, queue: list[tuple[int, int]]) -> bool:
+        """`_classify` for a residual of degree 3 or more in its one variable:
+        every value is tried."""
+        terms = [(len(key), c) for key, c in self.residuals[ci].items()]
+        root = None
+        for x, pw in enumerate(self.powers):
+            if sum(c * pw[e] for e, c in terms) % self.p == 0:
+                if root is not None:
+                    return True
+                root = x
+        if root is None:
+            return False
+        queue.append((var, root))
         return True
 
     def _set(self, var: int, val: int, queue: list[tuple[int, int]]) -> bool:
@@ -382,45 +427,53 @@ class _Solver:
         if cur is not None:
             return cur == val
         assign[var] = val
-        trail = self.trail
-        trail.append((-1, var))
+        push = self.trail.append
+        push((-1, var, None))
         p = self.p
         pw = self.powers[val]
         residuals = self.residuals
         lives = self.live
         count = self.count
         for ci in self.by_var[var]:
-            live = lives[ci]
-            if var not in live:
+            occ = lives[ci]
+            if var not in occ:
                 continue
-            old = residuals[ci]
-            new: dict[tuple[int, ...], int] = {}
-            vars_left: set[int] = set()
-            cancelled = False
-            for key, c in old.items():
-                if var in key:
-                    e = key.count(var)
-                    c = c * pw[e] % p
-                    if not c:
-                        continue
+            res = residuals[ci]
+            for key in tuple(res):
+                if var not in key:
+                    continue
+                c = res.pop(key)
+                push((ci, key, c))
+                e = key.count(var)
+                c = c * pw[e] % p
+                if len(key) == e:
+                    rest = ()
+                else:
                     i = key.index(var)
-                    key = key[:i] + key[i + e :]
-                if key in new:
-                    c = (new[key] + c) % p
-                    if not c:
-                        del new[key]
-                        cancelled = True
+                    rest = key[:i] + key[i + e :]
+                drop = 1  # occurrences of rest's variables that go
+                if c:
+                    old = res.get(rest)
+                    push((ci, rest, old))
+                    if old is None:
+                        res[rest] = c
                         continue
-                new[key] = c
-                vars_left.update(key)
-            if cancelled:
-                vars_left = set().union(*new)
-            trail.append((ci, old, live))
-            residuals[ci] = new
-            lives[ci] = vars_left
-            n = count[ci] = len(vars_left)
+                    c = (old + c) % p
+                    if c:
+                        res[rest] = c
+                    else:
+                        del res[rest]
+                        drop = 2
+                for v in rest:
+                    n = occ[v] - drop
+                    if n:
+                        occ[v] = n
+                    else:
+                        del occ[v]
+            del occ[var]
+            n = count[ci] = len(occ)
             if n == 0:
-                if new:
+                if res:
                     return False
             elif n == 1 and not self._classify(ci, queue):
                 return False
@@ -435,19 +488,39 @@ class _Solver:
 
     def _undo(self, mark: int) -> None:
         trail = self.trail
+        entries = trail[mark:]
+        del trail[mark:]
         assign = self.assign
         residuals = self.residuals
         lives = self.live
         count = self.count
-        while len(trail) > mark:
-            entry = trail.pop()
-            if entry[0] < 0:
-                assign[entry[1]] = None
+        for ci, key, old in reversed(entries):
+            if ci < 0:
+                assign[key] = None
+                continue
+            res = residuals[ci]
+            if old is None:
+                del res[key]
+                occ = lives[ci]
+                for v in key:
+                    n = occ[v] - 1
+                    if n:
+                        occ[v] = n
+                    else:
+                        del occ[v]
+                        count[ci] -= 1
+            elif key in res:
+                res[key] = old
             else:
-                ci, old, live = entry
-                residuals[ci] = old
-                lives[ci] = live
-                count[ci] = len(live)
+                res[key] = old
+                occ = lives[ci]
+                for v in key:
+                    n = occ.get(v)
+                    if n:
+                        occ[v] = n + 1
+                    else:
+                        occ[v] = 1
+                        count[ci] += 1
 
     def solve(self) -> list[int] | None:
         queue: list[tuple[int, int]] = []

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import itertools
 import os
 import subprocess
 import sys
@@ -485,6 +486,74 @@ def test_compile_emits_the_solver_format(name, p, make, bound):
             assert list(key) == sorted(key), key
     solver = _Solver(p, nvars, constraints, 0)
     assert solver.residuals == [poly.terms for poly in constraints]
+
+
+# -- the solver kernel on systems compile never emits -------------------------
+#
+# Every compiled constraint of the oracle instances has degree <= 2, so the
+# kernel's cubic terms and repeated variables are checked here on random F_p
+# systems, against brute force over F_p^n.
+
+
+@st.composite
+def _fp_systems(draw):
+    p = draw(st.sampled_from([3, 5, 7]))
+    n = draw(st.integers(1, 4))
+    keys = st.lists(st.integers(0, n - 1), max_size=3).map(lambda vs: tuple(sorted(vs)))
+    polys = st.dictionaries(keys, st.integers(1, p - 1), max_size=5)
+    return p, n, [SymPoly(p, terms) for terms in draw(st.lists(polys, min_size=1, max_size=5))]
+
+
+def _kernel_state(solver):
+    return solver.residuals, solver.live, solver.count
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_fp_systems())
+def test_solver_kernel_agrees_with_brute_force(system):
+    p, n, constraints = system
+    solver = _Solver(p, n, constraints, DEFAULT_NODE_CAP)
+    found = solver.solve()
+    roots = [
+        a for a in itertools.product(range(p), repeat=n)
+        if all(_vanishes(poly, a, p) for poly in constraints)
+    ]
+    if found is None:
+        assert roots == []
+    else:
+        assert all(_vanishes(poly, found, p) for poly in constraints)
+    solver._undo(0)
+    assert _kernel_state(solver) == _kernel_state(_Solver(p, n, constraints, DEFAULT_NODE_CAP))
+    assert solver.assign == [None] * n
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_classify_finds_roots_in_one_variable(p):
+    """A residual in one variable of degree <= 3 is a conflict exactly when
+    it has no root in F_p, and queues its root exactly when that is unique."""
+    for coeffs in itertools.product(range(p), repeat=4):
+        if not any(coeffs[1:]):
+            continue
+        terms = {(0,) * e: c for e, c in enumerate(coeffs) if c}
+        roots = [x for x in range(p) if sum(c * x**e for e, c in enumerate(coeffs)) % p == 0]
+        queue = []
+        assert _Solver(p, 1, [SymPoly(p, terms)], 0)._classify(0, queue) == bool(roots), terms
+        assert queue == ([(0, roots[0])] if len(roots) == 1 else []), terms
+
+
+@pytest.mark.parametrize("name", ["B(2,C4)", "B_5(2,1),K2"])
+def test_solver_leaves_compiled_constraints_alone(name):
+    """The solver keeps its own residuals; the compiled terms, which the
+    tracer counts and `test_compile_emits_the_solver_format` reads, stay as
+    compiled."""
+    _, p, make = next(row[:3] for row in ORACLE if row[0] == name)
+    ambient = make()
+    blocks, nvars = unknown_entry_blocks(ambient, p)
+    constraints = _compile(ambient, p)
+    snapshot = [dict(poly.terms) for poly in constraints]
+    for masks in (None, sign_masks(ambient, blocks)):
+        assert _Solver(p, nvars, constraints, DEFAULT_NODE_CAP, masks).solve() is not None
+        assert [dict(poly.terms) for poly in constraints] == snapshot
 
 
 # -- compile against the independent verifier --------------------------------
