@@ -20,7 +20,7 @@ import sys
 
 from .algebra import parse_free_algebra
 from .errors import ContractError, SearchSpaceExceeded, SrChromaError
-from .families import SPAN_CONDITION_KINDS, FamilySpec, build_complex, parse_family
+from .families import SPAN_CONDITION_KINDS, FamilySpec, build_complex, family_choices, parse_family
 from .graph import Graph, chromatic_number, parse_graph, serialize_graph
 from .realize import (
     DEFAULT_FAMILY,
@@ -57,8 +57,6 @@ CONFIG_KEYS = (
     "multiset_family",
     "format",
 )
-FAMILIES = ("A", "Ap", "Bp", "B", "A_p", "B_p")
-
 # what a command hands back: its JSON report, its text lines and its exit code
 Report = tuple[dict, list[str], int]
 
@@ -328,7 +326,7 @@ def _cmd_realizable(args: argparse.Namespace) -> Report:
 # parser
 # --------------------------------------------------------------------------
 
-def _family_options(sp, families=FAMILIES) -> None:
+def _family_options(sp, families=family_choices()) -> None:
     sp.add_argument("--family", default=None, choices=families)
     sp.add_argument("--vector", default=None)
     sp.add_argument("--p", type=int, default=None)
@@ -387,7 +385,7 @@ def _build_parser(cfg: dict[str, str]) -> argparse.ArgumentParser:
     _common_options(sp, _cmd_action_check, cfg)
 
     sp = sub.add_parser("necessary", help="span-chromatic necessary condition")
-    _family_options(sp, families=SPAN_CONDITION_KINDS + ("A_p", "B_p"))
+    _family_options(sp, families=family_choices(SPAN_CONDITION_KINDS))
     _common_options(sp, _cmd_necessary, cfg)
 
     sp = sub.add_parser("partition", help="sufficiency partition certificate")

@@ -17,8 +17,15 @@ from .graph import Graph
 from .span import is_odd_prime
 
 FAMILY_KINDS = ("A", "Ap", "Bp", "B")
+# spellings `parse_family` also accepts, and the tag each stands for
+FAMILY_ALIASES = {"A_p": "Ap", "B_p": "Bp"}
 # the tags whose first block size bounds s_p-chi (the span necessary condition)
 SPAN_CONDITION_KINDS = ("Ap", "Bp", "B")
+
+
+def family_choices(kinds: tuple[str, ...] = FAMILY_KINDS) -> tuple[str, ...]:
+    """The tags in `kinds`, then their aliases."""
+    return kinds + tuple(alias for alias, kind in FAMILY_ALIASES.items() if kind in kinds)
 
 
 @dataclass(frozen=True)
@@ -77,9 +84,11 @@ def build_complex(spec: FamilySpec, g: Graph) -> JoinComplex:
 
 
 def parse_family(kind: str, vector_text: str, p: int | None) -> FamilySpec:
-    kind = {"A_p": "Ap", "B_p": "Bp"}.get(kind, kind)
+    kind = FAMILY_ALIASES.get(kind, kind)
+    # a blank vector is empty (FamilySpec rejects it); an empty slot is malformed
+    entries = vector_text.split(",") if vector_text.strip() else []
     try:
-        vector = tuple(int(x) for x in vector_text.split(",") if x.strip() != "")
+        vector = tuple(int(x) for x in entries)
     except ValueError:
         raise ContractError(f"bad family vector {vector_text!r}") from None
     return FamilySpec(kind, vector, p)

@@ -13,20 +13,24 @@ and degree bound.
 Compilation has a kernel of its own (`_CompileKernel`): monomials are packed
 ints with a graph-support bitmask for the face check, coefficients are plain
 dicts over the variables, and the Cartan series of a monomial is built from
-the memoized series of its prefix. From the ambient the kernel reads only
-which generators are graph generators and which pairs are edges, and it runs
-its own face test and arithmetic on them. The public checkers in `steenrod`
-keep their separate engine, so a found table is re-verified by code that
-shares nothing with the compile that produced it.
+the memoized series of its prefix. A generator's own series, P^0 up to its
+top or the degree bound, is built once per generator. From the ambient the
+kernel reads only which generators are graph generators and which pairs are
+edges, and it runs its own face test and arithmetic on them. The public
+checkers in `steenrod` keep their separate engine, so a found table is
+re-verified by code that shares nothing with the compile that produced it.
 
 Constraints have one format from compile to solve: a dict from a monomial in
 the variables, written as its variables repeated by exponent in ascending
 order (x0^2*x3 is (0, 0, 3)), to a nonzero coefficient mod p. The kernel
-builds its coefficients in that format, each constraint carries one of them
-as its `terms`, and the solver copies those dicts as its initial residuals.
+builds its coefficients in that format, reduced and without zero terms;
+compile drops repeats (equal sorted items) and hands each dict on uncopied
+as a `Constraint`'s `terms`, and the solver copies those dicts as its
+initial residuals.
 
-The solver keeps its own copy of each constraint as its residual, with the
-number of occurrences of each variable still live in it. Assigning a variable
+The solver keeps its own copy of each constraint as its residual, and one
+index into it: the occurrences of each variable still live in it, whose
+number of keys is the number of variables left. Assigning a variable
 changes in place only the terms that hold it: each is popped, and its
 reduction is merged back, dropped where it cancels; the occurrence counts
 follow, and no other term is copied. Every term change goes on a single trail
@@ -71,6 +75,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
+from typing import NamedTuple
 
 from .algebra import AlgebraElement, Monomial, monomial_in_graph_ideal
 from .errors import ContractError, SearchSpaceExceeded
@@ -79,12 +84,24 @@ from .steenrod import (
     PowerRelation,
     SteenrodTable,
     check_table,
+    forced_top,
     relation_instance_bases,
     relations_and_bound,
 )
-from .symbolic import SymPoly
 
 DEFAULT_NODE_CAP = 10**8
+
+Key = tuple[int, ...]  # variables repeated by exponent, ascending: x0^2*x3 is (0, 0, 3)
+
+
+class Constraint(NamedTuple):
+    """One compiled constraint: the kernel's coefficient dict, uncopied.
+
+    The solver could read the dicts themselves; the carrier stays only because
+    `perfbench/tracing.py` counts `.terms`, until the search reports its own
+    counts."""
+
+    terms: dict[Key, int]
 
 
 @dataclass(frozen=True)
@@ -170,6 +187,7 @@ class _CompileKernel:
     def __init__(self, ambient, p: int, degree_bound: int, blocks: list[EntryBlock]):
         self.ambient = ambient
         self.p = p
+        self.degree_bound = degree_bound
         # no exponent passes degree_bound // (least degree); degrees are >= 2
         self.width = max(1, (degree_bound // min(ambient.gen_degrees, default=2)).bit_length())
         self.blocks = {(ambient.label_index[b.label], b.k): b for b in blocks}
@@ -178,7 +196,7 @@ class _CompileKernel:
         self.faces: set[int] = {0} | {1 << i for i in ys} | edges
         self.ys = frozenset(ys)
         self.ymask: dict[int, int] = {0: 0}
-        self.gen_cache: dict[tuple[int, int], list[dict]] = {}
+        self.gen_cache: dict[int, list[dict]] = {}
         self.series_cache: dict[tuple[int, int], list[dict]] = {}
 
     def pack(self, mono: Monomial) -> int:
@@ -195,26 +213,28 @@ class _CompileKernel:
         self.ymask[packed] = ymask
         return packed
 
-    def _generator_series(self, gi: int, kmax: int) -> list[dict]:
-        key = (gi, kmax)
-        hit = self.gen_cache.get(key)
-        if hit is not None:
-            return hit
+    def _generator_series(self, gi: int) -> list[dict]:
+        """[P^0(g), P^1(g), ...] for generator gi, up to the top or the last
+        degree within the bound, whichever comes first: no instance within
+        the bound reads past it, and the packed fields hold nothing past it."""
+        series = self.gen_cache.get(gi)
+        if series is not None:
+            return series
         ambient, p = self.ambient, self.p
         label = ambient.gen_labels[gi]
-        series: list[dict] = [{} for _ in range(kmax + 1)]
-        series[0] = {self.pack(ambient.generator_monomial(label)): {(): 1}}
-        top = ambient.gen_degrees[gi] // 2
-        for j in range(1, min(kmax, top) + 1):
+        deg = ambient.gen_degrees[gi]
+        top = deg // 2
+        series = [{self.pack(ambient.generator_monomial(label)): {(): 1}}]
+        for j in range(1, min(top, (self.degree_bound - deg) // (2 * (p - 1))) + 1):
             if j == top:
-                series[j] = {self.pack(ambient.generator_monomial(label, p)): {(): 1}}
+                series.append({self.pack(ambient.generator_monomial(label, p)): {(): 1}})
                 continue
             block = self.blocks.get((gi, j))
-            if block is not None:
-                series[j] = {
-                    self.pack(m): {(block.offset + t,): 1} for t, m in enumerate(block.basis)
-                }
-        self.gen_cache[key] = series
+            series.append(
+                {} if block is None
+                else {self.pack(m): {(block.offset + t,): 1} for t, m in enumerate(block.basis)}
+            )
+        self.gen_cache[gi] = series
         return series
 
     def _series(self, mono: int, kmax: int) -> list[dict]:
@@ -233,7 +253,7 @@ class _CompileKernel:
         for gi in reversed(factors):
             prefix += 1 << (w * gi)
             series = cache[(prefix, kmax)] = self._convolve(
-                series, self._generator_series(gi, kmax), kmax
+                series, self._generator_series(gi), kmax
             )
         return series
 
@@ -245,8 +265,7 @@ class _CompileKernel:
         for i, t1 in enumerate(s1):
             if not t1:
                 continue
-            for j in range(kmax - i + 1):
-                t2 = s2[j]
+            for j, t2 in enumerate(s2[: kmax - i + 1]):
                 if not t2:
                     continue
                 acc = out[i + j]
@@ -293,12 +312,12 @@ def _add_product(acc: dict, c1: dict, c2: dict, p: int) -> None:
 
 def compile_constraints(
     ambient, p: int, relations: tuple[PowerRelation, ...], degree_bound: int, blocks: list[EntryBlock]
-) -> list[SymPoly]:
+) -> list[Constraint]:
     """Each relation instance within the degree bound, lhs - rhs, as one
     polynomial per monomial coefficient; duplicates and zeros dropped, first
     occurrence kept."""
     kernel = _CompileKernel(ambient, p, degree_bound, blocks)
-    constraints: list[SymPoly] = []
+    constraints: list[Constraint] = []
     seen: set = set()
     for rel in relations:
         a, b = rel.lhs
@@ -319,11 +338,10 @@ def compile_constraints(
             for coeff in diff.values():
                 if not coeff:
                     continue
-                poly = SymPoly(p, coeff)
-                canonical = poly.canonical_key()
+                canonical = tuple(sorted(coeff.items()))
                 if canonical not in seen:
                     seen.add(canonical)
-                    constraints.append(poly)
+                    constraints.append(Constraint(coeff))
     return constraints
 
 
@@ -333,8 +351,9 @@ class _Solver:
     Each residual starts as a copy of a compiled constraint's `terms` dict, in
     the format it was compiled in; the compiled constraints are never touched.
     `live[ci]` maps each variable of residual ci to its occurrences in the
-    residual's terms and `count[ci]` is its length, so an assignment costs work
-    in proportion to the terms that hold the variable. With the variables' sign
+    residual's terms, and is the only index of them: the number of variables
+    left in residual ci is `len(live[ci])`. So an assignment costs work in
+    proportion to the terms that hold the variable. With the variables' sign
     masks the DFS prunes by sign symmetry; without them it is the unpruned
     reference."""
 
@@ -342,7 +361,7 @@ class _Solver:
         self,
         p: int,
         nvars: int,
-        constraints: list[SymPoly],
+        constraints: list[Constraint],
         node_cap: int,
         masks: list[int] | None = None,
     ):
@@ -350,7 +369,7 @@ class _Solver:
         self.node_cap = node_cap
         self.masks = masks
         self.assign: list[int | None] = [None] * nvars
-        self.residuals: list[dict[tuple[int, ...], int]] = [dict(poly.terms) for poly in constraints]
+        self.residuals: list[dict[Key, int]] = [dict(c.terms) for c in constraints]
         # per residual, each live variable's occurrences in its nonzero terms,
         # counted with multiplicity (x0^2*x3 counts x0 twice)
         self.live: list[dict[int, int]] = []
@@ -360,7 +379,6 @@ class _Solver:
                 for v in key:
                     occ[v] = occ.get(v, 0) + 1
             self.live.append(occ)
-        self.count: list[int] = [len(occ) for occ in self.live]
         self.by_var: list[list[int]] = [[] for _ in range(nvars)]
         for ci, occ in enumerate(self.live):
             for v in occ:
@@ -433,7 +451,6 @@ class _Solver:
         pw = self.powers[val]
         residuals = self.residuals
         lives = self.live
-        count = self.count
         for ci in self.by_var[var]:
             occ = lives[ci]
             if var not in occ:
@@ -446,11 +463,8 @@ class _Solver:
                 push((ci, key, c))
                 e = key.count(var)
                 c = c * pw[e] % p
-                if len(key) == e:
-                    rest = ()
-                else:
-                    i = key.index(var)
-                    rest = key[:i] + key[i + e :]
+                i = key.index(var)
+                rest = key[:i] + key[i + e :]
                 drop = 1  # occurrences of rest's variables that go
                 if c:
                     old = res.get(rest)
@@ -471,7 +485,7 @@ class _Solver:
                     else:
                         del occ[v]
             del occ[var]
-            n = count[ci] = len(occ)
+            n = len(occ)
             if n == 0:
                 if res:
                     return False
@@ -493,7 +507,6 @@ class _Solver:
         assign = self.assign
         residuals = self.residuals
         lives = self.live
-        count = self.count
         for ci, key, old in reversed(entries):
             if ci < 0:
                 assign[key] = None
@@ -508,19 +521,12 @@ class _Solver:
                         occ[v] = n
                     else:
                         del occ[v]
-                        count[ci] -= 1
-            elif key in res:
-                res[key] = old
             else:
+                if key not in res:
+                    occ = lives[ci]
+                    for v in key:
+                        occ[v] = occ.get(v, 0) + 1
                 res[key] = old
-                occ = lives[ci]
-                for v in key:
-                    n = occ.get(v)
-                    if n:
-                        occ[v] = n + 1
-                    else:
-                        occ[v] = 1
-                        count[ci] += 1
 
     def solve(self) -> list[int] | None:
         queue: list[tuple[int, int]] = []
@@ -536,7 +542,8 @@ class _Solver:
         ties break to the lowest constraint index, then the lowest variable."""
         best_n = 0
         best_ci = -1
-        for ci, n in enumerate(self.count):
+        for ci, occ in enumerate(self.live):
+            n = len(occ)
             # n == 0 is a satisfied residual (conflicts never survive propagation)
             if n and (not best_n or n < best_n):
                 best_n, best_ci = n, ci
@@ -619,7 +626,7 @@ def table_from_assignment(
         top = deg // 2
         for k in range(1, top + 1):
             if k == top:
-                entries[(label, k)] = ambient.generator_element(label, p) ** p
+                entries[(label, k)] = forced_top(ambient, label, p)
                 continue
             block = by_key.get((label, k))
             if block is None:

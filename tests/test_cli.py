@@ -405,6 +405,24 @@ def test_config_file_supplies_defaults_and_flags_win(capsys, tmp_path, k3_file):
     assert code == 1
 
 
+@pytest.mark.parametrize("vector", ["1,,2", ",2", "1,2,"])
+@pytest.mark.parametrize("command", ["realizable", "build-complex", "config"])
+def test_empty_family_vector_slot_is_input_error(capsys, tmp_path, k3_file, command, vector):
+    if command == "config":
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"family=A\nvector={vector}\n")
+        argv = ["realizable", "--config", str(cfg), k3_file]
+    else:
+        argv = [command, "--family", "A", f"--vector={vector}", k3_file]
+    code, out, err = run(capsys, argv)
+    assert (code, out, err) == (2, "", f"error: bad family vector {vector!r}\n")
+
+
+def test_blank_family_vector_is_empty(capsys, k3_file):
+    code, out, err = run(capsys, ["build-complex", "--family", "A", "--vector= ", k3_file])
+    assert (code, out, err) == (2, "", "error: family vector must be non-empty\n")
+
+
 def test_config_vector_reaches_decompose(capsys, tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("vector=5,3,4,2\n")

@@ -22,6 +22,7 @@ from sr_chroma.errors import ContractError, SearchSpaceExceeded
 from sr_chroma.families import FamilySpec, build_complex
 from sr_chroma.search import (
     DEFAULT_NODE_CAP,
+    Constraint,
     SearchOutcome,
     _CompileKernel,
     _Solver,
@@ -40,16 +41,6 @@ from sr_chroma.steenrod import (
     default_relation_set,
     full_adem_relation_set,
 )
-from sr_chroma.symbolic import SymPoly
-
-
-def test_sympoly_arithmetic():
-    # keys repeat each variable by its exponent: x1^2 is (1, 1), x0*x1 is (0, 1);
-    # coefficients are reduced mod p and zero terms dropped on construction
-    poly = SymPoly(5, {(1, 1): 9, (0, 0): 6, (0, 1): 10, (): -1})
-    assert poly.terms == {(1, 1): 4, (0, 0): 1, (): 4}
-    assert poly.canonical_key() == (((), 4), ((0, 0), 1), ((1, 1), 4))
-    assert SymPoly(5, {(0,): 5}).terms == {}
 
 
 def test_compile_kernel_faces_match_face_ok():
@@ -195,6 +186,15 @@ def test_custom_relation_pair():
     out = search_action(amb, 3, relation_set=(rel,))
     assert out.status == "exhausted"
     assert out.relation_names == (rel.name,)
+
+
+def test_generator_series_stops_at_the_degree_bound():
+    """P^5(y) lands in degree 32, past the bound 30, and holds x^16, which the
+    packed fields sized for that bound cannot; no instance within the bound
+    reads it, so compile never builds it."""
+    amb = FreePolynomialAlgebra((("x", 2), ("y", 12)))
+    out = search_action(amb, 3, degree_bound=30)
+    assert (out.status, out.nodes, out.variables) == ("found", 2, 13)
 
 
 # -- oracle: exact search counters on the benchmark's 21 action instances ----
@@ -481,9 +481,12 @@ def test_compile_emits_the_solver_format(name, p, make, bound):
     _, nvars = unknown_entry_blocks(ambient, p)
     constraints = _compile(ambient, p, bound)
     for poly in constraints:
-        for key in poly.terms:
+        for key, c in poly.terms.items():
             assert all(type(v) is int and 0 <= v < nvars for v in key), key
             assert list(key) == sorted(key), key
+            assert 1 <= c < p, (key, c)
+    distinct = {tuple(sorted(poly.terms.items())) for poly in constraints}
+    assert len(distinct) == len(constraints)
     solver = _Solver(p, nvars, constraints, 0)
     assert solver.residuals == [poly.terms for poly in constraints]
 
@@ -501,16 +504,24 @@ def _fp_systems(draw):
     n = draw(st.integers(1, 4))
     keys = st.lists(st.integers(0, n - 1), max_size=3).map(lambda vs: tuple(sorted(vs)))
     polys = st.dictionaries(keys, st.integers(1, p - 1), max_size=5)
-    return p, n, [SymPoly(p, terms) for terms in draw(st.lists(polys, min_size=1, max_size=5))]
+    return p, n, [Constraint(terms) for terms in draw(st.lists(polys, min_size=1, max_size=5))]
 
 
 def _kernel_state(solver):
-    return solver.residuals, solver.live, solver.count
+    return solver.residuals, solver.live
+
+
+def _occurrences(terms) -> dict[int, int]:
+    occ: dict[int, int] = {}
+    for key in terms:
+        for v in key:
+            occ[v] = occ.get(v, 0) + 1
+    return occ
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
-@given(_fp_systems())
-def test_solver_kernel_agrees_with_brute_force(system):
+@given(_fp_systems(), st.lists(st.floats(0, 1), max_size=4))
+def test_solver_kernel_agrees_with_brute_force(system, cuts):
     p, n, constraints = system
     solver = _Solver(p, n, constraints, DEFAULT_NODE_CAP)
     found = solver.solve()
@@ -522,6 +533,11 @@ def test_solver_kernel_agrees_with_brute_force(system):
         assert roots == []
     else:
         assert all(_vanishes(poly, found, p) for poly in constraints)
+    # undoing the trail in steps keeps `live` the occurrence index of every
+    # residual at each mark on the way back
+    for mark in sorted((int(cut * len(solver.trail)) for cut in cuts), reverse=True):
+        solver._undo(mark)
+        assert solver.live == [_occurrences(res) for res in solver.residuals]
     solver._undo(0)
     assert _kernel_state(solver) == _kernel_state(_Solver(p, n, constraints, DEFAULT_NODE_CAP))
     assert solver.assign == [None] * n
@@ -537,7 +553,7 @@ def test_classify_finds_roots_in_one_variable(p):
         terms = {(0,) * e: c for e, c in enumerate(coeffs) if c}
         roots = [x for x in range(p) if sum(c * x**e for e, c in enumerate(coeffs)) % p == 0]
         queue = []
-        assert _Solver(p, 1, [SymPoly(p, terms)], 0)._classify(0, queue) == bool(roots), terms
+        assert _Solver(p, 1, [Constraint(terms)], 0)._classify(0, queue) == bool(roots), terms
         assert queue == ([(0, roots[0])] if len(roots) == 1 else []), terms
 
 
