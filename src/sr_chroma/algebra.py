@@ -123,7 +123,9 @@ class _AmbientBase:
         return m if self.face_ok(m.support()) else None
 
     def monomial_basis(self, degree: int) -> tuple[Monomial, ...]:
-        """All face-supported monomials of the given degree, canonical order."""
+        """All face-supported monomials of the given degree, enumerated in
+        canonical order (`monomial_key`): the stack pops the highest power of
+        generator i first and the skip of i last, each subtree in turn."""
         if degree < 0:
             return ()
         cached = self._basis_cache.get(degree)
@@ -149,7 +151,6 @@ class _AmbientBase:
             if d <= remaining and self.face_ok([j for j, _ in chosen] + [i]):
                 for e in range(1, remaining // d + 1):
                     stack.append((i + 1, remaining - e * d, chosen + ((i, e),)))
-        out.sort(key=self.monomial_key)
         result = tuple(out)
         self._basis_cache[degree] = result
         return result
@@ -261,18 +262,25 @@ class FreePolynomialAlgebra(_AmbientBase):
 
 
 def parse_free_algebra(text: str) -> FreePolynomialAlgebra:
-    """Parse `name:degree,name:degree,...` into a free polynomial ambient."""
+    """Parse `name:degree,name:degree,...` into a free polynomial ambient. An
+    empty slot or name is an input error, as is a name the table format would
+    misread: every table over the algebra reads back through `parse_table`."""
     gens = []
-    for chunk in text.split(","):
+    for slot, chunk in enumerate(text.split(",") if text.strip() else [], 1):
         chunk = chunk.strip()
         if not chunk:
-            continue
+            raise ContractError(f"empty slot {slot} in generator list {text!r}")
         name, _, deg = chunk.partition(":")
         try:
             d = int(deg)
         except ValueError:
             raise ContractError(f"bad generator spec {chunk!r}, expected name:degree") from None
-        gens.append((name.strip(), d))
+        name = name.strip()
+        # `P^k(name) = c*name^e + ...  # comment`: the table format's separators
+        if not name or any(ch.isspace() or ch in "*+^=#" for ch in name):
+            rule = "a name is non-empty, with no whitespace and none of * + ^ = #"
+            raise ContractError(f"bad generator name {name!r} in {chunk!r}: {rule}")
+        gens.append((name, d))
     if not gens:
         raise ContractError("empty generator list")
     return FreePolynomialAlgebra(tuple(gens))

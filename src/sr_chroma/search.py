@@ -1,14 +1,16 @@
 """Exhaustive search for power-operation tables.
 
-Unknown table entries are expanded coefficient-by-coefficient over the graded
-monomial basis (generators in canonical order, operation index ascending,
-basis monomials in graded-lex order). Every relation instance within the
-degree bound is compiled once into polynomial equations over F_p in those
-coefficients; the search is a depth-first enumeration in that fixed order
-with unit propagation, so a branch dies as soon as any equation loses its
-last variable without being satisfiable. An exhausted search is therefore a
-certificate that no table passes the checkers, relative to the relation set
-and degree bound.
+On a generator of degree 2t, P^k is unknown for 1 <= k < t (forced to g^p at
+k = t, zero above). Each unknown entry is a block of variables, its
+coefficients over the graded monomial basis (generators in canonical order,
+operation index ascending, basis monomials in graded-lex order); a zero entry
+is an empty block. Every relation instance within the degree bound is
+compiled once into polynomial equations over F_p in those coefficients; the
+search is a depth-first enumeration in that fixed order with unit
+propagation, so a branch dies as soon as any equation loses its last variable
+without being satisfiable. An exhausted search is therefore a certificate
+that no table passes the checkers, relative to the relation set and degree
+bound.
 
 Compilation has a kernel of its own (`_CompileKernel`): monomials are packed
 ints with a graph-support bitmask for the face check, coefficients are plain
@@ -133,19 +135,19 @@ class SearchOutcome:
 
 
 def unknown_entry_blocks(ambient, p: int) -> tuple[list[EntryBlock], int]:
-    """Entries below the forced top, with graph-generator bases cut down to the
-    preserved ideal (a table outside it fails check_ideal_preservation anyway)."""
+    """One block per entry below the forced top, an empty one for a zero entry,
+    with graph-generator bases cut down to the preserved ideal (a table
+    outside it fails check_ideal_preservation anyway)."""
     blocks: list[EntryBlock] = []
     offset = 0
     for i, label in enumerate(ambient.gen_labels):
         deg = ambient.gen_degrees[i]
         for k in range(1, deg // 2):
-            basis = list(ambient.monomial_basis(deg + 2 * k * (p - 1)))
+            basis = ambient.monomial_basis(deg + 2 * k * (p - 1))
             if ambient.is_graph_generator(i):
-                basis = [m for m in basis if monomial_in_graph_ideal(ambient, m, i)]
-            if basis:
-                blocks.append(EntryBlock(label, k, tuple(basis), offset))
-                offset += len(basis)
+                basis = tuple(m for m in basis if monomial_in_graph_ideal(ambient, m, i))
+            blocks.append(EntryBlock(label, k, basis, offset))
+            offset += len(basis)
     return blocks, offset
 
 
@@ -229,11 +231,8 @@ class _CompileKernel:
             if j == top:
                 series.append({self.pack(ambient.generator_monomial(label, p)): {(): 1}})
                 continue
-            block = self.blocks.get((gi, j))
-            series.append(
-                {} if block is None
-                else {self.pack(m): {(block.offset + t,): 1} for t, m in enumerate(block.basis)}
-            )
+            block = self.blocks[(gi, j)]
+            series.append({self.pack(m): {(block.offset + t,): 1} for t, m in enumerate(block.basis)})
         self.gen_cache[gi] = series
         return series
 
@@ -619,23 +618,13 @@ class _Solver:
 def table_from_assignment(
     ambient, p: int, blocks: list[EntryBlock], assignment: list[int]
 ) -> SteenrodTable:
+    """One entry per block (an empty block is zero), and every forced top."""
     entries: dict[tuple[str, int], AlgebraElement] = {}
-    by_key = {(b.label, b.k): b for b in blocks}
+    for block in blocks:
+        terms = {m: assignment[block.offset + t] for t, m in enumerate(block.basis)}
+        entries[(block.label, block.k)] = AlgebraElement.make(ambient, p, terms)
     for i, label in enumerate(ambient.gen_labels):
-        deg = ambient.gen_degrees[i]
-        top = deg // 2
-        for k in range(1, top + 1):
-            if k == top:
-                entries[(label, k)] = forced_top(ambient, label, p)
-                continue
-            block = by_key.get((label, k))
-            if block is None:
-                entries[(label, k)] = ambient.zero(p)
-            else:
-                terms = {
-                    m: assignment[block.offset + t] for t, m in enumerate(block.basis)
-                }
-                entries[(label, k)] = AlgebraElement.make(ambient, p, terms)
+        entries[(label, ambient.gen_degrees[i] // 2)] = forced_top(ambient, label, p)
     return SteenrodTable(p, ambient, entries)
 
 

@@ -13,16 +13,17 @@ with the one span check, `span.span_conditions`.
 The checkers evaluate the Cartan formula with their own plain engine over
 `Monomial` exponent tuples and integer coefficients; `apply_power` takes the
 table itself and reads P^j on each generator through
-`SteenrodTable.generator_power`. The action search compiles its constraints
-with a separate, faster kernel (`search.py`) and re-verifies every table it
-finds through these checkers; keeping the two engines apart means a compile
-bug cannot hide behind the same bug in the verifier.
+`SteenrodTable.generator_power`, each entry once per check. The action search
+compiles with a separate, faster kernel (`search.py`) and re-verifies every
+table it finds through these checkers; keeping the engines apart means a
+compile bug cannot hide behind the same bug in the verifier.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import groupby
 
 from .algebra import (
     AlgebraElement,
@@ -63,13 +64,12 @@ def _convolve(ambient, p, s1, s2, kmax):
 
 
 def _generator_series(table, gen_index, kmax, cache):
-    key = ("g", gen_index, kmax)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
+    """[P^0(g), ..., P^kmax(g)] or longer: one list per generator index in the
+    check's cache, extended on demand, so each entry is read once per check."""
+    series = cache.setdefault(gen_index, [])
     label = table.ambient.gen_labels[gen_index]
-    series = [table.generator_power(label, j).terms_dict() for j in range(kmax + 1)]
-    cache[key] = series
+    for j in range(len(series), kmax + 1):
+        series.append(table.generator_power(label, j).terms_dict())
     return series
 
 
@@ -411,17 +411,18 @@ def check_relations(
 
 
 def check_ideal_preservation(table: SteenrodTable) -> CheckReport:
-    """Every stored P^a(y_i) must lie in (y_i) + (y_j y_k : j < k)."""
+    """Every stored P^a(y_i) must lie in (y_i) + (y_j y_k : j < k); an unstored
+    top entry is y_i^p, which does."""
     ambient = table.ambient
     violations: list[Violation] = []
-    for i in ambient.graph_generator_indices():
-        label = ambient.gen_labels[i]
+    # stored keys run generator by generator, k ascending
+    for label, keys in groupby(table.stored_keys(), key=lambda key: key[0]):
+        i = ambient.label_index[label]
+        if not ambient.is_graph_generator(i):
+            continue
         gens = graph_ideal_generators(ambient, ambient.vertex_of_index(i))
-        for k in range(1, ambient.gen_degrees[i] // 2 + 1):
-            try:
-                elem = table.generator_power(label, k)
-            except IncompleteTableError:
-                continue
+        for _, k in keys:
+            elem = table.entries[(label, k)]
             if not ideal_membership(elem, gens):
                 violations.append(
                     Violation(

@@ -12,6 +12,7 @@ from sr_chroma.algebra import (
     AlgebraElement,
     FreePolynomialAlgebra,
     JoinComplex,
+    Monomial,
     graph_ideal_generators,
     ideal_membership,
     maximal_faces,
@@ -179,10 +180,19 @@ def _all_monomials(k, degree):
 
 
 def test_monomial_basis_is_face_filtered_brute_force():
-    k = b_complex(2, path_graph(3))
-    for d in range(0, 25, 2):
-        brute = [m for m in _all_monomials(k, d) if k.reduce_monomial(m) is not None]
-        assert sorted(brute, key=k.monomial_key) == list(k.monomial_basis(d))
+    # the basis is enumerated in canonical order, not sorted into it: free
+    # generators out of degree order, repeated degrees, and a join complex
+    # with an edge and an isolated vertex
+    ambients = [
+        b_complex(2, path_graph(3)),
+        parse_free_algebra("y:8,x:4,z:6"),
+        parse_free_algebra("a:2,b:2,c:4,d:6"),
+        JoinComplex(((1, 4), (2, 6)), Graph.build(["1", "2", "3"], [("1", "2")]), 8),
+    ]
+    for k in ambients:
+        for d in range(0, 25, 2):
+            brute = [m for m in _all_monomials(k, d) if k.reduce_monomial(m) is not None]
+            assert sorted(brute, key=k.monomial_key) == list(k.monomial_basis(d)), (k, d)
 
 
 
@@ -327,3 +337,54 @@ def test_complex_degree_validation():
         JoinComplex(((1, 3),), Graph.build(["1"], []), 8)  # odd block degree
     with pytest.raises(ContractError):
         JoinComplex(((-1, 4),), Graph.build([], []), 8)
+
+
+_X4_Y8 = FreePolynomialAlgebra((("x", 4), ("y", 8)))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: FreePolynomialAlgebra((("x", 4), ("x", 8))), "generator labels are not distinct"),
+        (lambda: _X4_Y8.degree_of(Monomial((1,))), "monomial does not match this ambient"),
+        (lambda: b_complex(1, complete_graph(2)).vertex_of_index(0), "not a graph generator index"),
+        (lambda: parse_free_algebra(""), "empty generator list"),
+        (lambda: parse_free_algebra("x:4,,y:8"), "empty slot 2 in generator list 'x:4,,y:8'"),
+        (
+            lambda: parse_free_algebra("x:4, x y :8"),
+            "bad generator name 'x y' in 'x y :8':"
+            " a name is non-empty, with no whitespace and none of * + ^ = #",
+        ),
+        (lambda: AlgebraElement.make(_X4_Y8, 4, {}), "4 is not prime"),
+        (lambda: _X4_Y8.generator_element("x", 3) ** -1, "negative power"),
+    ],
+    ids=[
+        "duplicate-labels",
+        "monomial-width",
+        "vertex-of-x",
+        "empty-list",
+        "empty-slot",
+        "name-whitespace",
+        "non-prime",
+        "negative-power",
+    ],
+)
+def test_algebra_input_errors(call, message):
+    with pytest.raises(ContractError) as exc:
+        call()
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (("C", (1,)), "unknown family kind 'C'"),
+        (("A", (1, -1)), "family vector entries must be non-negative"),
+        (("B", (1, 2)), "family B takes a single size n"),
+        (("B", (2,), 5), "family B is the p = 3 case"),
+    ],
+)
+def test_family_spec_input_errors(args, message):
+    with pytest.raises(ContractError) as exc:
+        FamilySpec(*args)
+    assert str(exc.value) == message

@@ -599,6 +599,50 @@ def test_action_error_order_oracle(capsys, tmp_path):
     assert digest.hexdigest() == ERROR_ORDER_SHA256
 
 
+_NAME_RULE = "a name is non-empty, with no whitespace and none of * + ^ = #"
+
+
+@pytest.mark.parametrize(
+    "gens, message",
+    [
+        ("x*y:4", f"bad generator name 'x*y' in 'x*y:4': {_NAME_RULE}"),
+        ("a+b:4", f"bad generator name 'a+b' in 'a+b:4': {_NAME_RULE}"),
+        ("x#1:4", f"bad generator name 'x#1' in 'x#1:4': {_NAME_RULE}"),
+        ("x:4,x^2:8", f"bad generator name 'x^2' in 'x^2:8': {_NAME_RULE}"),
+        (":4", f"bad generator name '' in ':4': {_NAME_RULE}"),
+        ("x:4,,y:8", "empty slot 2 in generator list 'x:4,,y:8'"),
+        ("x:4,", "empty slot 2 in generator list 'x:4,'"),
+    ],
+)
+@pytest.mark.parametrize("command", ["action-search", "action-check"])
+def test_free_generator_list_input_errors(capsys, tmp_path, command, gens, message):
+    # a found table over every accepted name reads back through action-check,
+    # so a name the table format would misread is refused up front
+    table_file = tmp_path / "table.txt"
+    table_file.write_text("")
+    argv = [command, "--free", gens, "--p", "3", "--table", str(table_file)]
+    if command == "action-search":
+        argv = argv[:-2]
+    assert run(capsys, argv) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "template, message",
+    [
+        ("realizable {k3}", "--family and --vector are required (or config keys family/vector)"),
+        ("realizable --family B --vector 3", "a graph file is required"),
+        ("action-search --free x:4", "--p is required with --free"),
+        ("action-search --family A --vector 1,1 {k3}", "--p is required for the general A family"),
+        ("action-check --free x:4 --p 3", "--table is required"),
+        ("decompose --c 3", "--vector is required"),
+        ("multiset", "--entries is required"),
+    ],
+)
+def test_missing_required_input_is_input_error(capsys, k3_file, template, message):
+    argv = template.format(k3=k3_file).split()
+    assert run(capsys, argv) == (2, "", f"error: {message}\n")
+
+
 def test_duplicate_table_entry_is_input_error(capsys, tmp_path):
     table_file = tmp_path / "table.txt"
     table_file.write_text("P^1(x) = 2*x^2\nP^1(x) = 1*x^2\n")

@@ -209,3 +209,24 @@ def test_coloring_validity_checks():
     assert coloring_is_valid(g, Coloring(3, {"1": 1, "2": 2, "3": 3}))
     assert not coloring_is_valid(g, Coloring(3, {"1": 1, "2": 1, "3": 3}))
     assert not coloring_is_valid(g, Coloring(2, {"1": 1, "2": 2}))
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: Graph(("a", "a"), frozenset()), ContractError, "duplicate vertex labels"),
+        (
+            lambda: Graph(("a",), frozenset({("a", "z")})),
+            ContractError,
+            "edge ('a', 'z') references unknown vertex",
+        ),
+        (lambda: parse_graph("v a b\n"), GraphParseError, "line 1: expected `v <label>`"),
+        (lambda: parse_graph("v a\ne a\n"), GraphParseError, "line 2: expected `e <label> <label>`"),
+    ],
+    ids=["duplicate-vertex", "edge-to-unknown", "malformed-v", "malformed-e"],
+)
+def test_graph_input_errors(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert type(exc.value) is error
+    assert str(exc.value) == message

@@ -661,3 +661,67 @@ def test_realizability_reports_oracle():
                 digest.update(verdict.to_text().encode())
                 digest.update(json.dumps(verdict.to_json_dict(), sort_keys=True).encode())
     assert digest.hexdigest() == REPORTS_SHA256
+
+
+_B1_EDGE = build_complex(FamilySpec("B", (1,)), complete_graph(2))
+_B3_EDGE = build_complex(FamilySpec("B", (3,)), complete_graph(2))
+_IMPROPER = Coloring(2, {"1": 1, "2": 1})
+_OVERLAPPING = Partition((frozenset({"x1^(1)", "y_1"}), frozenset({"y_1", "y_2"})))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (
+            lambda: _OVERLAPPING.validate_against(_B1_EDGE),
+            "partition blocks overlap on ['y_1']",
+        ),
+        (lambda: scheme_multisets(3, "C"), "unknown scheme 'C'"),
+        (lambda: load_family_file("# no lists\n\n"), "multiset family file lists no multisets"),
+        (lambda: partition_from_coloring(_B3_EDGE, _IMPROPER), "not a valid coloring of the complex's graph"),
+        (
+            lambda: partition_from_decomposition(_B3_EDGE, (1, 0), (2, 0), _IMPROPER),
+            "not a valid coloring of the complex's graph",
+        ),
+        (lambda: decompose_s((1,), -1), "chromatic bound must be non-negative"),
+        (lambda: decompose_s((), 1), "empty size vector"),
+        (lambda: validate_decomposition((2, 1), (2,), (0, 0), 0), "decomposition length mismatch"),
+        (lambda: validate_decomposition((2, 1), (2, 0), (0, 0), 0), "s' + s'' does not reconstruct s"),
+        (
+            lambda: validate_decomposition((2, 1), (3, 1), (-1, 0), 0),
+            "decomposition entries must be non-negative",
+        ),
+        (lambda: validate_decomposition((1, 2), (1, 2), (0, 0), 0), "s' must be weakly decreasing"),
+        (lambda: validate_decomposition((2, 2), (2, 1), (0, 1), 0), "s'' must vanish in even slots"),
+        (
+            lambda: validate_decomposition((1, 0, 2), (1, 0, 0), (0, 0, 2), 0),
+            "s'' must be weakly decreasing along odd slots",
+        ),
+        (
+            lambda: validate_decomposition((1, 1), (1, 1), (0, 0), 3),
+            "tail condition s''_{2k-1} + s'_{2k} >= c fails",
+        ),
+        (lambda: validate_decomposition((1,), (1,), (0,), 2), "tail condition s'_{2k+1} >= c fails"),
+    ],
+    ids=[
+        "overlapping-blocks",
+        "unknown-scheme",
+        "empty-family-file",
+        "improper-coloring",
+        "improper-coloring-decomposition",
+        "negative-c",
+        "empty-vector",
+        "length-mismatch",
+        "no-reconstruction",
+        "negative-entry",
+        "s-prime-increasing",
+        "even-slot",
+        "odd-slots-increasing",
+        "tail-even",
+        "tail-odd",
+    ],
+)
+def test_realize_input_errors(call, message):
+    with pytest.raises(ContractError) as exc:
+        call()
+    assert str(exc.value) == message

@@ -23,6 +23,7 @@ from sr_chroma.families import FamilySpec, build_complex
 from sr_chroma.search import (
     DEFAULT_NODE_CAP,
     Constraint,
+    EntryBlock,
     SearchOutcome,
     _CompileKernel,
     _Solver,
@@ -40,6 +41,7 @@ from sr_chroma.steenrod import (
     default_degree_bound,
     default_relation_set,
     full_adem_relation_set,
+    parse_table,
 )
 
 
@@ -186,6 +188,51 @@ def test_custom_relation_pair():
     out = search_action(amb, 3, relation_set=(rel,))
     assert out.status == "exhausted"
     assert out.relation_names == (rel.name,)
+
+
+def test_every_entry_below_the_top_is_a_block():
+    # on a generator of degree 2t, one block per k = 1..t-1, empty or not; an
+    # empty block is a zero entry in the found table
+    amb = parse_free_algebra("x:6")
+    blocks, nvars = unknown_entry_blocks(amb, 3)
+    assert (blocks, nvars) == ([EntryBlock("x", 1, (), 0), EntryBlock("x", 2, (), 0)], 0)
+    out = search_action(amb, 3)
+    assert out.table.serialize() == "P^1(x) = 0\nP^2(x) = 0\nP^3(x) = 1*x^3\n"
+    for amb in (parse_free_algebra("x:4,y:8,z:2"), build_complex(FamilySpec("B", (2,)), cycle_graph(4))):
+        blocks, nvars = unknown_entry_blocks(amb, 3)
+        tops = zip(amb.gen_labels, (d // 2 for d in amb.gen_degrees))
+        assert [(b.label, b.k) for b in blocks] == [(lbl, k) for lbl, top in tops for k in range(1, top)]
+        sizes = [len(b.basis) for b in blocks]
+        assert [b.offset for b in blocks] == [sum(sizes[:t]) for t in range(len(blocks))]
+        assert nvars == sum(sizes)
+
+
+_NAME_CHARS = "abxyXY019*+^=#()_-"
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    st.lists(
+        st.tuples(st.text(_NAME_CHARS, max_size=3), st.sampled_from([2, 4, 8])), min_size=1, max_size=3
+    )
+)
+def test_free_generator_names_round_trip(gens):
+    """A name the free-algebra parser accepts reads back from a found table:
+    the parser rejects exactly the empty names, the names holding a separator
+    of the table format and the repeated names."""
+    text = ",".join(f"{name}:{deg}" for name, deg in gens)
+    names = [name for name, _ in gens]
+    bad = any(not name or set(name) & set("*+^=#") for name in names) or len(set(names)) < len(names)
+    try:
+        amb = parse_free_algebra(text)
+    except ContractError:
+        assert bad, text
+        return
+    assert not bad, text
+    out = search_action(amb, 3)
+    if out.found:
+        back = parse_table(out.table.serialize(), amb, 3)
+        assert back.entries == out.table.entries, text
 
 
 def test_generator_series_stops_at_the_degree_bound():

@@ -324,3 +324,13 @@ def test_witness_oracle():
             n, witness = span_chromatic_number(g, p)
             digest.update(f"{p} {n} {witness.dim}\n{witness.serialize()}".encode())
     assert digest.hexdigest() == WITNESS_SHA256
+
+
+@pytest.mark.parametrize("bad", [vec(5, 1, 0), vec(3, 1, 0, 0)], ids=["wrong-p", "wrong-dim"])
+def test_span_conditions_reject_a_vector_of_other_parameters(bad):
+    g = complete_graph(2)
+    # the first vertex's own vector is checked before any span is taken
+    c = SpanColoring(3, 2, {"1": bad, "2": vec(3, 1, 0)})
+    with pytest.raises(ContractError) as exc:
+        verify_span_coloring(g, c)
+    assert str(exc.value) == "vector for '1' does not match coloring parameters"

@@ -398,3 +398,48 @@ def test_g_function_read_out_matches_oracle():
     for name, table in cases:
         digest.update(f"{name}\n{_read_out(table)}\n".encode())
     assert digest.hexdigest() == G_FUNCTION_SHA256
+
+
+_X4 = free(("x", 4))
+_X2 = free(("x", 2))
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: adem_relation(3, 1, 3), "P^3 P^1 is already admissible at p=3"),
+        (lambda: SteenrodTable(3, _X4, {("x", 0): _X4.zero(3)}), "bad operation index 0 for 'x'"),
+        (
+            lambda: SteenrodTable(3, _X4, {("x", 1): _X2.zero(3)}),
+            "entry P^1(x) lives in the wrong algebra",
+        ),
+        (lambda: parse_element("a*x^2", _X4, 3), "bad coefficient in term 'a*x^2'"),
+        (
+            lambda: parse_table("Q^1(x) = 0\n", _X4, 3),
+            "line 1: expected `P^<k>(<generator>) = <element>`",
+        ),
+        (lambda: parse_table("P^1(x) = 0\nP^a(x) = 0\n", _X4, 3), "line 2: bad operation index 'a'"),
+        (
+            lambda: cartan_extend(SteenrodTable(3, _X4), _X4.generator_element("x", 3), -1),
+            "operation index must be non-negative",
+        ),
+        (
+            lambda: cartan_extend(SteenrodTable(3, _X4), _X2.generator_element("x", 3), 1),
+            "element does not live in the table's algebra",
+        ),
+    ],
+    ids=[
+        "admissible-pair",
+        "index-below-1",
+        "other-algebra-entry",
+        "bad-coefficient",
+        "malformed-line",
+        "bad-index",
+        "negative-k",
+        "other-algebra-element",
+    ],
+)
+def test_steenrod_input_errors(call, message):
+    with pytest.raises(ContractError) as exc:
+        call()
+    assert str(exc.value) == message
