@@ -12,6 +12,8 @@ face to zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import compress
+from operator import add, mul, neg
 from typing import Iterable, Sequence
 
 from .errors import ContractError
@@ -26,10 +28,12 @@ class Monomial:
     exps: tuple[int, ...]
 
     def __mul__(self, other: "Monomial") -> "Monomial":
-        return Monomial(tuple(a + b for a, b in zip(self.exps, other.exps, strict=True)))
+        if len(self.exps) != len(other.exps):
+            raise ValueError("monomials over different generator lists")
+        return Monomial(tuple(map(add, self.exps, other.exps)))
 
     def support(self) -> tuple[int, ...]:
-        return tuple(i for i, e in enumerate(self.exps) if e)
+        return tuple(compress(range(len(self.exps)), self.exps))
 
     def divides(self, other: "Monomial") -> bool:
         return all(a <= b for a, b in zip(self.exps, other.exps, strict=True))
@@ -91,8 +95,9 @@ class _AmbientBase:
         return Monomial((0,) * self.num_generators)
 
     def generator_monomial(self, label: str, e: int = 1) -> Monomial:
-        i = self._index_of(label)
-        return Monomial(tuple(e if j == i else 0 for j in range(self.num_generators)))
+        exps = [0] * self.num_generators
+        exps[self._index_of(label)] = e
+        return Monomial(tuple(exps))
 
     def monomial(self, mapping: dict[str, int]) -> Monomial:
         exps = [0] * self.num_generators
@@ -109,17 +114,20 @@ class _AmbientBase:
     def degree_of(self, m: Monomial) -> int:
         if len(m.exps) != self.num_generators:
             raise ContractError("monomial does not match this ambient")
-        return sum(e * d for e, d in zip(m.exps, self.gen_degrees))
+        return sum(map(mul, m.exps, self.gen_degrees))
 
     def monomial_key(self, m: Monomial):
         # graded lexicographic: lower degree first, then higher power of an
         # earlier generator first
-        return (self.degree_of(m), tuple(-e for e in m.exps))
+        return (self.degree_of(m), tuple(map(neg, m.exps)))
 
     def reduce_monomial(self, m: Monomial) -> Monomial | None:
         """m itself when its support is a face, otherwise None (zero)."""
         if len(m.exps) != self.num_generators:
             raise ContractError("monomial does not match this ambient")
+        ys = m.exps[self._graph_start :]
+        if len(ys) - ys.count(0) <= 1:
+            return m
         return m if self.face_ok(m.support()) else None
 
     def monomial_basis(self, degree: int) -> tuple[Monomial, ...]:
@@ -411,7 +419,7 @@ def graph_ideal_generators(k: JoinComplex, vertex: str) -> list[Monomial]:
 def monomial_in_graph_ideal(k, m: Monomial, index: int) -> bool:
     """Membership of a single monomial in (y_i) + (y_j y_k : j < k), for the
     graph generator y_i at `index`."""
-    if m.exponent(index) >= 1:
+    if m.exps[index]:
         return True
-    distinct_ys = sum(1 for i in k.graph_generator_indices() if m.exponent(i) >= 1)
-    return distinct_ys >= 2
+    ys = m.exps[k._graph_start :]
+    return len(ys) - ys.count(0) >= 2

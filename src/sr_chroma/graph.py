@@ -99,8 +99,15 @@ def coloring_is_valid(g: Graph, c: Coloring) -> bool:
     return all(c.assignment[u] != c.assignment[v] for u, v in g.edges)
 
 
+# the table format's separators, and the comma that separates the generators
+# of a partition block
+LABEL_SEPARATORS = frozenset("*+^=,")
+
+
 def parse_graph(text: str) -> Graph:
-    """Parse the edge-list format: `v <label>`, `e <a> <b>`, `#` comments."""
+    """Parse the edge-list format: `v <label>`, `e <a> <b>`, `#` comments. A
+    label holding one of `LABEL_SEPARATORS` is an input error, so every table
+    and partition over the graph reads back."""
     vertices: list[str] = []
     seen: set[str] = set()
     edges: set[tuple[str, str]] = set()
@@ -112,6 +119,10 @@ def parse_graph(text: str) -> Graph:
         if tokens[0] == "v":
             if len(tokens) != 2:
                 raise GraphParseError("expected `v <label>`", lineno)
+            # a vertex v is the generator y_v in tables and partition blocks
+            if not LABEL_SEPARATORS.isdisjoint(tokens[1]):
+                rule = "a label holds none of * + ^ = ,"
+                raise GraphParseError(f"bad vertex label {tokens[1]!r}: {rule}", lineno)
             if tokens[1] not in seen:
                 seen.add(tokens[1])
                 vertices.append(tokens[1])

@@ -15,12 +15,14 @@ bound.
 Compilation has a kernel of its own (`_CompileKernel`): monomials are packed
 ints with a graph-support bitmask for the face check, coefficients are plain
 dicts over the variables, and the Cartan series of a monomial is built from
-the memoized series of its prefix. A generator's own series, P^0 up to its
-top or the degree bound, is built once per generator. From the ambient the
-kernel reads only which generators are graph generators and which pairs are
-edges, and it runs its own face test and arithmetic on them. The public
-checkers in `steenrod` keep their separate engine, so a found table is
-re-verified by code that shares nothing with the compile that produced it.
+the memoized series of its prefix. Each monomial has one series, extended
+when a longer one is asked for, so a base's P^p and P^(p+1) share it. A
+generator's own series, P^0 up to its top or the degree bound, is built once
+per generator. From the ambient the kernel reads only which generators are
+graph generators and which pairs are edges, and it runs its own face test
+and arithmetic on them. The public checkers in `steenrod` keep their
+separate engine, so a found table is re-verified by code that shares nothing
+with the compile that produced it.
 
 Constraints have one format from compile to solve: a dict from a monomial in
 the variables, written as its variables repeated by exponent in ascending
@@ -182,8 +184,9 @@ class _CompileKernel:
     A power series [P^0(m), ..., P^kmax(m)] maps each degree to a dict from
     monomial to coefficient. The series of m is the series of m without its
     last generator factor times the series of that generator: the left fold
-    over m's factors in generator order, memoized on every prefix, so every
-    dict is filled in the same order as by the verifier's engine.
+    over m's factors in generator order, memoized on every prefix. A series
+    is kept per monomial and serves every shorter request; a longer one
+    appends the missing degrees, each filled as a full fold would fill it.
     """
 
     def __init__(self, ambient, p: int, degree_bound: int, blocks: list[EntryBlock]):
@@ -198,8 +201,8 @@ class _CompileKernel:
         self.faces: set[int] = {0} | {1 << i for i in ys} | edges
         self.ys = frozenset(ys)
         self.ymask: dict[int, int] = {0: 0}
-        self.gen_cache: dict[int, list[dict]] = {}
-        self.series_cache: dict[tuple[int, int], list[dict]] = {}
+        self.gen_cache: dict[int, list[dict[int, Key]]] = {}
+        self.series_cache: dict[int, list[dict]] = {0: [{0: {(): 1}}]}
 
     def pack(self, mono: Monomial) -> int:
         w = self.width
@@ -215,10 +218,12 @@ class _CompileKernel:
         self.ymask[packed] = ymask
         return packed
 
-    def _generator_series(self, gi: int) -> list[dict]:
+    def _generator_series(self, gi: int) -> list[dict[int, Key]]:
         """[P^0(g), P^1(g), ...] for generator gi, up to the top or the last
         degree within the bound, whichever comes first: no instance within
-        the bound reads past it, and the packed fields hold nothing past it."""
+        the bound reads past it, and the packed fields hold nothing past it.
+        Every coefficient is one key with coefficient 1, so an entry maps each
+        monomial to that key: () or the monomial's variable."""
         series = self.gen_cache.get(gi)
         if series is not None:
             return series
@@ -226,51 +231,52 @@ class _CompileKernel:
         label = ambient.gen_labels[gi]
         deg = ambient.gen_degrees[gi]
         top = deg // 2
-        series = [{self.pack(ambient.generator_monomial(label)): {(): 1}}]
+        series = [{self.pack(ambient.generator_monomial(label)): ()}]
         for j in range(1, min(top, (self.degree_bound - deg) // (2 * (p - 1))) + 1):
             if j == top:
-                series.append({self.pack(ambient.generator_monomial(label, p)): {(): 1}})
+                series.append({self.pack(ambient.generator_monomial(label, p)): ()})
                 continue
             block = self.blocks[(gi, j)]
-            series.append({self.pack(m): {(block.offset + t,): 1} for t, m in enumerate(block.basis)})
+            series.append({self.pack(m): (block.offset + t,) for t, m in enumerate(block.basis)})
         self.gen_cache[gi] = series
         return series
 
     def _series(self, mono: int, kmax: int) -> list[dict]:
+        """[P^0(mono), ..., P^kmax(mono)] or longer: one series per monomial,
+        extended degree by degree when a longer one is asked for."""
         cache = self.series_cache
         w = self.width
-        factors: list[int] = []  # generator indices peeled off the end
-        prefix = mono
-        while (prefix, kmax) not in cache:
-            if not prefix:
-                cache[(0, kmax)] = [{0: {(): 1}}] + [{} for _ in range(kmax)]
+        steps: list[tuple[int, int]] = []  # (monomial, its last generator), peeled off the end
+        series = cache.get(mono)
+        while series is None or len(series) <= kmax:
+            if not mono:
+                series.extend({} for _ in range(kmax + 1 - len(series)))  # P^k(1) = 0, k > 0
                 break
-            gi = (prefix.bit_length() - 1) // w
-            factors.append(gi)
-            prefix -= 1 << (w * gi)
-        series = cache[(prefix, kmax)]
-        for gi in reversed(factors):
-            prefix += 1 << (w * gi)
-            series = cache[(prefix, kmax)] = self._convolve(
-                series, self._generator_series(gi), kmax
-            )
+            gi = (mono.bit_length() - 1) // w
+            steps.append((mono, gi))
+            mono -= 1 << (w * gi)
+            series = cache.get(mono)
+        for mono, gi in reversed(steps):
+            prefix = series
+            series = cache.setdefault(mono, [])
+            self._extend(series, prefix, self._generator_series(gi), kmax)
         return series
 
-    def _convolve(self, s1: list[dict], s2: list[dict], kmax: int) -> list[dict]:
+    def _extend(self, series: list[dict], s1: list[dict], gens: list[dict], kmax: int) -> None:
+        """Append degrees len(series)..kmax of s1 times a generator series."""
         p = self.p
         faces = self.faces
         ymask = self.ymask
-        out: list[dict] = [{} for _ in range(kmax + 1)]
-        for i, t1 in enumerate(s1):
-            if not t1:
-                continue
-            for j, t2 in enumerate(s2[: kmax - i + 1]):
-                if not t2:
+        for d in range(len(series), kmax + 1):
+            acc: dict[int, dict] = {}
+            for i in range(max(0, d - len(gens) + 1), d + 1):
+                t1 = s1[i]
+                t2 = gens[d - i]
+                if not (t1 and t2):
                     continue
-                acc = out[i + j]
                 for m1, c1 in t1.items():
                     y1 = ymask[m1]
-                    for m2, c2 in t2.items():
+                    for m2, k2 in t2.items():
                         y = y1 | ymask[m2]
                         if y not in faces:
                             continue
@@ -279,8 +285,15 @@ class _CompileKernel:
                         if coeff is None:
                             coeff = acc[m] = {}
                             ymask[m] = y
-                        _add_product(coeff, c1, c2, p)
-        return [{m: c for m, c in d.items() if c} for d in out]
+                        # coeff += c1 * k2, k2 a key with coefficient 1
+                        for k1, v1 in c1.items():
+                            key = tuple(sorted(k1 + k2)) if k1 and k2 else k1 or k2
+                            v = (coeff.get(key, 0) + v1) % p
+                            if v:
+                                coeff[key] = v
+                            else:
+                                del coeff[key]
+            series.append({m: c for m, c in acc.items() if c})
 
     def power(self, terms: dict[int, dict], k: int) -> dict[int, dict]:
         """P^k on monomial -> coefficient terms; P^0 is the identity."""

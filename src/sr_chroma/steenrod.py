@@ -10,20 +10,26 @@ F_p^{s_1} holds the coefficients of x_j^(1) * y_i^(p-1), one per first-block
 generator x_j^(1). It is a `span.SpanColoring` that `cokernel_report` tests
 with the one span check, `span.span_conditions`.
 
-The checkers evaluate the Cartan formula with their own plain engine over
-`Monomial` exponent tuples and integer coefficients; `apply_power` takes the
-table itself and reads P^j on each generator through
-`SteenrodTable.generator_power`, each entry once per check. The action search
-compiles with a separate, faster kernel (`search.py`) and re-verifies every
-table it finds through these checkers; keeping the engines apart means a
-compile bug cannot hide behind the same bug in the verifier.
+The checkers evaluate the Cartan formula with their own engine (`_PowerCache`,
+`apply_power`): monomials are packed ints with one exponent field per
+generator and a graph-support mask for the face test, coefficients are ints
+mod p, and each monomial's power series is its prefix's series times its last
+generator's, memoized per monomial for the whole check. `apply_power` takes
+the table itself and reads P^j on each generator through
+`SteenrodTable.generator_power`, each entry once per check, the generators
+of a monomial in index order, which fixes the entry an incomplete table is
+reported missing. Only violation text and `cartan_extend` turn packed
+monomials back into `Monomial`s. The action search compiles with a separate
+kernel (`search.py`) and re-verifies every table it finds through these
+checkers; the two engines share no code, so a compile bug cannot hide behind
+the same bug in the verifier.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import groupby
+from itertools import compress, groupby
 
 from .algebra import (
     AlgebraElement,
@@ -44,63 +50,124 @@ from .span import FpVector, SpanColoring, is_odd_prime, span_chromatic_number, s
 # the Cartan engine of the verifier
 # --------------------------------------------------------------------------
 
-def _convolve(ambient, p, s1, s2, kmax):
-    out = [dict() for _ in range(kmax + 1)]
-    for i, ti in enumerate(s1):
-        if not ti:
-            continue
-        for j in range(kmax - i + 1):
-            tj = s2[j]
-            if not tj:
-                continue
-            acc = out[i + j]
-            for m1, c1 in ti.items():
-                for m2, c2 in tj.items():
-                    m = m1 * m2
-                    if ambient.reduce_monomial(m) is None:
-                        continue
-                    acc[m] = (acc.get(m, 0) + c1 * c2) % p
-    return [{m: c for m, c in d.items() if c} for d in out]
+class _PowerCache:
+    """One check's packed monomials and power series.
+
+    A monomial is an int with a bit field per generator (generator i at bit
+    `i * width`), so a product is a sum. The width holds every exponent of a
+    monomial of degree `reach`, the highest degree the check evaluates; an
+    exponent past it raises AssertionError when packed. `ymask` maps each
+    packed monomial met so far to its graph support (bit i for graph
+    generator i), and a product is face-supported exactly when the union of
+    the two masks is in `faces`: empty, one graph generator or an edge.
+
+    `gens[i]` is [P^0, P^1, ...] of generator i, read from the table through
+    `SteenrodTable.generator_power` on demand, each entry once per check.
+    `series[m]` is [P^0(m), ..., P^K(m)] for the longest K asked of m so far:
+    the series of m without its last generator factor times that generator's,
+    extended degree by degree when a longer one is asked for.
+    """
+
+    def __init__(self, ambient, reach: int):
+        n = ambient.num_generators
+        ys = ambient.graph_generator_indices()
+        self.n = n
+        self.width = max(1, (reach // min(ambient.gen_degrees, default=2)).bit_length())
+        self.graph_start = n - len(ys)
+        edges = {(1 << i) | (1 << j) for i, j in ambient.graph_edge_indices}
+        self.faces = {0} | {1 << i for i in ys} | edges
+        self.ymask: dict[int, int] = {0: 0}
+        self.gens: dict[int, list[dict[int, int]]] = {}
+        self.series: dict[int, list[dict[int, int]]] = {0: [{0: 1}]}
+
+    def pack(self, mono: Monomial) -> int:
+        exps = mono.exps
+        w = self.width
+        packed = ymask = 0
+        for i in compress(range(len(exps)), exps):
+            e = exps[i]
+            if e >> w:
+                raise AssertionError("exponent exceeds its packed field")
+            packed |= e << (w * i)
+            if i >= self.graph_start:
+                ymask |= 1 << i
+        self.ymask[packed] = ymask
+        return packed
+
+    def unpack(self, terms: dict[int, int]) -> dict[Monomial, int]:
+        w = self.width
+        field = (1 << w) - 1
+        shifts = range(0, w * self.n, w)
+        return {Monomial(tuple((m >> s) & field for s in shifts)): c for m, c in terms.items()}
 
 
-def _generator_series(table, gen_index, kmax, cache):
-    """[P^0(g), ..., P^kmax(g)] or longer: one list per generator index in the
-    check's cache, extended on demand, so each entry is read once per check."""
-    series = cache.setdefault(gen_index, [])
-    label = table.ambient.gen_labels[gen_index]
+def _generator_series(table, gi: int, kmax: int, cache: _PowerCache) -> list[dict[int, int]]:
+    """[P^0(g), ..., P^kmax(g)] or longer for generator index gi."""
+    series = cache.gens.setdefault(gi, [])
+    label = table.ambient.gen_labels[gi]
+    pack = cache.pack
     for j in range(len(series), kmax + 1):
-        series.append(table.generator_power(label, j).terms_dict())
+        series.append({pack(m): c for m, c in table.generator_power(label, j).terms})
     return series
 
 
-def _monomial_series(table, mono: Monomial, kmax, cache):
-    key = (mono, kmax)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
-    ambient = table.ambient
-    series = [dict() for _ in range(kmax + 1)]
-    series[0] = {ambient.unit_monomial(): 1}
-    for gi, e in enumerate(mono.exps):
-        for _ in range(e):
-            gs = _generator_series(table, gi, kmax, cache)
-            series = _convolve(ambient, table.p, series, gs, kmax)
-    cache[key] = series
+def _monomial_series(table, mono: int, kmax: int, cache: _PowerCache) -> list[dict[int, int]]:
+    """[P^0(mono), ..., P^kmax(mono)] or longer; the generators of mono are
+    read in index order."""
+    memo = cache.series
+    w = cache.width
+    steps: list[tuple[int, int]] = []  # (monomial, its last generator), peeled off the end
+    series = memo.get(mono)
+    while series is None or len(series) <= kmax:
+        if not mono:
+            series.extend({} for _ in range(kmax + 1 - len(series)))  # P^k(1) = 0, k > 0
+            break
+        gi = (mono.bit_length() - 1) // w
+        steps.append((mono, gi))
+        mono -= 1 << (w * gi)
+        series = memo.get(mono)
+    p = table.p
+    faces = cache.faces
+    ymask = cache.ymask
+    for mono, gi in reversed(steps):
+        gens = _generator_series(table, gi, kmax, cache)
+        prefix = series
+        series = memo.setdefault(mono, [])
+        for d in range(len(series), kmax + 1):
+            acc: dict[int, int] = {}
+            for i in range(d + 1):
+                t1 = prefix[i]
+                t2 = gens[d - i]
+                if not (t1 and t2):
+                    continue
+                for m1, c1 in t1.items():
+                    y1 = ymask[m1]
+                    for m2, c2 in t2.items():
+                        y = y1 | ymask[m2]
+                        if y not in faces:
+                            continue
+                        m = m1 + m2
+                        if m in acc:
+                            acc[m] += c1 * c2
+                        else:
+                            acc[m] = c1 * c2
+                            ymask[m] = y
+            series.append({m: c % p for m, c in acc.items() if c % p})
     return series
 
 
-def apply_power(table, terms, k: int, cache) -> dict:
-    """P^k on a terms dict over F_p via linearity and the Cartan formula,
-    reading P^j on generators from the table; P^0 = identity."""
+def apply_power(table, terms: dict[int, int], k: int, cache: _PowerCache) -> dict[int, int]:
+    """P^k on packed monomial -> coefficient terms over F_p via linearity and
+    the Cartan formula, reading P^j on generators from the table; P^0 is the
+    identity."""
     if k == 0:
         return dict(terms)
     p = table.p
-    out: dict = {}
+    out: dict[int, int] = {}
     for mono, coeff in terms.items():
-        series = _monomial_series(table, mono, k, cache)
-        for m, c in series[k].items():
-            out[m] = (out.get(m, 0) + coeff * c) % p
-    return {m: c for m, c in out.items() if c}
+        for m, c in _monomial_series(table, mono, k, cache)[k].items():
+            out[m] = out.get(m, 0) + coeff * c
+    return {m: c % p for m, c in out.items() if c % p}
 
 
 # --------------------------------------------------------------------------
@@ -315,8 +382,11 @@ def cartan_extend(table: SteenrodTable, a: AlgebraElement, k: int) -> AlgebraEle
         raise ContractError("operation index must be non-negative")
     if a.ambient != table.ambient or a.p != table.p:
         raise ContractError("element does not live in the table's algebra")
-    out = apply_power(table, a.terms_dict(), k, {})
-    return AlgebraElement.make(table.ambient, table.p, out)
+    ambient = table.ambient
+    reach = max((ambient.degree_of(m) for m, _ in a.terms), default=0) + 2 * k * (table.p - 1)
+    cache = _PowerCache(ambient, reach)
+    out = apply_power(table, {cache.pack(m): c for m, c in a.terms}, k, cache)
+    return AlgebraElement.make(ambient, table.p, cache.unpack(out))
 
 
 # --------------------------------------------------------------------------
@@ -380,12 +450,17 @@ def check_relations(
     p = table.p
     relations, bound = relations_and_bound(p, relation_set, degree_bound)
     ambient = table.ambient
-    cache: dict = {}
+    # the lhs takes every base at most to the bound; a term of the rhs that
+    # raises the degree further than its lhs takes it past the bound
+    excess = max(
+        (outer + inner - sum(rel.lhs) for rel in relations for _, outer, inner in rel.rhs), default=0
+    )
+    cache = _PowerCache(ambient, bound + 2 * (p - 1) * max(excess, 0))
     violations: list[Violation] = []
     for rel in relations:
         a, b = rel.lhs
         for mono in relation_instance_bases(ambient, p, rel, bound):
-            base = {mono: 1}
+            base = {cache.pack(mono): 1}
             lhs = _eval_composite(table, a, b, base, cache)
             rhs: dict = {}
             for c, outer, inner in rel.rhs:
@@ -394,8 +469,8 @@ def check_relations(
                     rhs[m] = (rhs.get(m, 0) + v * c) % p
             rhs = {m: v for m, v in rhs.items() if v}
             if lhs != rhs:
-                lhs_el = AlgebraElement.make(ambient, p, lhs)
-                rhs_el = AlgebraElement.make(ambient, p, rhs)
+                lhs_el = AlgebraElement.make(ambient, p, cache.unpack(lhs))
+                rhs_el = AlgebraElement.make(ambient, p, cache.unpack(rhs))
                 violations.append(
                     Violation(
                         rel.name,

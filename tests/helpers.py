@@ -10,9 +10,16 @@ from __future__ import annotations
 import itertools
 from random import Random
 
+from sr_chroma.algebra import AlgebraElement
 from sr_chroma.errors import ContractError
 from sr_chroma.graph import Graph
 from sr_chroma.realize import validate_decomposition
+from sr_chroma.steenrod import (
+    CheckReport,
+    Violation,
+    relation_instance_bases,
+    relations_and_bound,
+)
 
 
 def complete_graph(n: int) -> Graph:
@@ -322,3 +329,101 @@ def reference_decompose_s(s: tuple[int, ...], c: int):
             continue
         return split
     return None
+
+
+# -- dense Cartan reference ----------------------------------------------------
+#
+# The reference for the verifier's packed engine: `Monomial` exponent tuples,
+# the ambient's own face test through `reduce_monomial`, and a series memo
+# keyed by (monomial, kmax), each series a plain left fold over the factors.
+# Generators are read in index order, each entry once per check, so a missing
+# entry raises the same `IncompleteTableError`.
+
+def _dense_convolve(ambient, p, s1, s2, kmax):
+    out = [dict() for _ in range(kmax + 1)]
+    for i, ti in enumerate(s1):
+        if not ti:
+            continue
+        for j in range(kmax - i + 1):
+            tj = s2[j]
+            if not tj:
+                continue
+            acc = out[i + j]
+            for m1, c1 in ti.items():
+                for m2, c2 in tj.items():
+                    m = m1 * m2
+                    if ambient.reduce_monomial(m) is None:
+                        continue
+                    acc[m] = (acc.get(m, 0) + c1 * c2) % p
+    return [{m: c for m, c in d.items() if c} for d in out]
+
+
+def _dense_generator_series(table, gen_index, kmax, cache):
+    series = cache.setdefault(gen_index, [])
+    label = table.ambient.gen_labels[gen_index]
+    for j in range(len(series), kmax + 1):
+        series.append(table.generator_power(label, j).terms_dict())
+    return series
+
+
+def _dense_monomial_series(table, mono, kmax, cache):
+    key = (mono, kmax)
+    hit = cache.get(key)
+    if hit is not None:
+        return hit
+    ambient = table.ambient
+    series = [dict() for _ in range(kmax + 1)]
+    series[0] = {ambient.unit_monomial(): 1}
+    for gi, e in enumerate(mono.exps):
+        for _ in range(e):
+            gs = _dense_generator_series(table, gi, kmax, cache)
+            series = _dense_convolve(ambient, table.p, series, gs, kmax)
+    cache[key] = series
+    return series
+
+
+def reference_apply_power(table, terms, k, cache):
+    if k == 0:
+        return dict(terms)
+    p = table.p
+    out: dict = {}
+    for mono, coeff in terms.items():
+        for m, c in _dense_monomial_series(table, mono, k, cache)[k].items():
+            out[m] = (out.get(m, 0) + coeff * c) % p
+    return {m: c for m, c in out.items() if c}
+
+
+def reference_cartan_extend(table, a, k):
+    terms = reference_apply_power(table, a.terms_dict(), k, {})
+    return AlgebraElement.make(table.ambient, table.p, terms)
+
+
+def reference_check_relations(table, relation_set=None, degree_bound=None) -> CheckReport:
+    """`steenrod.check_relations` on the dense engine."""
+    p = table.p
+    relations, bound = relations_and_bound(p, relation_set, degree_bound)
+    ambient = table.ambient
+    cache: dict = {}
+    violations = []
+    for rel in relations:
+        a, b = rel.lhs
+        for mono in relation_instance_bases(ambient, p, rel, bound):
+            base = {mono: 1}
+            mid = reference_apply_power(table, base, b, cache)
+            lhs = reference_apply_power(table, mid, a, cache)
+            rhs: dict = {}
+            for c, outer, inner in rel.rhs:
+                mid = reference_apply_power(table, base, inner, cache)
+                for m, v in reference_apply_power(table, mid, outer, cache).items():
+                    rhs[m] = (rhs.get(m, 0) + v * c) % p
+            rhs = {m: v for m, v in rhs.items() if v}
+            if lhs != rhs:
+                lhs_el = AlgebraElement.make(ambient, p, lhs)
+                rhs_el = AlgebraElement.make(ambient, p, rhs)
+                detail = f"lhs = {lhs_el}; rhs = {rhs_el}"
+                violations.append(Violation(rel.name, ambient.format_monomial(mono), detail))
+    return CheckReport(
+        "relation check",
+        {"relations": "; ".join(r.name for r in relations), "degree_bound": bound},
+        violations,
+    )

@@ -626,6 +626,17 @@ def test_free_generator_list_input_errors(capsys, tmp_path, command, gens, messa
     assert run(capsys, argv) == (2, "", f"error: {message}\n")
 
 
+@pytest.mark.parametrize("label", ["a*b", "a+b", "a^2", "a=b", "a,b"])
+@pytest.mark.parametrize("command", ["action-search", "realizable", "partition"])
+def test_vertex_label_with_a_separator_is_an_input_error(capsys, tmp_path, command, label):
+    # y_<label> appears in tables and in comma-separated partition blocks
+    graph = tmp_path / "g.g"
+    graph.write_text(f"v c\nv {label}\nv d\ne c {label}\ne c d\ne {label} d\n")
+    message = f"error: line 2: bad vertex label {label!r}: a label holds none of * + ^ = ,\n"
+    argv = [command, "--family", "B", "--vector", "3", str(graph)]
+    assert run(capsys, argv) == (2, "", message)
+
+
 @pytest.mark.parametrize(
     "template, message",
     [

@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 from helpers import all_graphs, complete_graph, cycle_graph
 import sr_chroma
 from sr_chroma.algebra import FreePolynomialAlgebra, parse_free_algebra
-from sr_chroma.graph import Graph
-from sr_chroma.errors import ContractError, SearchSpaceExceeded
+from sr_chroma.graph import Graph, parse_graph
+from sr_chroma.errors import ContractError, GraphParseError, SearchSpaceExceeded
 from sr_chroma.families import FamilySpec, build_complex
 from sr_chroma.search import (
     DEFAULT_NODE_CAP,
@@ -37,6 +37,7 @@ from sr_chroma.steenrod import (
     adem_relation,
     check_ideal_preservation,
     check_relations,
+    check_table,
     check_unstability,
     default_degree_bound,
     default_relation_set,
@@ -233,6 +234,38 @@ def test_free_generator_names_round_trip(gens):
     if out.found:
         back = parse_table(out.table.serialize(), amb, 3)
         assert back.entries == out.table.entries, text
+
+
+# half the labels hold a separator after their first character, so about one
+# triangle in eight parses
+_LABELS = st.tuples(
+    st.text("ab01_-()", min_size=1, max_size=3),
+    st.sampled_from(["", "", "", "", "", "*", "+", "^", "=", ","]),
+).map(lambda ts: ts[0][:1] + ts[1] + ts[0][1:])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.lists(_LABELS, min_size=3, max_size=3, unique=True))
+def test_vertex_labels_round_trip(labels):
+    """A triangle the graph parser accepts carries a found B(3) table that
+    reads back and passes: the parser rejects exactly the labels holding a
+    separator of the table format or of a partition block, naming the line."""
+    text = "".join(f"v {v}\n" for v in labels) + "".join(
+        f"e {labels[i]} {labels[j]}\n" for i, j in ((0, 1), (1, 2), (0, 2))
+    )
+    bad = [line for line, v in enumerate(labels, 1) if set(v) & set("*+^=,")]
+    try:
+        g = parse_graph(text)
+    except GraphParseError as exc:
+        assert bad and exc.line == bad[0], text
+        return
+    assert not bad, text
+    ambient = build_complex(FamilySpec("B", (3,)), g)
+    out = search_action(ambient, 3)
+    assert out.found, text
+    back = parse_table(out.table.serialize(), ambient, 3)
+    assert back.entries == out.table.entries, text
+    assert all(report.ok for report in check_table(back)), text
 
 
 def test_generator_series_stops_at_the_degree_bound():

@@ -6,8 +6,16 @@ import hashlib
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import complete_graph, cycle_graph, path_graph
+from helpers import (
+    complete_graph,
+    cycle_graph,
+    path_graph,
+    reference_cartan_extend,
+    reference_check_relations,
+)
 from sr_chroma.algebra import AlgebraElement, FreePolynomialAlgebra
 from sr_chroma.errors import ContractError, IncompleteTableError, SrChromaError
 from sr_chroma.families import FamilySpec, build_complex
@@ -15,6 +23,7 @@ from sr_chroma.graph import Graph
 from sr_chroma.search import search_action, unknown_entry_blocks
 from sr_chroma.span import FpVector, SpanColoring, span_membership
 from sr_chroma.steenrod import (
+    PowerRelation,
     SteenrodTable,
     adem_relation,
     cartan_extend,
@@ -23,6 +32,7 @@ from sr_chroma.steenrod import (
     check_unstability,
     cokernel_report,
     coloring_from_action,
+    forced_top,
     full_adem_relation_set,
     necessary_condition,
     parse_element,
@@ -443,3 +453,152 @@ def test_steenrod_input_errors(call, message):
     with pytest.raises(ContractError) as exc:
         call()
     assert str(exc.value) == message
+
+
+# -- the packed engine against the dense reference ---------------------------
+#
+# `tests/helpers.py` keeps the verifier's dense engine as the reference: the
+# packed engine must give the same P^k, the same relation report, and name
+# the same missing entry.
+
+_ENGINE_SPECS = [
+    FamilySpec("B", (2,)),
+    FamilySpec("B", (3,)),
+    FamilySpec("Ap", (2, 1), 3),
+    FamilySpec("Bp", (1, 1), 5),
+    FamilySpec("A", (1, 1)),
+]
+_ENGINE_GRAPHS = [
+    complete_graph(2),
+    complete_graph(3),
+    cycle_graph(4),
+    path_graph(3),
+    Graph.build([], []),
+]
+_ENGINE_FREE = [
+    free(("x", 2), ("y", 4)),
+    free(("x", 4), ("y", 8), ("z", 8)),
+    free(("x", 6), ("y", 12)),
+]
+
+
+def _engine_ambient(choice: int, p_choice: int):
+    """A join complex at the family's prime, or a free algebra at p = 3 or 5."""
+    if choice < len(_ENGINE_SPECS) * len(_ENGINE_GRAPHS):
+        spec = _ENGINE_SPECS[choice % len(_ENGINE_SPECS)]
+        g = _ENGINE_GRAPHS[choice // len(_ENGINE_SPECS)]
+        return build_complex(spec, g), spec.p or 3
+    return _ENGINE_FREE[choice % len(_ENGINE_FREE)], (3, 5)[p_choice]
+
+
+def _random_table(ambient, p: int, rng: Random, density: float) -> SteenrodTable:
+    """Every entry below the top drawn over the search's cut bases, and every
+    forced top stored."""
+    entries = {}
+    for block in unknown_entry_blocks(ambient, p)[0]:
+        terms = {m: rng.randrange(p) for m in block.basis if rng.random() < density}
+        entries[(block.label, block.k)] = AlgebraElement.make(ambient, p, terms)
+    for label, d in zip(ambient.gen_labels, ambient.gen_degrees):
+        entries[(label, d // 2)] = forced_top(ambient, label, p)
+    return SteenrodTable(p, ambient, entries)
+
+
+def _random_element(ambient, p: int, rng: Random) -> AlgebraElement:
+    terms = {}
+    for degree in rng.sample(range(0, 17, 2), 2):
+        for m in ambient.monomial_basis(degree):
+            if rng.random() < 0.4:
+                terms[m] = rng.randrange(p)
+    return AlgebraElement.make(ambient, p, terms)
+
+
+def _outcome(call):
+    try:
+        return call()
+    except IncompleteTableError as exc:
+        return ("missing", exc.generator, exc.k)
+
+
+_ENGINE_CHOICES = len(_ENGINE_SPECS) * len(_ENGINE_GRAPHS) + len(_ENGINE_FREE)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    st.integers(0, _ENGINE_CHOICES - 1),
+    st.integers(0, 1),
+    st.integers(0, 2**32),
+    st.sampled_from([0.1, 0.4, 1.0]),
+)
+def test_packed_engine_agrees_with_dense_reference(choice, p_choice, seed, density):
+    """cartan_extend on random elements and the relation report of random
+    tables, under the default and the full Adem relation set, equal the
+    dense engine's."""
+    ambient, p = _engine_ambient(choice, p_choice)
+    rng = Random(seed)
+    table = _random_table(ambient, p, rng, density)
+    for _ in range(3):
+        a = _random_element(ambient, p, rng)
+        for k in range(6):
+            assert cartan_extend(table, a, k) == reference_cartan_extend(table, a, k), (a, k)
+    for relations in (None, full_adem_relation_set(ambient, p, 2 * p * p + 2 * p)):
+        got = check_relations(table, relations).to_text()
+        assert got == reference_check_relations(table, relations).to_text()
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.integers(0, _ENGINE_CHOICES - 1), st.integers(0, 1), st.integers(0, 2**32))
+def test_missing_entries_are_named_as_by_the_reference(choice, p_choice, seed):
+    """A table missing one or two entries below the top raises the
+    reference's IncompleteTableError, label and k: the entries are read in
+    the same order, and no entry the reference does not read is read."""
+    ambient, p = _engine_ambient(choice, p_choice)
+    rng = Random(seed)
+    table = _random_table(ambient, p, rng, 0.4)
+    degree = dict(zip(ambient.gen_labels, ambient.gen_degrees))
+    below_top = [(label, k) for label, k in table.entries if 2 * k < degree[label]]
+    for key in rng.sample(below_top, min(len(below_top), rng.randint(1, 2))):
+        del table.entries[key]
+    relations = full_adem_relation_set(ambient, p, 2 * p * p + 2 * p)
+    got = _outcome(lambda: check_relations(table, relations).to_text())
+    assert got == _outcome(lambda: reference_check_relations(table, relations).to_text())
+    a = _random_element(ambient, p, rng)
+    for k in range(6):
+        got = _outcome(lambda: cartan_extend(table, a, k))
+        assert got == _outcome(lambda: reference_cartan_extend(table, a, k))
+
+
+def test_missing_entries_are_read_in_generator_order():
+    """Both factors of y*z miss P^1: the earlier generator is named."""
+    amb = free(("x", 4), ("y", 8), ("z", 8))
+    table = SteenrodTable(3, amb, {("y", 2): amb.zero(3), ("z", 2): amb.zero(3)})
+    yz = amb.monomial({"y": 1, "z": 1})
+    a = AlgebraElement.make(amb, 3, {yz: 1})
+    for k in (1, 2):
+        assert _outcome(lambda: cartan_extend(table, a, k)) == ("missing", "y", 1)
+        assert _outcome(lambda: reference_cartan_extend(table, a, k)) == ("missing", "y", 1)
+
+
+def test_packed_fields_hold_the_largest_exponent():
+    """x:2 at p = 3: P^e(x^e) = x^(3e) is the top, and x^63 fills a 6-bit
+    field exactly; check_relations at degree bound 100 reaches x^50."""
+    amb = free(("x", 2))
+    table = SteenrodTable(3, amb, {})
+    x = amb.generator_element("x", 3)
+    for e in (1, 5, 21, 22):
+        for k in range(e + 2):
+            assert cartan_extend(table, x**e, k) == reference_cartan_extend(table, x**e, k)
+        assert cartan_extend(table, x**e, e) == x ** (3 * e)
+        assert cartan_extend(table, x**e, e + 1).is_zero()
+    report = check_relations(table, degree_bound=100)
+    assert report.to_text() == reference_check_relations(table, degree_bound=100).to_text()
+
+
+def test_packed_fields_hold_an_rhs_past_the_bound():
+    """An rhs term of higher degree than its lhs reaches past the bound: on
+    x:2, y:2 at bound 124, P^3(x^58) holds x^64, which a 6-bit field sized
+    for the bound alone would carry into y's."""
+    amb = free(("x", 2), ("y", 2))
+    table = SteenrodTable(3, amb, {})
+    relations = (PowerRelation("P^1P^1 = P^3", (1, 1), ((1, 3, 0),)),)
+    report = check_relations(table, relations, 124)
+    assert report.to_text() == reference_check_relations(table, relations, 124).to_text()
