@@ -13,24 +13,30 @@ that no table passes the checkers, relative to the relation set and degree
 bound.
 
 Compilation has a kernel of its own (`_CompileKernel`): monomials are packed
-ints with a graph-support bitmask for the face check, coefficients are plain
-dicts over the variables, and the Cartan series of a monomial is built from
-the memoized series of its prefix. Each monomial has one series, extended
-when a longer one is asked for, so a base's P^p and P^(p+1) share it. A
-generator's own series, P^0 up to its top or the degree bound, is built once
-per generator. From the ambient the kernel reads only which generators are
-graph generators and which pairs are edges, and it runs its own face test
-and arithmetic on them. The public checkers in `steenrod` keep their
-separate engine, so a found table is re-verified by code that shares nothing
-with the compile that produced it.
+ints with a graph-support bitmask for the face check, and coefficients are
+plain dicts over the variables. By the Cartan formula P^1 is a derivation
+(Steenrod & Epstein, Cohomology Operations, 1962), so the kernel takes P^1 of
+a monomial m as the sum over its generators of e_i (m / x_i) P^1(x_i), with
+no series of m's prefixes. For k >= 2 it builds the series P^0..P^k of m as
+the left fold over m's factors, from the memoized series of its prefix. Each
+monomial has one series, extended when a longer one is asked for, so a
+base's P^p and P^(p+1) share it. A generator's own series, P^0 up to its top
+or the degree bound, is built once per generator. From the ambient the
+kernel reads only which generators are graph generators and which pairs are
+edges, and it runs its own face test and arithmetic on them. The public
+checkers in `steenrod` keep their separate engine, which folds prefixes at
+every degree, P^1 included, so a found table is re-verified by code that
+shares nothing with the compile that produced it and computes P^1 another
+way.
 
 Constraints have one format from compile to solve: a dict from a monomial in
 the variables, written as its variables repeated by exponent in ascending
 order (x0^2*x3 is (0, 0, 3)), to a nonzero coefficient mod p. The kernel
 builds its coefficients in that format, reduced and without zero terms;
-compile drops repeats (equal sorted items) and hands each dict on uncopied
-as a `Constraint`'s `terms`, and the solver copies those dicts as its
-initial residuals.
+compile drops repeats (dicts that compare equal, found through the hash of
+their items, with no sorted copy kept) and hands each dict on uncopied as a
+`Constraint`'s `terms`, and the solver copies those dicts as its initial
+residuals.
 
 The solver keeps its own copy of each constraint as its residual, and one
 index into it: the occurrences of each variable still live in it, whose
@@ -77,6 +83,7 @@ without masks runs the unpruned DFS, which the tests keep as the reference.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from itertools import chain
 from typing import NamedTuple
@@ -181,12 +188,18 @@ class _CompileKernel:
     graph generator or one edge. A coefficient is a dict from a sorted tuple
     of variables, repeated by exponent, to a nonzero int mod p.
 
-    A power series [P^0(m), ..., P^kmax(m)] maps each degree to a dict from
-    monomial to coefficient. The series of m is the series of m without its
-    last generator factor times the series of that generator: the left fold
-    over m's factors in generator order, memoized on every prefix. A series
-    is kept per monomial and serves every shorter request; a longer one
-    appends the missing degrees, each filled as a full fold would fill it.
+    P^1 of a monomial is read straight off the derivation rule (`_p1`), in
+    the order the left fold below would give, and kept per monomial; it is
+    the kernel's only rule for degree 1. For k >= 2, a power series
+    [P^0(m), ..., P^kmax(m)] maps each degree to a dict from monomial to
+    coefficient. The series of m is the series of m without its last
+    generator factor times the series of that generator: the left fold over
+    m's factors in generator order, memoized on every prefix, with degree 1
+    of each prefix taken from `_p1`. A series is kept per monomial and
+    serves every shorter request; a longer one appends the missing degrees,
+    each filled as a full fold would fill it. The verifier in `steenrod`
+    keeps the fold at every degree, so a table's check does not rerun the
+    derivation that compiled it. Nothing is kept past one compile.
     """
 
     def __init__(self, ambient, p: int, degree_bound: int, blocks: list[EntryBlock]):
@@ -202,7 +215,8 @@ class _CompileKernel:
         self.ys = frozenset(ys)
         self.ymask: dict[int, int] = {0: 0}
         self.gen_cache: dict[int, list[dict[int, Key]]] = {}
-        self.series_cache: dict[int, list[dict]] = {0: [{0: {(): 1}}]}
+        self.p1_cache: dict[int, dict] = {}
+        self.series_cache: dict[int, list[dict]] = {0: [{0: {(): 1}}, {}]}
 
     def pack(self, mono: Monomial) -> int:
         w = self.width
@@ -241,9 +255,56 @@ class _CompileKernel:
         self.gen_cache[gi] = series
         return series
 
+    def _p1(self, mono: int) -> dict[int, dict]:
+        """P^1(mono) by the derivation rule, memoized per monomial.
+
+        Generators are walked in descending index order and each one's P^1
+        entry in block-basis order; a product that fails the face test is
+        skipped, and so is a generator whose P^1 lies past the degree bound,
+        as the fold skips it. A generator whose exponent is 0 mod p adds
+        nothing, but its products still take their places in the output, as
+        the fold places them, so the monomials come out in the fold's order.
+        No key repeats on a monomial: the entry of each generator holds its
+        own variables, and two forced tops x_i^p, x_j^p cannot meet on one
+        monomial. So no coefficient is summed, and none cancels."""
+        out = self.p1_cache.get(mono)
+        if out is not None:
+            return out
+        p = self.p
+        w = self.width
+        faces = self.faces
+        ymask = self.ymask
+        ym = ymask[mono]
+        acc: dict[int, dict] = {}
+        rest = mono
+        while rest:
+            gi = (rest.bit_length() - 1) // w
+            shift = w * gi
+            e = rest >> shift
+            rest -= e << shift
+            gens = self._generator_series(gi)
+            if len(gens) < 2:  # P^1(g) lies past the degree bound
+                continue
+            quotient = mono - (1 << shift)
+            yq = ym & ~(1 << gi) if e == 1 else ym
+            c = e % p
+            for m2, key in gens[1].items():
+                y = yq | ymask[m2]
+                if y not in faces:
+                    continue
+                m = quotient + m2
+                coeff = acc.get(m)
+                if coeff is None:
+                    coeff = acc[m] = {}
+                    ymask[m] = y
+                if c:
+                    coeff[key] = c
+        out = self.p1_cache[mono] = {m: c for m, c in acc.items() if c}
+        return out
+
     def _series(self, mono: int, kmax: int) -> list[dict]:
-        """[P^0(mono), ..., P^kmax(mono)] or longer: one series per monomial,
-        extended degree by degree when a longer one is asked for."""
+        """[P^0(mono), ..., P^kmax(mono)] or longer, kmax >= 2: one series per
+        monomial, extended degree by degree when a longer one is asked for."""
         cache = self.series_cache
         w = self.width
         steps: list[tuple[int, int]] = []  # (monomial, its last generator), peeled off the end
@@ -256,14 +317,23 @@ class _CompileKernel:
             steps.append((mono, gi))
             mono -= 1 << (w * gi)
             series = cache.get(mono)
+        ymask = self.ymask
         for mono, gi in reversed(steps):
             prefix = series
-            series = cache.setdefault(mono, [])
-            self._extend(series, prefix, self._generator_series(gi), kmax)
+            gens = self._generator_series(gi)
+            series = cache.get(mono)
+            if series is None:
+                # a prefix met for the first time has no mask yet; `_p1` reads it
+                g = 1 << (w * gi)
+                ymask[mono] = ymask[mono - g] | ymask[g]
+                series = cache[mono] = [{mono: {(): 1}}, self._p1(mono)]
+            self._extend(series, prefix, gens, kmax)
         return series
 
     def _extend(self, series: list[dict], s1: list[dict], gens: list[dict], kmax: int) -> None:
-        """Append degrees len(series)..kmax of s1 times a generator series."""
+        """Append degrees len(series)..kmax of s1 times a generator series.
+        The kernel asks only for degrees 2 and up; at degree 1 this is the
+        fold that `_p1` agrees with, monomial order included."""
         p = self.p
         faces = self.faces
         ymask = self.ymask
@@ -302,7 +372,8 @@ class _CompileKernel:
         p = self.p
         out: dict[int, dict] = {}
         for mono, coeff in terms.items():
-            for m, c in self._series(mono, k)[k].items():
+            image = self._p1(mono) if k == 1 else self._series(mono, k)[k]
+            for m, c in image.items():
                 acc = out.get(m)
                 if acc is None:
                     acc = out[m] = {}
@@ -314,7 +385,12 @@ def _add_product(acc: dict, c1: dict, c2: dict, p: int) -> None:
     """acc += c1 * c2 over F_p; a key whose coefficient cancels is removed."""
     for k1, v1 in c1.items():
         for k2, v2 in c2.items():
-            key = tuple(sorted(k1 + k2)) if k1 and k2 else k1 or k2
+            if not (k1 and k2):
+                key = k1 or k2
+            elif len(k1) == len(k2) == 1:
+                key = k1 + k2 if k1 <= k2 else k2 + k1
+            else:
+                key = tuple(sorted(k1 + k2))
             v = (acc.get(key, 0) + v1 * v2) % p
             if v:
                 acc[key] = v
@@ -329,8 +405,15 @@ def compile_constraints(
     polynomial per monomial coefficient; duplicates and zeros dropped, first
     occurrence kept."""
     kernel = _CompileKernel(ambient, p, degree_bound, blocks)
-    constraints: list[Constraint] = []
-    seen: set = set()
+    polys = _instance_polynomials(kernel, ambient, p, relations, degree_bound)
+    return [Constraint(terms) for terms in _first_occurrences(polys)]
+
+
+def _instance_polynomials(
+    kernel: _CompileKernel, ambient, p: int, relations: tuple[PowerRelation, ...], degree_bound: int
+) -> Iterator[dict[Key, int]]:
+    """lhs - rhs of each relation instance, one coefficient per monomial, in
+    relation, instance and monomial order; zeros included."""
     for rel in relations:
         a, b = rel.lhs
         # every term raises the degree as far as the lhs does, so with the
@@ -347,14 +430,24 @@ def compile_constraints(
                     if acc is None:
                         acc = diff[m] = {}
                     _add_product(acc, coeff, {(): -c % p}, p)
-            for coeff in diff.values():
-                if not coeff:
-                    continue
-                canonical = tuple(sorted(coeff.items()))
-                if canonical not in seen:
-                    seen.add(canonical)
-                    constraints.append(Constraint(coeff))
-    return constraints
+            yield from diff.values()
+
+
+def _first_occurrences(polys: Iterable[dict[Key, int]]) -> list[dict[Key, int]]:
+    """Each nonzero dict once, at its first occurrence, uncopied. The kept
+    dicts are bucketed by the hash of their items and compared as dicts, which
+    are equal exactly when their sorted items are, whatever order their keys
+    went in."""
+    kept: list[dict[Key, int]] = []
+    seen: dict[int, list[dict[Key, int]]] = {}
+    for poly in polys:
+        if not poly:
+            continue
+        bucket = seen.setdefault(hash(frozenset(poly.items())), [])
+        if poly not in bucket:
+            bucket.append(poly)
+            kept.append(poly)
+    return kept
 
 
 class _Solver:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import math
 import os
 import subprocess
 import sys
@@ -11,12 +12,12 @@ from pathlib import Path
 from random import Random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import all_graphs, complete_graph, cycle_graph
+from helpers import all_graphs, complete_graph, cycle_graph, reference_apply_power
 import sr_chroma
-from sr_chroma.algebra import FreePolynomialAlgebra, parse_free_algebra
+from sr_chroma.algebra import FreePolynomialAlgebra, Monomial, parse_free_algebra
 from sr_chroma.graph import Graph, parse_graph
 from sr_chroma.errors import ContractError, GraphParseError, SearchSpaceExceeded
 from sr_chroma.families import FamilySpec, build_complex
@@ -27,6 +28,7 @@ from sr_chroma.search import (
     SearchOutcome,
     _CompileKernel,
     _Solver,
+    _first_occurrences,
     compile_constraints,
     search_action,
     sign_masks,
@@ -569,6 +571,125 @@ def test_compile_emits_the_solver_format(name, p, make, bound):
     assert len(distinct) == len(constraints)
     solver = _Solver(p, nvars, constraints, 0)
     assert solver.residuals == [poly.terms for poly in constraints]
+
+
+def test_first_occurrences_keeps_the_first_of_equal_dicts():
+    """Dicts equal whatever order their keys went in are one constraint, the
+    first one, uncopied; zeros go, and the survivors keep their order."""
+    first = {(0,): 1, (1, 2): 2}
+    again = {(1, 2): 2, (0,): 1}
+    other = {(0,): 2, (1, 2): 2}
+    last = {(): 1}
+    kept = _first_occurrences([first, {}, other, again, last, dict(other)])
+    assert kept == [first, other, last]
+    assert [id(poly) for poly in kept] == [id(first), id(other), id(last)]
+
+
+# -- the kernel's P^1: the derivation against the prefix fold and the reference
+#
+# The kernel applies P^1 by the derivation rule and builds P^k, k >= 2, by the
+# left fold over a monomial's factors. The fold run at degree 1 must give the
+# same monomials in the same order (constraint order feeds the DFS tie-break),
+# with the same coefficients; on a random table, both must agree with the dense
+# reference of `tests/helpers.py`.
+
+def _fold_p1(kernel, mono: int) -> dict:
+    """Degree 1 of the left fold over mono's factors in generator order."""
+    w = kernel.width
+    series = [{0: {(): 1}}, {}]
+    for gi in range(kernel.ambient.num_generators):
+        for _ in range((mono >> (w * gi)) & ((1 << w) - 1)):
+            longer: list[dict] = []
+            kernel._extend(longer, series, kernel._generator_series(gi), 1)
+            series = longer
+    return series[1]
+
+
+def _unpack(kernel, mono: int) -> Monomial:
+    w = kernel.width
+    return Monomial(tuple(
+        (mono >> (w * i)) & ((1 << w) - 1) for i in range(kernel.ambient.num_generators)
+    ))
+
+
+# a join complex per prime, with graph generators in degree 2p + 2
+P1_FAMILIES = {
+    3: [FamilySpec("B", (1,)), FamilySpec("B", (2,))],
+    5: [FamilySpec("Bp", (1, 1), 5)],
+    7: [FamilySpec("Ap", (1, 0, 0, 0, 0, 1), 7)],
+}
+
+
+@st.composite
+def _p1_instances(draw):
+    p = draw(st.sampled_from([3, 5, 7]))
+    # square-free monomials are the ones a cut bound reaches
+    powers = st.sampled_from([0, 1] if draw(st.booleans()) else [0, 1, 2, p - 1, p, p + 1, 2 * p])
+    if draw(st.booleans()):
+        degrees = draw(st.lists(st.sampled_from([2, 4, 6, 8]), min_size=1, max_size=3))
+        ambient = FreePolynomialAlgebra(tuple((f"x{i}", d) for i, d in enumerate(degrees)))
+        exps = [draw(powers) for _ in degrees]
+    else:
+        n = draw(st.integers(1, 4))
+        pairs = list(itertools.combinations(range(n), 2))
+        edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+        graph = Graph.build([str(v) for v in range(n)], [(str(a), str(b)) for a, b in edges])
+        ambient = build_complex(draw(st.sampled_from(P1_FAMILIES[p])), graph)
+        ys = ambient.graph_generator_indices()
+        # the monomial's graph support is a face: an edge, one vertex or empty
+        if edges and draw(st.booleans()):
+            face = tuple(ys[v] for v in draw(st.sampled_from(edges)))
+        else:
+            face = draw(st.sampled_from([()] + [(ys[v],) for v in range(n)]))
+        exps = [draw(powers) if i in face or i not in ys else 0 for i in range(ambient.num_generators)]
+    mono = Monomial(tuple(exps))
+    degree = ambient.degree_of(mono) + 2 * (p - 1)  # of P^1(mono)
+    if draw(st.booleans()):
+        # a bound below P^1(mono)'s degree cuts the P^1 entry of every
+        # generator of degree above bound - 2(p - 1), among them the factor of
+        # a monomial of one factor
+        bound = max(1, degree - draw(st.integers(1, 2 * (p - 1))))
+    else:
+        bound = degree + draw(st.integers(0, 4))
+    return p, ambient, mono, bound, draw(st.integers(0, 2**32))
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(_p1_instances())
+def test_p1_derivation_matches_the_fold_and_the_reference(instance):
+    p, ambient, mono, bound, seed = instance
+    blocks, nvars = unknown_entry_blocks(ambient, p)
+    kernel = _CompileKernel(ambient, p, bound, blocks)
+    degree = ambient.degree_of(mono) + 2 * (p - 1)
+    # every exponent of P^1(mono) fits the packed fields sized for the bound
+    assume(degree // min(ambient.gen_degrees) < 1 << kernel.width)
+    packed = kernel.pack(mono)
+    got = kernel._p1(packed)
+    want = _fold_p1(kernel, packed)
+    assert [(m, list(c.items())) for m, c in got.items()] == [
+        (m, list(c.items())) for m, c in want.items()
+    ]
+    if degree > bound:
+        return  # the reference knows no bound
+    rng = Random(seed)
+    assignment = [rng.randrange(p) for _ in range(nvars)]
+    table = table_from_assignment(ambient, p, blocks, assignment)
+    assert _evaluate(kernel, got, assignment, p) == reference_apply_power(table, {mono: 1}, 1, {})
+    # P^2 by the fold, which reads P^1 of each prefix, on a kernel that has
+    # seen none of mono's prefixes
+    fresh = _CompileKernel(ambient, p, degree + 2 * (p - 1), blocks)
+    image = fresh.power({fresh.pack(mono): {(): 1}}, 2)
+    assert _evaluate(fresh, image, assignment, p) == reference_apply_power(table, {mono: 1}, 2, {})
+
+
+def _evaluate(kernel, image: dict, assignment: list[int], p: int) -> dict[Monomial, int]:
+    """A kernel image at a table's coefficients, as the reference writes it."""
+    out = {}
+    for m, coeff in image.items():
+        v = sum(c * math.prod(assignment[x] for x in key) for key, c in coeff.items()) % p
+        if v:
+            out[_unpack(kernel, m)] = v
+    return out
 
 
 # -- the solver kernel on systems compile never emits -------------------------
