@@ -6,11 +6,7 @@ from .algebra import (
     FreePolynomialAlgebra,
     JoinComplex,
     Monomial,
-    ideal_membership,
-    maximal_faces,
-    multiply,
     parse_free_algebra,
-    reduce_monomial,
 )
 from .errors import (
     ContractError,
@@ -25,7 +21,6 @@ from .graph import (
     Graph,
     chromatic_number,
     coloring_is_valid,
-    neighbors,
     parse_graph,
     serialize_graph,
     two_core,

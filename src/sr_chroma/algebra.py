@@ -29,20 +29,14 @@ class Monomial:
 
     def __mul__(self, other: "Monomial") -> "Monomial":
         if len(self.exps) != len(other.exps):
-            raise ValueError("monomials over different generator lists")
+            raise ContractError("monomials over different generator lists")
         return Monomial(tuple(map(add, self.exps, other.exps)))
 
     def support(self) -> tuple[int, ...]:
         return tuple(compress(range(len(self.exps)), self.exps))
 
-    def divides(self, other: "Monomial") -> bool:
-        return all(a <= b for a, b in zip(self.exps, other.exps, strict=True))
-
     def is_unit(self) -> bool:
         return all(e == 0 for e in self.exps)
-
-    def exponent(self, i: int) -> int:
-        return self.exps[i]
 
 
 class _AmbientBase:
@@ -226,11 +220,6 @@ class JoinComplex(_AmbientBase):
     def y_index(self, vertex: str) -> int:
         return self._index_of(y_label(vertex))
 
-    def vertex_of_index(self, index: int) -> str:
-        if not self.is_graph_generator(index):
-            raise ContractError("not a graph generator index")
-        return self.graph.vertices[index - self._graph_start]
-
     def first_block_labels(self) -> tuple[str, ...]:
         if not self.blocks:
             return ()
@@ -368,12 +357,6 @@ class AlgebraElement:
             raise ContractError("element is not homogeneous")
         return degs.pop()
 
-    def coefficient(self, m: Monomial) -> int:
-        for mono, c in self.terms:
-            if mono == m:
-                return c
-        return 0
-
     def __str__(self) -> str:
         if not self.terms:
             return "0"
@@ -386,39 +369,14 @@ class AlgebraElement:
         return " + ".join(parts)
 
 
-def multiply(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-    return a * b
-
-
-def reduce_monomial(k, m: Monomial) -> Monomial | None:
-    return k.reduce_monomial(m)
-
-
-def maximal_faces(k: JoinComplex) -> list[frozenset[str]]:
-    return k.maximal_faces()
-
-
-def ideal_membership(a: AlgebraElement, gens: Sequence[Monomial]) -> bool:
-    """Sound and complete for monomial ideals: every term divisible by a generator."""
-    for m, _ in a.terms:
-        if not any(g.divides(m) for g in gens):
-            return False
-    return True
-
-
-def graph_ideal_generators(k: JoinComplex, vertex: str) -> list[Monomial]:
-    """Generators of (y_v) + (y_j y_k : j < k) inside the complex's ring: y_v
-    and the product of each edge's two graph generators (the only face-supported
-    y_j y_k)."""
-    gens = [k.generator_monomial(y_label(vertex))]
-    for i, j in sorted(k.graph_edge_indices):
-        gens.append(k.monomial({k.gen_labels[i]: 1, k.gen_labels[j]: 1}))
-    return gens
-
-
 def monomial_in_graph_ideal(k, m: Monomial, index: int) -> bool:
-    """Membership of a single monomial in (y_i) + (y_j y_k : j < k), for the
-    graph generator y_i at `index`."""
+    """Membership of a face-supported monomial m in (y_i) + (y_j y_k : j < k),
+    for the graph generator y_i at `index`: y_i divides m, or m holds two graph
+    generators, which on a face are the ends of an edge. This is the one
+    statement of the ideal: the search's basis cut, the ideal-preservation
+    check and the g-function read all call it. Its reference, the generator
+    list y_i plus one product per edge tested by division, is in
+    `tests/helpers.py`."""
     if m.exps[index]:
         return True
     ys = m.exps[k._graph_start :]

@@ -147,10 +147,6 @@ def serialize_graph(g: Graph) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def neighbors(g: Graph, v: str) -> frozenset[str]:
-    return g.neighbors(v)
-
-
 def two_core(g: Graph) -> Graph:
     """Maximal subgraph of minimum degree >= 2 (iterated shedding of low-degree vertices)."""
     current = g

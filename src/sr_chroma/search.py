@@ -4,13 +4,17 @@ On a generator of degree 2t, P^k is unknown for 1 <= k < t (forced to g^p at
 k = t, zero above). Each unknown entry is a block of variables, its
 coefficients over the graded monomial basis (generators in canonical order,
 operation index ascending, basis monomials in graded-lex order); a zero entry
-is an empty block. Every relation instance within the degree bound is
-compiled once into polynomial equations over F_p in those coefficients; the
-search is a depth-first enumeration in that fixed order with unit
-propagation, so a branch dies as soon as any equation loses its last variable
-without being satisfiable. An exhausted search is therefore a certificate
-that no table passes the checkers, relative to the relation set and degree
-bound.
+is an empty block. A graph generator's basis is cut to the ideal
+(y_i) + (y_j y_k) that its entries must preserve, by
+`algebra.monomial_in_graph_ideal`: the one statement of that ideal, which
+`steenrod.check_ideal_preservation` also tests with, and whose reference, the
+generator-list form, is in `tests/helpers.py`. Every relation instance
+within the degree bound is compiled once into polynomial equations over F_p
+in those coefficients; the search is a depth-first enumeration in that fixed
+order with unit propagation, so a branch dies as soon as any equation loses
+its last variable without being satisfiable. An exhausted search is
+therefore a certificate that no table passes the checkers, relative to the
+relation set and degree bound.
 
 Compilation has a kernel of its own (`_CompileKernel`): monomials are packed
 ints with a graph-support bitmask for the face check, and coefficients are

@@ -10,6 +10,12 @@ F_p^{s_1} holds the coefficients of x_j^(1) * y_i^(p-1), one per first-block
 generator x_j^(1). It is a `span.SpanColoring` that `cokernel_report` tests
 with the one span check, `span.span_conditions`.
 
+The ideal (y_i) + (y_j y_k) has one statement, `algebra.monomial_in_graph_ideal`:
+the ideal-preservation check and the g-function read test each term with it,
+and the search cuts its bases with it. Its reference, the generator list y_i
+plus one product per edge, lives in `tests/helpers.py`, which checks the two
+against each other.
+
 The checkers evaluate the Cartan formula with their own engine (`_PowerCache`,
 `apply_power`): monomials are packed ints with one exponent field per
 generator and a graph-support mask for the face test, coefficients are ints
@@ -21,25 +27,17 @@ of a monomial in index order, which fixes the entry an incomplete table is
 reported missing. Only violation text and `cartan_extend` turn packed
 monomials back into `Monomial`s. The action search compiles with a separate
 kernel (`search.py`) and re-verifies every table it finds through these
-checkers; the two engines share no code, so a compile bug cannot hide behind
-the same bug in the verifier.
+checkers; the two Cartan engines share no code, so a compile bug cannot hide
+behind the same bug in the verifier.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import compress, groupby
+from itertools import compress
 
-from .algebra import (
-    AlgebraElement,
-    JoinComplex,
-    Monomial,
-    graph_ideal_generators,
-    ideal_membership,
-    monomial_in_graph_ideal,
-    y_label,
-)
+from .algebra import AlgebraElement, JoinComplex, Monomial, monomial_in_graph_ideal, y_label
 from .errors import ContractError, IncompleteTableError
 from .families import SPAN_CONDITION_KINDS, FamilySpec
 from .graph import Graph
@@ -486,26 +484,24 @@ def check_relations(
 
 
 def check_ideal_preservation(table: SteenrodTable) -> CheckReport:
-    """Every stored P^a(y_i) must lie in (y_i) + (y_j y_k : j < k); an unstored
+    """Every stored P^a(y_i) must lie in (y_i) + (y_j y_k : j < k), tested term
+    by term with `monomial_in_graph_ideal`, in stored-key order; an unstored
     top entry is y_i^p, which does."""
     ambient = table.ambient
     violations: list[Violation] = []
-    # stored keys run generator by generator, k ascending
-    for label, keys in groupby(table.stored_keys(), key=lambda key: key[0]):
+    for label, k in table.stored_keys():
         i = ambient.label_index[label]
         if not ambient.is_graph_generator(i):
             continue
-        gens = graph_ideal_generators(ambient, ambient.vertex_of_index(i))
-        for _, k in keys:
-            elem = table.entries[(label, k)]
-            if not ideal_membership(elem, gens):
-                violations.append(
-                    Violation(
-                        "ideal preservation",
-                        f"P^{k}({label})",
-                        f"{elem} is outside ({label}) + (y_j*y_k)",
-                    )
+        elem = table.entries[(label, k)]
+        if not all(monomial_in_graph_ideal(ambient, m, i) for m, _ in elem.terms):
+            violations.append(
+                Violation(
+                    "ideal preservation",
+                    f"P^{k}({label})",
+                    f"{elem} is outside ({label}) + (y_j*y_k)",
                 )
+            )
     return CheckReport("ideal preservation", {}, violations)
 
 

@@ -331,6 +331,43 @@ def reference_decompose_s(s: tuple[int, ...], c: int):
     return None
 
 
+# -- graph-ideal reference -----------------------------------------------------
+#
+# The reference for `algebra.monomial_in_graph_ideal`: the ideal
+# (y_v) + (y_j y_k : j < k) as a list of monomial generators, y_v and one
+# product per edge (the only face-supported y_j y_k), and membership of an
+# element as divisibility of every term by some generator.
+
+def reference_graph_ideal_generators(k, vertex: str) -> list:
+    gens = [k.generator_monomial(f"y_{vertex}")]
+    for i, j in sorted(k.graph_edge_indices):
+        gens.append(k.monomial({k.gen_labels[i]: 1, k.gen_labels[j]: 1}))
+    return gens
+
+
+def reference_ideal_membership(a, gens) -> bool:
+    """Sound and complete for monomial ideals: every term divisible by a generator."""
+    return all(
+        any(all(e <= f for e, f in zip(g.exps, m.exps, strict=True)) for g in gens)
+        for m, _ in a.terms
+    )
+
+
+def reference_check_ideal_preservation(table) -> CheckReport:
+    """`steenrod.check_ideal_preservation` on the generator-list form."""
+    ambient = table.ambient
+    violations = []
+    for pos, i in enumerate(ambient.graph_generator_indices()):
+        label = ambient.gen_labels[i]
+        gens = reference_graph_ideal_generators(ambient, ambient.graph.vertices[pos])
+        for k in sorted(kk for lbl, kk in table.entries if lbl == label):
+            elem = table.entries[(label, k)]
+            if not reference_ideal_membership(elem, gens):
+                detail = f"{elem} is outside ({label}) + (y_j*y_k)"
+                violations.append(Violation("ideal preservation", f"P^{k}({label})", detail))
+    return CheckReport("ideal preservation", {}, violations)
+
+
 # -- dense Cartan reference ----------------------------------------------------
 #
 # The reference for the verifier's packed engine: `Monomial` exponent tuples,

@@ -25,7 +25,6 @@ from sr_chroma.graph import (
     chromatic_number,
     coloring_is_valid,
     max_clique,
-    neighbors,
     parse_graph,
     serialize_graph,
     two_core,
@@ -72,12 +71,12 @@ def test_serialize_round_trip():
 
 def test_neighbors():
     k3 = complete_graph(3)
-    assert neighbors(k3, "1") == frozenset({"2", "3"})
-    assert neighbors(empty_graph(1), "1") == frozenset()
+    assert k3.neighbors("1") == frozenset({"2", "3"})
+    assert empty_graph(1).neighbors("1") == frozenset()
     p3 = path_graph(3)
-    assert neighbors(p3, "2") == frozenset({"1", "3"})
+    assert p3.neighbors("2") == frozenset({"1", "3"})
     with pytest.raises(ContractError):
-        neighbors(k3, "nope")
+        k3.neighbors("nope")
 
 
 def test_loop_rejected_at_build():

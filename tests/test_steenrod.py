@@ -10,10 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    all_graphs,
     complete_graph,
     cycle_graph,
     path_graph,
     reference_cartan_extend,
+    reference_check_ideal_preservation,
     reference_check_relations,
 )
 from sr_chroma.algebra import AlgebraElement, FreePolynomialAlgebra
@@ -153,6 +155,40 @@ def test_check_ideal_preservation_examples():
 def test_check_ideal_preservation_vacuous_on_free():
     amb = free(("x", 4))
     assert check_ideal_preservation(SteenrodTable(3, amb, {})).ok
+
+
+_IDEAL_SPECS = [
+    (FamilySpec("B", (1,)), 3),
+    (FamilySpec("B", (2,)), 3),
+    (FamilySpec("A", (1, 1)), 3),
+    (FamilySpec("A", (1,)), 5),
+]
+_IDEAL_GRAPHS = [g for n in range(5) for g in all_graphs(n)]
+
+
+@st.composite
+def _ideal_tables(draw):
+    """Random stored entries, top included, drawn from the whole face-supported
+    basis of each entry's degree, so terms fall inside and outside the ideal."""
+    spec, p = draw(st.sampled_from(_IDEAL_SPECS))
+    k = build_complex(spec, draw(st.sampled_from(_IDEAL_GRAPHS)))
+    entries = {}
+    for label, deg in zip(k.gen_labels, k.gen_degrees):
+        for kk in range(1, deg // 2 + 1):
+            basis = k.monomial_basis(deg + 2 * kk * (p - 1))
+            if not draw(st.booleans()):
+                continue
+            chosen = draw(st.lists(st.sampled_from(basis), max_size=3)) if basis else []
+            terms = {m: draw(st.integers(1, p - 1)) for m in chosen}
+            entries[(label, kk)] = AlgebraElement.make(k, p, terms)
+    return SteenrodTable(p, k, entries)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_ideal_tables())
+def test_check_ideal_preservation_matches_reference(table):
+    want = reference_check_ideal_preservation(table).to_text()
+    assert check_ideal_preservation(table).to_text() == want
 
 
 def _b2_k3():
