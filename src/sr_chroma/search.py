@@ -79,15 +79,52 @@ generator, let s_a multiply each generator j by (-1)^(a_j).
 So when a frame reaches the value (p+1)/2 and such an a exists, its
 remaining values are -c for values c whose subtrees were already exhausted
 without a solution, and the frame is dropped; those values are not counted
-as nodes. The pruned DFS is the unpruned DFS with only solution-free
+as nodes.
+
+Twin swaps prune it further, as dynamic symmetry breaking (SBDS: Gent &
+Smith, ECAI 2000) restricted to transpositions. Two generators are twins
+when they have the same degree and are either both outside the graph (block
+or free generators) or both graph vertices with N(i) - {j} = N(j) - {i}
+(`_twin_swaps`).
+- The swap s of twins i, j is a face-preserving graded automorphism of the
+  Stanley-Reisner ring. It keeps degrees. Outside the graph it touches no
+  face condition. On the graph it is an automorphism: an edge ik, k != j,
+  goes to jk, an edge because k is in N(i) - {j} = N(j) - {i}, and ij goes
+  to itself.
+- Conjugating a table T by s gives the table s T s, and it sends variable
+  (g, k, m), the coefficient of m in P^k(g), to (sg, k, sm), with no sign.
+  Conjugation preserves unstability: s(g)^p = s(g^p), so each forced top
+  goes to a forced top, and the blocks keep their k. It preserves the
+  Cartan formula, because s is a ring map. It sends the ideal
+  (y_g) + (y_a y_b) of a graph generator g onto the one of sg, since s
+  permutes the graph generators and maps edges to edges; so the ideal-cut
+  basis of (g, k) goes onto the basis of (sg, k). It preserves each Adem
+  relation, and it permutes the instance bases within the bound, which are
+  generators and basis monomials of given degrees. So the compiled
+  constraint set goes onto itself under the variable map, and so does the
+  solution set.
+- If s fixes the current assignment A (each moved pair u, v holds equal
+  values, or is unset on both sides), it maps the solutions that extend
+  A + {x = c} onto those that extend A + {sx = c}.
+So when a frame's value c is exhausted, the frame takes the images y = sx of
+its variable under the swaps that fix its assignment (once per frame, when
+first needed), and posts the nogood y != c until it pops. Propagation treats
+a forbidden value as a conflict, and a frame skips one without counting a
+node.
+
+Nogoods and the sign mirror compose, because each removes only subtrees
+that hold no solution: a value dropped or skipped below a frame was
+exhausted, or ruled out by an earlier nogood, whose own subtree held no
+solution. The pruned DFS is the unpruned DFS with only solution-free
 subtrees removed. It gives the same status, the same relativity string and
 the same first table, and it never explores more nodes. A `_Solver` built
-without masks runs the unpruned DFS, which the tests keep as the reference.
+without masks and swaps runs the unpruned DFS, which the tests keep as the
+reference, and one built with masks alone runs the sign-pruned DFS.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from itertools import chain
 from typing import NamedTuple
@@ -178,6 +215,56 @@ def sign_masks(ambient, blocks: list[EntryBlock]) -> list[int]:
                     mask ^= 1 << i
             masks.append(mask)
     return masks
+
+
+def _twin_swaps(ambient, blocks: list[EntryBlock]) -> list[list[tuple[int, int]]]:
+    """Per transposition s of twin generators i < j, the pairs (u, v), u < v,
+    of variables it exchanges: (g, k, m) goes to (sg, k, sm). Only the blocks
+    of i and j and the monomials with unequal exponents of i and j move; a
+    swap that moves no variable is left out."""
+    n = ambient.num_generators
+    degrees = ambient.gen_degrees
+    neighbors: list[set[int]] = [set() for _ in range(n)]
+    for i, j in ambient.graph_edge_indices:
+        neighbors[i].add(j)
+        neighbors[j].add(i)
+    gens = [ambient.label_index[b.label] for b in blocks]
+    entry = {(g, b.k): at for at, (g, b) in enumerate(zip(gens, blocks))}
+    positions: list[dict[tuple[int, ...], int] | None] = [None] * len(blocks)
+
+    def variables(at: int) -> dict[tuple[int, ...], int]:
+        """Block `at`'s variables by their monomials' exponents."""
+        found = positions[at]
+        if found is None:
+            block = blocks[at]
+            found = positions[at] = {m.exps: block.offset + t for t, m in enumerate(block.basis)}
+        return found
+
+    swaps: list[list[tuple[int, int]]] = []
+    for i in range(n):
+        graph = ambient.is_graph_generator(i)
+        for j in range(i + 1, n):
+            if degrees[i] != degrees[j] or ambient.is_graph_generator(j) != graph:
+                continue
+            if graph and neighbors[i] - {j} != neighbors[j] - {i}:
+                continue
+            pairs: list[tuple[int, int]] = []
+            for at, (g, block) in enumerate(zip(gens, blocks)):
+                if g == j:
+                    continue  # its pairs are met from i's block
+                own = g != i  # the block goes to itself; each pair is met once, from e_i > e_j
+                target = variables(at if own else entry[(j, block.k)])
+                for u, m in enumerate(block.basis, block.offset):
+                    e = m.exps
+                    if own and e[i] <= e[j]:
+                        continue
+                    swapped = list(e)
+                    swapped[i], swapped[j] = e[j], e[i]
+                    v = target[tuple(swapped)]
+                    pairs.append((u, v) if u < v else (v, u))
+            if pairs:
+                swaps.append(pairs)
+    return swaps
 
 
 class _CompileKernel:
@@ -463,8 +550,8 @@ class _Solver:
     residual's terms, and is the only index of them: the number of variables
     left in residual ci is `len(live[ci])`. So an assignment costs work in
     proportion to the terms that hold the variable. With the variables' sign
-    masks the DFS prunes by sign symmetry; without them it is the unpruned
-    reference."""
+    masks the DFS prunes by sign symmetry, and with the twin swaps' variable
+    pairs by nogoods; without either it is the unpruned reference."""
 
     def __init__(
         self,
@@ -473,10 +560,14 @@ class _Solver:
         constraints: list[Constraint],
         node_cap: int,
         masks: list[int] | None = None,
+        swaps: Sequence[list[tuple[int, int]]] = (),
     ):
         self.p = p
         self.node_cap = node_cap
         self.masks = masks
+        self.swaps = swaps  # per swap, the variable pairs it exchanges
+        # bit c of forbidden[v]: a nogood rules out v = c
+        self.forbidden = [0] * nvars
         self.assign: list[int | None] = [None] * nvars
         self.residuals: list[dict[Key, int]] = [dict(c.terms) for c in constraints]
         # per residual, each live variable's occurrences in its nonzero terms,
@@ -553,6 +644,8 @@ class _Solver:
         cur = assign[var]
         if cur is not None:
             return cur == val
+        if self.forbidden[var] >> val & 1:
+            return False
         assign[var] = val
         push = self.trail.append
         push((-1, var, None))
@@ -686,30 +779,66 @@ class _Solver:
             target ^= basis
         return False
 
+    def _images(self, var: int) -> list[int]:
+        """The images of `var` under the swaps that fix the assignment and
+        move it. One pass over a swap's pairs checks both, and stops at the
+        first pair that the assignment tells apart."""
+        assign = self.assign
+        out = []
+        for pairs in self.swaps:
+            image = None
+            for u, v in pairs:
+                if assign[u] != assign[v]:
+                    break
+                if u == var:
+                    image = v
+                elif v == var:
+                    image = u
+            else:
+                if image is not None:
+                    out.append(image)
+        return out
+
     def _dfs(self) -> list[int] | None:
         """Depth-first over the values 0..p-1 of each picked variable, on an
-        explicit stack of [var, next value, trail mark] frames. Trying a value
-        first undoes the trail back to its frame's mark, which also undoes
-        every deeper frame."""
+        explicit stack of [var, next value, trail mark, nogood mark, images]
+        frames. Trying a value first undoes the trail back to its frame's
+        mark, which also undoes every deeper frame; a frame's nogoods, one
+        (variable, value bit) per forbidden value it set, are lifted when it
+        pops."""
         mirror = (self.p + 1) // 2  # values from here on are -c for a c < mirror
         prune = self.masks is not None
-        frames: list[list[int]] = []
+        swaps = bool(self.swaps)
+        forbidden = self.forbidden
+        nogoods: list[tuple[int, int]] = []
+        frames: list[list] = []
         var = self._pick_variable()
         while var is not None:
-            frames.append([var, 0, len(self.trail)])
+            frames.append([var, 0, len(self.trail), len(nogoods), None])
             while True:
                 if not frames:
                     return None
                 frame = frames[-1]
-                var, val, mark = frame
-                if val == self.p:
-                    frames.pop()
-                    continue
+                var, val, mark, posted, images = frame
                 self._undo(mark)
-                if val == mirror and prune and self._negatable(var):
+                if val == self.p or (val == mirror and prune and self._negatable(var)):
                     frames.pop()
+                    for y, bit in nogoods[posted:]:
+                        forbidden[y] ^= bit
+                    del nogoods[posted:]
                     continue
                 frame[1] = val + 1
+                if val and swaps:
+                    # the assignment is the frame's own again, and val - 1 is exhausted
+                    if images is None:
+                        images = frame[4] = self._images(var)
+                    bit = 1 << (val - 1)
+                    for y in images:
+                        if not forbidden[y] & bit:
+                            forbidden[y] |= bit
+                            nogoods.append((y, bit))
+                if forbidden[var] >> val & 1:
+                    continue
                 self.nodes += 1
                 if self.nodes > self.node_cap:
                     raise SearchSpaceExceeded(
@@ -757,7 +886,8 @@ def search_action(
     relations, bound = relations_and_bound(p, relation_set, degree_bound)
     blocks, nvars = unknown_entry_blocks(ambient, p)
     constraints = compile_constraints(ambient, p, relations, bound, blocks)
-    solver = _Solver(p, nvars, constraints, node_cap, sign_masks(ambient, blocks))
+    swaps = _twin_swaps(ambient, blocks)
+    solver = _Solver(p, nvars, constraints, node_cap, sign_masks(ambient, blocks), swaps)
     assignment = solver.solve()
     names = tuple(r.name for r in relations)
     if assignment is None:

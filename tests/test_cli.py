@@ -547,7 +547,7 @@ CLI_CORPUS = (
     "multiset --entries 4,6,8,8 --config {multiset_cfg}",
     "chromatic {k3} --config {missing}",
 )
-CLI_REPORTS_SHA256 = "530954ddb7d34a213da2fd9647d0d709f94e3988605a096e73d9471fc2e13b11"
+CLI_REPORTS_SHA256 = "cb162300b8c2c150b2b6abbd813933dec54066ebdc28766e7d9c84df2b2d61c8"
 
 
 def test_cli_reports_oracle(capsys, tmp_path):

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from helpers import all_graphs, complete_graph, cycle_graph, reference_apply_power
+from helpers import all_graphs, complete_graph, cycle_graph, path_graph, reference_apply_power
 import sr_chroma
 from sr_chroma.algebra import FreePolynomialAlgebra, Monomial, parse_free_algebra
 from sr_chroma.graph import Graph, parse_graph
@@ -29,6 +29,7 @@ from sr_chroma.search import (
     _CompileKernel,
     _Solver,
     _first_occurrences,
+    _twin_swaps,
     compile_constraints,
     search_action,
     sign_masks,
@@ -130,15 +131,15 @@ def test_node_cap_refusal_carries_estimate():
 
 def test_node_cap_deep_in_the_dfs():
     k = build_complex(FamilySpec("B", (2,)), complete_graph(3))
-    for search in (search_action, _reference_search):
+    for search, cap in ((search_action, 500), (_reference_search, 1000)):
         with pytest.raises(SearchSpaceExceeded) as exc:
-            search(k, 3, node_cap=1000)
+            search(k, 3, node_cap=cap)
         assert str(exc.value).endswith(
-            "after exploring 1001 branch nodes (full coefficient space 3^75)"
+            f"after exploring {cap + 1} branch nodes (full coefficient space 3^75)"
         )
         assert exc.value.estimate == 3**75
     out = search_action(k, 3)
-    assert (out.status, out.nodes) == ("exhausted", 1230)
+    assert (out.status, out.nodes) == ("exhausted", 662)
     out = _reference_search(k, 3)
     assert (out.status, out.nodes) == ("exhausted", 24492)
 
@@ -285,68 +286,74 @@ def test_generator_series_stops_at_the_degree_bound():
 # and the value order must leave (status, nodes, variables) and every found
 # table unchanged. The table hashes are sha256 of `table.serialize()`. `nodes`
 # counts the unpruned reference DFS, `pruned` the DFS with sign-symmetry
-# pruning that `search_action` runs; both find the same tables.
+# pruning alone, and `swapped` the DFS that `search_action` runs, with the
+# twin-swap nogoods on top; all three find the same tables.
 
 K3_PLUS_K1 = Graph.build(
     complete_graph(3).vertices + ("4",), complete_graph(3).edges
 )  # the isolated vertex last: first, B(2, .) explores 281,448 nodes
 
 ORACLE = [
-    # name, p, ambient factory, status, nodes, pruned, variables, table sha256
+    # name, p, ambient factory, status, nodes, pruned, swapped, variables, table sha256
     ("B(2,C4)", 3, lambda: build_complex(FamilySpec("B", (2,)), cycle_graph(4)),
-     "found", 41, 41, 110, "0e5bd335464076d46e236a584d77c72303dc9fac753c4f2cfb2bb26e899436b3"),
+     "found", 41, 41, 40, 110, "0e5bd335464076d46e236a584d77c72303dc9fac753c4f2cfb2bb26e899436b3"),
     ("B(3,K3)", 3, lambda: build_complex(FamilySpec("B", (3,)), complete_graph(3)),
-     "found", 36, 36, 132, "fa90e3850562aee543cd3b295c25af598d20c9ed8bbc0321aa47edcb60f3998b"),
+     "found", 36, 36, 36, 132, "fa90e3850562aee543cd3b295c25af598d20c9ed8bbc0321aa47edcb60f3998b"),
     ("B(3,C5)", 3, lambda: build_complex(FamilySpec("B", (3,)), cycle_graph(5)),
-     "found", 64, 64, 248, "c677d3385526034741ca796704bcf06011aeb850ea3b3e1fbd5fb7f28be1637e"),
+     "found", 64, 64, 64, 248, "c677d3385526034741ca796704bcf06011aeb850ea3b3e1fbd5fb7f28be1637e"),
     ("B(3,C6)", 3, lambda: build_complex(FamilySpec("B", (3,)), cycle_graph(6)),
-     "found", 78, 78, 318, "7c252e4338770a71cec93d2ec708b4c84238c9106fea3bc7adc7ec1795ff1e0f"),
+     "found", 78, 78, 78, 318, "7c252e4338770a71cec93d2ec708b4c84238c9106fea3bc7adc7ec1795ff1e0f"),
     ("B(4,C4)", 3, lambda: build_complex(FamilySpec("B", (4,)), cycle_graph(4)),
-     "found", 273, 156, 292, "1792cb7099039dcd6a5f8747655643a21abd051c376459e384ee4cbea673a04c"),
+     "found", 273, 156, 156, 292, "1792cb7099039dcd6a5f8747655643a21abd051c376459e384ee4cbea673a04c"),
     ("A_3(3,3),C4", 3, lambda: build_complex(FamilySpec("Ap", (3, 3), 3), cycle_graph(4)),
-     "found", 65, 65, 327, "32de395d4fd4914d697caecb80689771bf50d6a35b157dbc0e18e555d388d19a"),
+     "found", 65, 65, 65, 327, "32de395d4fd4914d697caecb80689771bf50d6a35b157dbc0e18e555d388d19a"),
     ("B_5(2,1),K2", 5, lambda: build_complex(FamilySpec("Bp", (2, 1), 5), complete_graph(2)),
-     "found", 35, 35, 561, "7348d659dcac0edc09cc32fd25370810577b511064c7d8e158d46ceb2be0b6a9"),
+     "found", 35, 35, 35, 561, "7348d659dcac0edc09cc32fd25370810577b511064c7d8e158d46ceb2be0b6a9"),
     ("B_5(2,2),K2", 5, lambda: build_complex(FamilySpec("Bp", (2, 2), 5), complete_graph(2)),
-     "found", 68, 68, 1180, "d61ca5836d7112c9b77abdbfab4b66d2853912cb1b3dacf33cc59ad60f6db6b0"),
+     "found", 68, 68, 67, 1180, "d61ca5836d7112c9b77abdbfab4b66d2853912cb1b3dacf33cc59ad60f6db6b0"),
     ("Z/5[x1:4,x2:8,y:12]", 5, lambda: FreePolynomialAlgebra((("x1", 4), ("x2", 8), ("y", 12))),
-     "found", 10, 10, 86, "51cf49145a0e1972199fb91a7b7d7dbee2b8def760ce152ba57252e8fb233895"),
+     "found", 10, 10, 10, 86, "51cf49145a0e1972199fb91a7b7d7dbee2b8def760ce152ba57252e8fb233895"),
     ("Z/7[x:4,y:16]", 7, lambda: FreePolynomialAlgebra((("x", 4), ("y", 16))),
-     "found", 3, 3, 34, "ccf1ddde6021a6cb836d9a6bf9c107eb355ba11a88143bd76fa83020b78a0f4a"),
+     "found", 3, 3, 3, 34, "ccf1ddde6021a6cb836d9a6bf9c107eb355ba11a88143bd76fa83020b78a0f4a"),
     ("Z/3[y:8]", 3, lambda: FreePolynomialAlgebra((("y", 8),)),
-     "exhausted", 0, 0, 1, None),
+     "exhausted", 0, 0, 0, 1, None),
     ("Z/3[x:4,y1:8,y2:8]", 3, lambda: FreePolynomialAlgebra((("x", 4), ("y1", 8), ("y2", 8))),
-     "exhausted", 3, 2, 33, None),
+     "exhausted", 3, 2, 2, 33, None),
     ("Z/5[x1:8,y:12]", 5, lambda: FreePolynomialAlgebra((("x1", 8), ("y", 12))),
-     "exhausted", 0, 0, 13, None),
+     "exhausted", 0, 0, 0, 13, None),
     ("Z/5[x1:4,x2:8,y1:12,y2:12]", 5,
      lambda: FreePolynomialAlgebra((("x1", 4), ("x2", 8), ("y1", 12), ("y2", 12))),
-     "exhausted", 5, 3, 285, None),
+     "exhausted", 5, 3, 3, 285, None),
     ("Z/7[x1:4,x2:8,y1:16,y2:16]", 7,
      lambda: FreePolynomialAlgebra((("x1", 4), ("x2", 8), ("y1", 16), ("y2", 16))),
-     "exhausted", 7, 4, 914, None),
+     "exhausted", 7, 4, 4, 914, None),
     ("B(1,C4)", 3, lambda: build_complex(FamilySpec("B", (1,)), cycle_graph(4)),
-     "exhausted", 15, 7, 57, None),
+     "exhausted", 15, 7, 7, 57, None),
     ("B(1,C5)", 3, lambda: build_complex(FamilySpec("B", (1,)), cycle_graph(5)),
-     "exhausted", 15, 7, 81, None),
+     "exhausted", 15, 7, 7, 81, None),
     ("A_3(1,1),K2", 3, lambda: build_complex(FamilySpec("Ap", (1, 1), 3), complete_graph(2)),
-     "exhausted", 15, 7, 23, None),
+     "exhausted", 15, 7, 7, 23, None),
     ("B_5(1,1),K2", 5, lambda: build_complex(FamilySpec("Bp", (1, 1), 5), complete_graph(2)),
-     "exhausted", 5, 3, 161, None),
+     "exhausted", 5, 3, 3, 161, None),
     ("B(2,K3)", 3, lambda: build_complex(FamilySpec("B", (2,)), complete_graph(3)),
-     "exhausted", 24492, 1230, 75, None),
+     "exhausted", 24492, 1230, 662, 75, None),
     ("B(2,K3+K1)", 3, lambda: build_complex(FamilySpec("B", (2,)), K3_PLUS_K1),
-     "exhausted", 24732, 1260, 98, None),
+     "exhausted", 24732, 1260, 674, 98, None),
 ]
 
 
-def _reference_search(ambient, p: int, node_cap: int = DEFAULT_NODE_CAP) -> SearchOutcome:
+def _reference_search(
+    ambient, p: int, node_cap: int = DEFAULT_NODE_CAP, signs: bool = False
+) -> SearchOutcome:
     """`search_action` at the default relation set and degree bound, solved by
-    the unpruned `_Solver` (built without sign masks)."""
+    the unpruned `_Solver` (built without sign masks or swaps), or with
+    `signs` by the sign-pruned one (masks, no swaps)."""
     relations = default_relation_set(p)
     bound = default_degree_bound(p)
     blocks, nvars = unknown_entry_blocks(ambient, p)
-    solver = _Solver(p, nvars, compile_constraints(ambient, p, relations, bound, blocks), node_cap)
+    masks = sign_masks(ambient, blocks) if signs else None
+    constraints = compile_constraints(ambient, p, relations, bound, blocks)
+    solver = _Solver(p, nvars, constraints, node_cap, masks)
     assignment = solver.solve()
     names = tuple(r.name for r in relations)
     if assignment is None:
@@ -355,32 +362,47 @@ def _reference_search(ambient, p: int, node_cap: int = DEFAULT_NODE_CAP) -> Sear
     return SearchOutcome("found", table, names, bound, nvars, solver.nodes)
 
 
+def _sign_search(ambient, p: int, node_cap: int = DEFAULT_NODE_CAP) -> SearchOutcome:
+    return _reference_search(ambient, p, node_cap, signs=True)
+
+
 def _digest(table) -> str:
     return hashlib.sha256(table.serialize().encode()).hexdigest()
 
 
-@pytest.mark.parametrize(
-    "p, make, status, nodes, pruned, variables, digest",
-    [row[1:] for row in ORACLE],
-    ids=[row[0] for row in ORACLE],
-)
-def test_search_counters_match_oracle(p, make, status, nodes, pruned, variables, digest):
+ORACLE_ARGS = "p, make, status, nodes, pruned, swapped, variables, digest"
+
+
+@pytest.mark.parametrize(ORACLE_ARGS, [row[1:] for row in ORACLE], ids=[row[0] for row in ORACLE])
+def test_search_counters_match_oracle(p, make, status, nodes, pruned, swapped, variables, digest):
     out = search_action(make(), p)
+    assert (out.status, out.nodes, out.variables) == (status, swapped, variables)
+    if digest is not None:
+        assert _digest(out.table) == digest
+
+
+@pytest.mark.parametrize(ORACLE_ARGS, [row[1:] for row in ORACLE], ids=[row[0] for row in ORACLE])
+def test_sign_pruned_search_matches_oracle(p, make, status, nodes, pruned, swapped, variables, digest):
+    out = _sign_search(make(), p)
     assert (out.status, out.nodes, out.variables) == (status, pruned, variables)
     if digest is not None:
         assert _digest(out.table) == digest
 
 
-@pytest.mark.parametrize(
-    "p, make, status, nodes, pruned, variables, digest",
-    [row[1:] for row in ORACLE],
-    ids=[row[0] for row in ORACLE],
-)
-def test_reference_search_matches_oracle(p, make, status, nodes, pruned, variables, digest):
+@pytest.mark.parametrize(ORACLE_ARGS, [row[1:] for row in ORACLE], ids=[row[0] for row in ORACLE])
+def test_reference_search_matches_oracle(p, make, status, nodes, pruned, swapped, variables, digest):
     out = _reference_search(make(), p)
     assert (out.status, out.nodes, out.variables) == (status, nodes, variables)
     if digest is not None:
         assert _digest(out.table) == digest
+
+
+def test_twin_swaps_refute_a3_21_on_k3():
+    """A_3(2,1) over K3, about 23k nodes on the sign-pruned DFS, exhausts in
+    8,730 with the twin swaps of K3 and of the degree-4 block."""
+    k = build_complex(FamilySpec("Ap", (2, 1), 3), complete_graph(3))
+    out = search_action(k, 3)
+    assert (out.status, out.nodes, out.variables) == ("exhausted", 8730, 86)
 
 
 # -- the premise of sign-symmetry pruning, and its equivalence ---------------
@@ -430,6 +452,139 @@ def test_sign_masks_flip_the_entry_generator():
             assert masks[block.offset + t] == sum(1 << i for i in odd)
 
 
+# -- the premise of twin-swap pruning -----------------------------------------
+#
+# A transposition of twin generators is a ring automorphism, so its variable
+# map, (g, k, m) to (sg, k, sm), sends each entry's ideal-cut basis onto the
+# basis of the swapped entry and the compiled constraint set onto itself. The
+# map is built here from the generator pair, apart from `_twin_swaps`, whose
+# pairs must be exactly the ones it moves; the twins are read off the graph.
+
+
+def _twins(ambient) -> list[tuple[int, int]]:
+    """Generator pairs of one degree, both off the graph, or both vertices with
+    the same neighbours apart from each other."""
+    graph = getattr(ambient, "graph", None)
+    vertex = {ambient.y_index(v): v for v in graph.vertices} if graph else {}
+    out = []
+    for i, j in itertools.combinations(range(ambient.num_generators), 2):
+        if ambient.gen_degrees[i] != ambient.gen_degrees[j] or (i in vertex) != (j in vertex):
+            continue
+        if i in vertex:
+            u, v = vertex[i], vertex[j]
+            if graph.neighbors(u) - {v} != graph.neighbors(v) - {u}:
+                continue
+        out.append((i, j))
+    return out
+
+
+def _swap_map(ambient, blocks, i: int, j: int) -> dict[int, int] | None:
+    """Each variable's image under the swap of generators i and j, or None
+    when some entry's basis does not go onto the basis of the swapped entry."""
+    def swap(exps):
+        out = list(exps)
+        out[i], out[j] = exps[j], exps[i]
+        return tuple(out)
+
+    sigma = {i: j, j: i}
+    entries = {(ambient.label_index[b.label], b.k): b for b in blocks}
+    image = {}
+    for (g, k), block in entries.items():
+        target = entries[(sigma.get(g, g), k)]
+        where = {m.exps: target.offset + t for t, m in enumerate(target.basis)}
+        if sorted(swap(m.exps) for m in block.basis) != sorted(where):
+            return None
+        for t, m in enumerate(block.basis):
+            image[block.offset + t] = where[swap(m.exps)]
+    return image
+
+
+def _constraint_set(constraints, image: dict[int, int] | None = None) -> set[frozenset]:
+    """The constraints as a set of term sets, each variable renamed by `image`."""
+    out = set()
+    for poly in constraints:
+        terms = poly.terms.items()
+        if image is not None:
+            terms = ((tuple(sorted(image[v] for v in key)), c) for key, c in terms)
+        out.add(frozenset(terms))
+    return out
+
+
+def _is_symmetry(compiled, image: dict[int, int] | None) -> bool:
+    """Whether a variable map from `_swap_map` exists (every entry's basis
+    goes onto the swapped entry's) and sends each compiled constraint list
+    onto itself."""
+    return image is not None and all(
+        _constraint_set(constraints, image) == _constraint_set(constraints) for constraints in compiled
+    )
+
+
+def _check_twin_swaps(ambient, p: int, relation_sets) -> None:
+    blocks, _ = unknown_entry_blocks(ambient, p)
+    bound = default_degree_bound(p)
+    compiled = [compile_constraints(ambient, p, rels, bound, blocks) for rels in relation_sets]
+    want = []
+    for i, j in _twins(ambient):
+        image = _swap_map(ambient, blocks, i, j)
+        assert _is_symmetry(compiled, image), (i, j)
+        moved = sorted((u, v) for u, v in image.items() if u < v)
+        if moved:
+            want.append(moved)
+    assert [sorted(pairs) for pairs in _twin_swaps(ambient, blocks)] == want
+
+
+@pytest.mark.parametrize(
+    "p, make, variables", [row[1:3] + row[7:8] for row in ORACLE], ids=[row[0] for row in ORACLE]
+)
+def test_twin_swaps_preserve_bases_and_constraints(p, make, variables):
+    """The full Adem set too at p = 3 up to 150 variables; above that its
+    compile holds up to 10^6 terms, renamed once per swap."""
+    ambient = make()
+    relation_sets = [default_relation_set(p)]
+    if p == 3 and variables <= 150:
+        relation_sets.append(full_adem_relation_set(ambient, p, default_degree_bound(p)))
+    _check_twin_swaps(ambient, p, relation_sets)
+
+
+def test_a_swap_of_non_twins_fails_the_check():
+    """On the path 1-2-3 the ends are twins and the middle is not. Swapping
+    an end with the middle sends the edge monomial y_2*y_3 of an entry's
+    basis to y_1*y_3, which is no face."""
+    k = build_complex(FamilySpec("B", (2,)), path_graph(3))
+    y1, y2, y3 = (k.y_index(v) for v in "123")
+    assert _twins(k) == [(0, 1), (y1, y3)]
+    blocks, _ = unknown_entry_blocks(k, 3)
+    compiled = [_compile(k, 3)]
+    assert _is_symmetry(compiled, _swap_map(k, blocks, y1, y3))
+    assert not _is_symmetry(compiled, _swap_map(k, blocks, y1, y2))
+    _check_twin_swaps(k, 3, [default_relation_set(3)])
+
+
+@st.composite
+def _twin_graphs(draw):
+    """K_n, K_n plus isolated vertices, or K_{m,n}: graphs rich in twins."""
+    kind = draw(st.sampled_from(["complete", "isolated", "bipartite"]))
+    if kind == "complete":
+        return complete_graph(draw(st.integers(1, 4)))
+    if kind == "isolated":
+        clique = complete_graph(draw(st.integers(1, 3)))
+        extra = [f"i{t}" for t in range(draw(st.integers(1, 2)))]
+        return Graph.build(clique.vertices + tuple(extra), clique.edges)
+    m, n = draw(st.integers(1, 2)), draw(st.integers(1, 3))
+    left, right = [f"a{t}" for t in range(m)], [f"b{t}" for t in range(n)]
+    return Graph.build(left + right, [(a, b) for a in left for b in right])
+
+
+_twin_free_algebras = st.sampled_from([3, 5]).flatmap(
+    lambda p: st.lists(st.sampled_from([4, 8, 2 * p + 2]), min_size=2, max_size=3).map(
+        lambda degrees: (
+            FreePolynomialAlgebra(tuple((f"x{i}", d) for i, d in enumerate(degrees))),
+            p,
+        )
+    )
+)
+
+
 DIFFERENTIAL_CAP = 3000
 
 _family_specs = st.one_of(
@@ -448,7 +603,7 @@ def _small_graphs(draw):
     return Graph.build(labels, [e for e, k in zip(pairs, keep) if k])
 
 
-_join_complexes = st.tuples(_family_specs, _small_graphs()).map(
+_join_complexes = st.tuples(_family_specs, st.one_of(_small_graphs(), _twin_graphs())).map(
     lambda sg: (build_complex(*sg), sg[0].p or 3)
 )
 _free_algebras = st.sampled_from([3, 5]).flatmap(
@@ -469,22 +624,35 @@ def _capped(search, ambient, p):
 
 
 @settings(max_examples=60, deadline=None, derandomize=True)
-@given(st.one_of(_join_complexes, _free_algebras))
+@given(st.one_of(_join_complexes, _free_algebras, _twin_free_algebras))
 def test_pruned_search_agrees_with_reference(instance):
-    """Same status, relativity and table, in no more nodes; a reference run past
-    the budget leaves only the node bound to check."""
+    """Swap-pruned, sign-pruned and unpruned: the same status, relativity and
+    table, in nodes that never rise down that list. A run past the budget
+    leaves the runs before it only the node bound, so the runs within it are
+    a leading part of the list."""
     ambient, p = instance
-    pruned = _capped(search_action, ambient, p)
-    reference = _capped(_reference_search, ambient, p)
-    if reference is None:
-        assert pruned is None or pruned.nodes <= DIFFERENTIAL_CAP
-        return
-    assert pruned is not None and pruned.nodes <= reference.nodes
-    assert (pruned.status, pruned.variables) == (reference.status, reference.variables)
-    if pruned.found:
-        assert pruned.table.serialize() == reference.table.serialize()
-    else:
-        assert pruned.relativity() == reference.relativity()
+    outcomes = [_capped(s, ambient, p) for s in (search_action, _sign_search, _reference_search)]
+    done = [out for out in outcomes if out is not None]
+    assert None not in outcomes[: len(done)]
+    assert [out.nodes for out in done] == sorted(out.nodes for out in done)
+    for out in done[1:]:
+        assert (out.status, out.variables) == (done[0].status, done[0].variables)
+        if out.found:
+            assert out.table.serialize() == done[0].table.serialize()
+        else:
+            assert out.relativity() == done[0].relativity()
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(
+    st.one_of(
+        st.tuples(_family_specs, _twin_graphs()).map(lambda sg: (build_complex(*sg), sg[0].p or 3)),
+        _twin_free_algebras,
+    )
+)
+def test_twin_swaps_preserve_bases_and_constraints_on_twin_rich_rings(instance):
+    ambient, p = instance
+    _check_twin_swaps(ambient, p, [default_relation_set(p)])
 
 
 # -- oracle: the compiled constraint list, in content and order --------------
@@ -768,8 +936,9 @@ def test_solver_leaves_compiled_constraints_alone(name):
     blocks, nvars = unknown_entry_blocks(ambient, p)
     constraints = _compile(ambient, p)
     snapshot = [dict(poly.terms) for poly in constraints]
-    for masks in (None, sign_masks(ambient, blocks)):
-        assert _Solver(p, nvars, constraints, DEFAULT_NODE_CAP, masks).solve() is not None
+    masks = sign_masks(ambient, blocks)
+    for pruning in ((), (masks,), (masks, _twin_swaps(ambient, blocks))):
+        assert _Solver(p, nvars, constraints, DEFAULT_NODE_CAP, *pruning).solve() is not None
         assert [dict(poly.terms) for poly in constraints] == snapshot
 
 
