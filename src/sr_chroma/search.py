@@ -40,7 +40,8 @@ builds its coefficients in that format, reduced and without zero terms;
 compile drops repeats (dicts that compare equal, found through the hash of
 their items, with no sorted copy kept) and hands each dict on uncopied as a
 `Constraint`'s `terms`, and the solver copies those dicts as its initial
-residuals.
+residuals. The compiled constraints live only until then: `search_action`
+lets them go before the DFS, so the DFS runs next to one copy of each term.
 
 The solver keeps its own copy of each constraint as its residual, and one
 index into it: the occurrences of each variable still live in it, whose
@@ -291,6 +292,10 @@ class _CompileKernel:
     each filled as a full fold would fill it. The verifier in `steenrod`
     keeps the fold at every degree, so a table's check does not rerun the
     derivation that compiled it. Nothing is kept past one compile.
+
+    The P^1 images share their one-key coefficients, one dict per (key,
+    coefficient) in `shared`, held by the kernel and freed with it; so P^1
+    images are read-only (`_p1`).
     """
 
     def __init__(self, ambient, p: int, degree_bound: int, blocks: list[EntryBlock]):
@@ -307,6 +312,7 @@ class _CompileKernel:
         self.ymask: dict[int, int] = {0: 0}
         self.gen_cache: dict[int, list[dict[int, Key]]] = {}
         self.p1_cache: dict[int, dict] = {}
+        self.shared: dict[tuple[Key, int], dict[Key, int]] = {}  # (key, coefficient) -> {key: coefficient}
         self.series_cache: dict[int, list[dict]] = {0: [{0: {(): 1}}, {}]}
 
     def pack(self, mono: Monomial) -> int:
@@ -357,7 +363,13 @@ class _CompileKernel:
         the fold places them, so the monomials come out in the fold's order.
         No key repeats on a monomial: the entry of each generator holds its
         own variables, and two forced tops x_i^p, x_j^p cannot meet on one
-        monomial. So no coefficient is summed, and none cancels."""
+        monomial. So no coefficient is summed, and none cancels.
+
+        A coefficient of one key is stored as the kernel's shared dict for
+        its (key, coefficient), one for the whole compile; one of several
+        keys stays as built. This holds because the image is read-only: no
+        reader of it, `power` through `_add_product` or `_extend` through the
+        prefix series, writes to a coefficient it reads."""
         out = self.p1_cache.get(mono)
         if out is not None:
             return out
@@ -390,7 +402,14 @@ class _CompileKernel:
                     ymask[m] = y
                 if c:
                     coeff[key] = c
-        out = self.p1_cache[mono] = {m: c for m, c in acc.items() if c}
+        shared = self.shared
+        out = self.p1_cache[mono] = {}
+        for m, coeff in acc.items():
+            if len(coeff) == 1:
+                (item,) = coeff.items()
+                coeff = shared.setdefault(item, coeff)
+            if coeff:
+                out[m] = coeff
         return out
 
     def _series(self, mono: int, kmax: int) -> list[dict]:
@@ -888,6 +907,7 @@ def search_action(
     constraints = compile_constraints(ambient, p, relations, bound, blocks)
     swaps = _twin_swaps(ambient, blocks)
     solver = _Solver(p, nvars, constraints, node_cap, sign_masks(ambient, blocks), swaps)
+    del constraints  # the solver has copied them; the DFS runs next to one copy
     assignment = solver.solve()
     names = tuple(r.name for r in relations)
     if assignment is None:

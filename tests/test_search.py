@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import itertools
 import math
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 
 from helpers import all_graphs, complete_graph, cycle_graph, path_graph, reference_apply_power
 import sr_chroma
+import sr_chroma.search as search_module
 from sr_chroma.algebra import FreePolynomialAlgebra, Monomial, parse_free_algebra
 from sr_chroma.graph import Graph, parse_graph
 from sr_chroma.errors import ContractError, GraphParseError, SearchSpaceExceeded
@@ -741,6 +743,34 @@ def test_compile_emits_the_solver_format(name, p, make, bound):
     assert solver.residuals == [poly.terms for poly in constraints]
 
 
+@pytest.mark.parametrize(
+    "name, p, make, bound", COMPILE_INSTANCES, ids=[row[0] for row in COMPILE_INSTANCES]
+)
+def test_shared_p1_coefficients_stay_as_shared(monkeypatch, name, p, make, bound):
+    """Compile shares the one-key coefficients of its P^1 images, one dict per
+    (key, coefficient), and only reads them: after a whole compile each still
+    holds exactly the term it was shared under, and no compiled constraint is
+    one of them."""
+    kernels = []
+
+    class Recorded(_CompileKernel):
+        def __init__(self, *args):
+            super().__init__(*args)
+            kernels.append(self)
+
+    monkeypatch.setattr(search_module, "_CompileKernel", Recorded)
+    constraints = _compile(make(), p, bound)
+    (kernel,) = kernels
+    for (key, c), coeff in kernel.shared.items():
+        assert coeff == {key: c}
+    for image in kernel.p1_cache.values():
+        for coeff in image.values():
+            if len(coeff) == 1:
+                assert coeff is kernel.shared[next(iter(coeff.items()))]
+    shared = {id(coeff) for coeff in kernel.shared.values()}
+    assert not any(id(poly.terms) in shared for poly in constraints)
+
+
 def test_first_occurrences_keeps_the_first_of_equal_dicts():
     """Dicts equal whatever order their keys went in are one constraint, the
     first one, uncopied; zeros go, and the survivors keep their order."""
@@ -940,6 +970,31 @@ def test_solver_leaves_compiled_constraints_alone(name):
     for pruning in ((), (masks,), (masks, _twin_swaps(ambient, blocks))):
         assert _Solver(p, nvars, constraints, DEFAULT_NODE_CAP, *pruning).solve() is not None
         assert [dict(poly.terms) for poly in constraints] == snapshot
+
+
+@pytest.mark.parametrize("name", ["B_5(2,1),K2", "B(2,K3)"])
+def test_no_compiled_constraint_outlives_the_solver_copy(monkeypatch, name):
+    """`search_action` lets the compiled constraints go once the solver has
+    copied them: inside the DFS, a found and an exhausted search alike, no
+    more `Constraint` objects are alive than before the search began."""
+    _, p, make = next(row[:3] for row in ORACLE if row[0] == name)
+    ambient = make()
+
+    def live_constraints() -> int:
+        gc.collect()
+        return sum(type(obj) is Constraint for obj in gc.get_objects())
+
+    inside = []
+    dfs = _Solver._dfs
+
+    def counted(self):
+        inside.append(live_constraints())
+        return dfs(self)
+
+    monkeypatch.setattr(_Solver, "_dfs", counted)
+    before = live_constraints()
+    search_action(ambient, p)
+    assert inside == [before]
 
 
 # -- compile against the independent verifier --------------------------------
