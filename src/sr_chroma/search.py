@@ -85,8 +85,9 @@ as nodes.
 Twin swaps prune it further, as dynamic symmetry breaking (SBDS: Gent &
 Smith, ECAI 2000) restricted to transpositions. Two generators are twins
 when they have the same degree and are either both outside the graph (block
-or free generators) or both graph vertices with N(i) - {j} = N(j) - {i}
-(`_twin_swaps`).
+or free generators) or both graph vertices with N(i) - {j} = N(j) - {i}.
+`_twin_swaps` holds each swap as the variables it moves, mapped to their
+images.
 - The swap s of twins i, j is a face-preserving graded automorphism of the
   Stanley-Reisner ring. It keeps degrees. Outside the graph it touches no
   face condition. On the graph it is an automorphism: an edge ik, k != j,
@@ -104,8 +105,8 @@ or free generators) or both graph vertices with N(i) - {j} = N(j) - {i}
   generators and basis monomials of given degrees. So the compiled
   constraint set goes onto itself under the variable map, and so does the
   solution set.
-- If s fixes the current assignment A (each moved pair u, v holds equal
-  values, or is unset on both sides), it maps the solutions that extend
+- If s fixes the current assignment A (each variable it moves holds the
+  value of its image, or both are unset), it maps the solutions that extend
   A + {x = c} onto those that extend A + {sx = c}.
 So when a frame's value c is exhausted, the frame takes the images y = sx of
 its variable under the swaps that fix its assignment (once per frame, when
@@ -218,30 +219,22 @@ def sign_masks(ambient, blocks: list[EntryBlock]) -> list[int]:
     return masks
 
 
-def _twin_swaps(ambient, blocks: list[EntryBlock]) -> list[list[tuple[int, int]]]:
-    """Per transposition s of twin generators i < j, the pairs (u, v), u < v,
-    of variables it exchanges: (g, k, m) goes to (sg, k, sm). Only the blocks
-    of i and j and the monomials with unequal exponents of i and j move; a
-    swap that moves no variable is left out."""
+def _twin_swaps(ambient, blocks: list[EntryBlock]) -> list[dict[int, int]]:
+    """Per transposition s of twin generators i < j, the variables it moves,
+    each mapped to its image: (g, k, m) goes to (sg, k, sm). A swap that
+    moves no variable is left out."""
     n = ambient.num_generators
     degrees = ambient.gen_degrees
     neighbors: list[set[int]] = [set() for _ in range(n)]
     for i, j in ambient.graph_edge_indices:
         neighbors[i].add(j)
         neighbors[j].add(i)
-    gens = [ambient.label_index[b.label] for b in blocks]
-    entry = {(g, b.k): at for at, (g, b) in enumerate(zip(gens, blocks))}
-    positions: list[dict[tuple[int, ...], int] | None] = [None] * len(blocks)
-
-    def variables(at: int) -> dict[tuple[int, ...], int]:
-        """Block `at`'s variables by their monomials' exponents."""
-        found = positions[at]
-        if found is None:
-            block = blocks[at]
-            found = positions[at] = {m.exps: block.offset + t for t, m in enumerate(block.basis)}
-        return found
-
-    swaps: list[list[tuple[int, int]]] = []
+    # per entry (g, k), its variables by their monomials' exponents
+    entries = {
+        (ambient.label_index[b.label], b.k): {m.exps: b.offset + t for t, m in enumerate(b.basis)}
+        for b in blocks
+    }
+    swaps: list[dict[int, int]] = []
     for i in range(n):
         graph = ambient.is_graph_generator(i)
         for j in range(i + 1, n):
@@ -249,22 +242,18 @@ def _twin_swaps(ambient, blocks: list[EntryBlock]) -> list[list[tuple[int, int]]
                 continue
             if graph and neighbors[i] - {j} != neighbors[j] - {i}:
                 continue
-            pairs: list[tuple[int, int]] = []
-            for at, (g, block) in enumerate(zip(gens, blocks)):
-                if g == j:
-                    continue  # its pairs are met from i's block
-                own = g != i  # the block goes to itself; each pair is met once, from e_i > e_j
-                target = variables(at if own else entry[(j, block.k)])
-                for u, m in enumerate(block.basis, block.offset):
-                    e = m.exps
-                    if own and e[i] <= e[j]:
-                        continue
+            sigma = {i: j, j: i}
+            perm: dict[int, int] = {}
+            for (g, k), variables in entries.items():
+                target = entries[(sigma.get(g, g), k)]
+                for e, u in variables.items():
                     swapped = list(e)
                     swapped[i], swapped[j] = e[j], e[i]
                     v = target[tuple(swapped)]
-                    pairs.append((u, v) if u < v else (v, u))
-            if pairs:
-                swaps.append(pairs)
+                    if u != v:
+                        perm[u] = v
+            if perm:
+                swaps.append(perm)
     return swaps
 
 
@@ -569,8 +558,9 @@ class _Solver:
     residual's terms, and is the only index of them: the number of variables
     left in residual ci is `len(live[ci])`. So an assignment costs work in
     proportion to the terms that hold the variable. With the variables' sign
-    masks the DFS prunes by sign symmetry, and with the twin swaps' variable
-    pairs by nogoods; without either it is the unpruned reference."""
+    masks the DFS prunes by sign symmetry, and with the variables each twin
+    swap moves, mapped to their images, by nogoods; without either it is the
+    unpruned reference."""
 
     def __init__(
         self,
@@ -579,12 +569,12 @@ class _Solver:
         constraints: list[Constraint],
         node_cap: int,
         masks: list[int] | None = None,
-        swaps: Sequence[list[tuple[int, int]]] = (),
+        swaps: Sequence[dict[int, int]] = (),
     ):
         self.p = p
         self.node_cap = node_cap
         self.masks = masks
-        self.swaps = swaps  # per swap, the variable pairs it exchanges
+        self.swaps = swaps  # per swap, the variables it moves, mapped to their images
         # bit c of forbidden[v]: a nogood rules out v = c
         self.forbidden = [0] * nvars
         self.assign: list[int | None] = [None] * nvars
@@ -799,24 +789,14 @@ class _Solver:
         return False
 
     def _images(self, var: int) -> list[int]:
-        """The images of `var` under the swaps that fix the assignment and
-        move it. One pass over a swap's pairs checks both, and stops at the
-        first pair that the assignment tells apart."""
+        """The images of `var` under the swaps that move it and fix the
+        assignment: each variable they move holds its image's value."""
         assign = self.assign
-        out = []
-        for pairs in self.swaps:
-            image = None
-            for u, v in pairs:
-                if assign[u] != assign[v]:
-                    break
-                if u == var:
-                    image = v
-                elif v == var:
-                    image = u
-            else:
-                if image is not None:
-                    out.append(image)
-        return out
+        return [
+            perm[var]
+            for perm in self.swaps
+            if var in perm and all(assign[u] == assign[v] for u, v in perm.items())
+        ]
 
     def _dfs(self) -> list[int] | None:
         """Depth-first over the values 0..p-1 of each picked variable, on an

@@ -460,7 +460,7 @@ def test_sign_masks_flip_the_entry_generator():
 # map, (g, k, m) to (sg, k, sm), sends each entry's ideal-cut basis onto the
 # basis of the swapped entry and the compiled constraint set onto itself. The
 # map is built here from the generator pair, apart from `_twin_swaps`, whose
-# pairs must be exactly the ones it moves; the twins are read off the graph.
+# maps must be exactly its moved part; the twins are read off the graph.
 
 
 def _twins(ambient) -> list[tuple[int, int]]:
@@ -529,10 +529,10 @@ def _check_twin_swaps(ambient, p: int, relation_sets) -> None:
     for i, j in _twins(ambient):
         image = _swap_map(ambient, blocks, i, j)
         assert _is_symmetry(compiled, image), (i, j)
-        moved = sorted((u, v) for u, v in image.items() if u < v)
+        moved = {u: v for u, v in image.items() if u != v}
         if moved:
             want.append(moved)
-    assert [sorted(pairs) for pairs in _twin_swaps(ambient, blocks)] == want
+    assert _twin_swaps(ambient, blocks) == want
 
 
 @pytest.mark.parametrize(
@@ -560,6 +560,51 @@ def test_a_swap_of_non_twins_fails_the_check():
     assert _is_symmetry(compiled, _swap_map(k, blocks, y1, y3))
     assert not _is_symmetry(compiled, _swap_map(k, blocks, y1, y2))
     _check_twin_swaps(k, 3, [default_relation_set(3)])
+
+
+IMAGE_INSTANCES = [
+    row for row in ORACLE if row[0] in ("B(2,K3)", "B(2,C4)", "B(4,C4)", "Z/5[x1:4,x2:8,y1:12,y2:12]")
+]
+
+
+@pytest.mark.parametrize(
+    "p, make", [row[1:3] for row in IMAGE_INSTANCES], ids=[row[0] for row in IMAGE_INSTANCES]
+)
+def test_swap_images_match_full_maps(p, make):
+    """`_Solver._images` against the full maps of `_swap_map`. Each swap map
+    is a fixed-point-free involution. On partial assignments that a swap
+    fixes (one value, or none, per orbit {u, su}) and on copies with one
+    orbit told apart, every unassigned variable gets the images of the swaps
+    whose full map fixes the assignment and moves it, in `_twins` order."""
+    ambient = make()
+    blocks, nvars = unknown_entry_blocks(ambient, p)
+    maps = [_swap_map(ambient, blocks, i, j) for i, j in _twins(ambient)]
+    solver = _Solver(p, nvars, [], DEFAULT_NODE_CAP, swaps=_twin_swaps(ambient, blocks))
+    assert solver.swaps
+    for perm in solver.swaps:
+        assert all(perm[perm[u]] == u != perm[u] for u in perm)
+    rng = Random(nvars)
+    values = [None, *range(p)]
+    for full in maps:
+        moved = sorted(u for u in full if full[u] != u)
+        for _ in range(3):
+            fixed = [rng.choice((None, rng.randrange(p))) for _ in range(nvars)]
+            for u in moved:
+                if u < full[u]:
+                    fixed[full[u]] = fixed[u]
+            cases = [fixed]
+            if moved:
+                u = rng.choice(moved)
+                told_apart = list(fixed)
+                told_apart[u] = rng.choice([c for c in values if c != fixed[full[u]]])
+                cases.append(told_apart)
+            for assign in cases:
+                solver.assign = assign
+                fixing = [m for m in maps if all(assign[u] == assign[v] for u, v in m.items())]
+                assert (full in fixing) == (assign is fixed)
+                for var in range(nvars):
+                    if assign[var] is None:
+                        assert solver._images(var) == [m[var] for m in fixing if m[var] != var], var
 
 
 @st.composite
