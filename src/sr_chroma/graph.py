@@ -196,8 +196,14 @@ def _max_clique(g: Graph) -> tuple[str, ...]:
     return tuple(best)
 
 
-def _colorable(g: Graph, k: int) -> bool:
-    """Backtracking feasibility check with saturation-first vertex selection."""
+def _saturation_coloring(g: Graph, k: int) -> list[int] | None:
+    """A k-coloring by backtracking with saturation-first vertex selection
+    (DSATUR; Brelaz, CACM 1979), as colors 1..k by vertex index, or None.
+
+    The next vertex has the most distinct neighbor colors, then the most
+    neighbors, then the earliest index; it tries its least free color first.
+    With k above the maximum degree a free color always exists, so the search
+    never backtracks: it is one greedy DSATUR pass, a bound chi <= max color."""
     n = len(g.vertices)
     adj = [sorted(g.index[u] for u in g.adjacency[v]) for v in g.vertices]
     colors = [0] * n
@@ -231,12 +237,17 @@ def _colorable(g: Graph, k: int) -> bool:
             v, c = pick(), 0
             continue
         if not frames:
-            return False
+            return None
         v, c, touched = frames.pop()
         for u in touched:
             nbr_colors[u].remove(c)
         colors[v] = 0
-    return True
+    return colors
+
+
+def _colorable(g: Graph, k: int) -> bool:
+    """Whether g has a k-coloring; the feasibility test of chi's search."""
+    return _saturation_coloring(g, k) is not None
 
 
 def _lex_least_coloring(g: Graph, k: int) -> dict[str, int]:

@@ -5,10 +5,19 @@ f(N(v)). `verify_span_coloring` and `steenrod.cokernel_report` both use it.
 
 `span_chromatic_number` solves at most once per (`Graph` instance, p) and
 keeps the answer on the graph, next to chi and the max clique (see `graph`);
-every call returns its own copy of the witness.
+every call returns its own copy of the witness. It rests on the sandwich
 
-All row reduction, the solver's and `span_membership`'s, runs on one kernel
-(`_Packing`), over packed ints:
+    max(2, omega) <= s_p-chi <= chi <= u,
+
+where omega is the clique number (a clique, an edge included, needs
+independent vectors) and u the color count of one greedy DSATUR pass (a
+proper coloring sent to basis vectors is a span coloring,
+`coloring_to_span_coloring`). So only the dimensions max(2, omega) to u - 1
+are searched; when none admits a span coloring the answer is u, with the
+greedy coloring's basis vectors as witness. chi itself is never computed.
+
+All row reduction (the solver's, `span_conditions`' and `span_membership`'s)
+runs on one kernel (`_Packing`), over packed ints:
 - An F_p^n vector is one int, coordinate i in bits [w*i, w*i + w), where w is
   the least width with 2^(w-1) >= p. A field of the sum of two reduced
   vectors holds at most 2p - 2 < 2^w, so it never carries into the next.
@@ -29,7 +38,7 @@ from functools import lru_cache
 from typing import Iterator, Sequence
 
 from .errors import ContractError
-from .graph import Coloring, Graph, max_clique
+from .graph import Coloring, Graph, _saturation_coloring, coloring_is_valid, max_clique
 
 
 def is_prime(n: int) -> bool:
@@ -165,20 +174,47 @@ def span_membership(vectors: Sequence[FpVector], target: FpVector) -> bool:
 def span_conditions(g: Graph, c: SpanColoring) -> Iterator[tuple[str, bool]]:
     """Per vertex in graph order, whether f(v) is nonzero and outside the span
     of f(N(v)), neighbors in graph order. Every vertex must have a vector;
-    the vectors are checked against the coloring's p and dim as they come."""
+    each vector is checked against the coloring's p and dim when first read,
+    then packed once (`_packing(p, dim)`).
+
+    Vectors are read as `span_membership` over each neighborhood would read
+    them: a zero f(v) is answered without reading its neighbors, and a
+    neighbor's vector fails with `span_membership`'s messages."""
     for v in g.vertices:
         if v not in c.assignment:
             raise ContractError(f"no vector assigned to vertex {v!r}")
+    p, dim, assignment, index = c.p, c.dim, c.assignment, g.index
+    packed: dict[str, int] = {}
+    kernel = None  # made after the first check passes, so a bad dim costs nothing
     for v in g.vertices:
-        vec = c.assignment[v]
-        if vec.p != c.p or vec.dim != c.dim:
-            raise ContractError(f"vector for {v!r} does not match coloring parameters")
-        nbr_vecs = [c.assignment[u] for u in sorted(g.neighbors(v), key=g.index.get)]
-        yield v, not vec.is_zero() and not span_membership(nbr_vecs, vec)
+        x = packed.get(v)
+        if x is None:
+            vec = assignment[v]
+            if vec.p != p or vec.dim != dim:
+                raise ContractError(f"vector for {v!r} does not match coloring parameters")
+            if kernel is None:
+                kernel = _packing(p, dim)
+            x = packed[v] = kernel.pack(vec.coords)
+        if not x:
+            yield v, False
+            continue
+        rows: list[_Row] = []
+        for u in sorted(g.adjacency[v], key=index.get):
+            y = packed.get(u)
+            if y is None:
+                vec = assignment[u]
+                if vec.p != p:
+                    raise ContractError(f"prime mismatch: {vec.p} vs {p}")
+                if vec.dim != dim:
+                    raise ContractError(f"dimension mismatch: {vec.dim} vs {dim}")
+                y = packed[u] = kernel.pack(vec.coords)
+            kernel.append(rows, y)
+        yield v, bool(kernel.reduce(rows, x))
 
 
 def verify_span_coloring(g: Graph, c: SpanColoring) -> bool:
-    """Whether the span condition holds at every vertex (`span_conditions`)."""
+    """Whether the span condition holds at every vertex (`span_conditions`);
+    stops at the first vertex where it fails."""
     return all(ok for _, ok in span_conditions(g, c))
 
 
@@ -203,6 +239,9 @@ def _packed_reps(p: int, r: int) -> tuple[int, ...]:
 
 def _search_dimension(g: Graph, p: int, n: int) -> dict[str, tuple[int, ...]] | None:
     """Exhaustive (up to GL(n,F_p) and scaling symmetry) search for an n-span coloring.
+
+    `span_chromatic_number` calls it only below the greedy bound u (module
+    docstring), where it may fail: dimensions max(2, omega) to u - 1 in turn.
 
     Vertices are processed in descending-degree order; per-vertex candidate
     vectors are projective representatives inside the span of the already
@@ -275,7 +314,10 @@ def span_chromatic_number(g: Graph, p: int) -> tuple[int, SpanColoring]:
     The returned dimension is certified: every dimension from max(2, clique
     number) up to n-1 is searched to exhaustion, and dimensions below that are
     excluded because a span coloring restricts to any subgraph and a clique
-    (an edge included) needs linearly independent vectors.
+    (an edge included) needs linearly independent vectors. No dimension at or
+    above u, the color count of one greedy DSATUR coloring, is searched: when
+    every dimension below u fails, n = u and the witness is that coloring's
+    basis vectors (`coloring_to_span_coloring`), since s_p-chi <= chi <= u.
 
     Solved once per (`Graph`, p); every call returns its own copy of the
     witness. A non-prime p raises on every call.
@@ -296,22 +338,27 @@ def _span_chromatic_number(g: Graph, p: int) -> tuple[int, SpanColoring]:
     if not g.edges:
         witness = {v: FpVector(p, (1,)) for v in g.vertices}
         return 1, SpanColoring(p, 1, witness)
-    n = max(2, len(max_clique(g)))
-    while True:
+    colors = _saturation_coloring(g, len(g.vertices))
+    greedy = Coloring(max(colors), dict(zip(g.vertices, colors)))
+    for n in range(max(2, len(max_clique(g))), greedy.num_colors):
         sol = _search_dimension(g, p, n)
         if sol is not None:
             witness = SpanColoring(p, n, {v: FpVector(p, sol[v]) for v in g.vertices})
-            if not verify_span_coloring(g, witness):
-                raise AssertionError("solver returned an invalid witness")
-            return n, witness
-        n += 1
+            break
+    else:
+        n, witness = greedy.num_colors, coloring_to_span_coloring(g, greedy, p)
+    if not verify_span_coloring(g, witness):
+        raise AssertionError("solver returned an invalid witness")
+    return n, witness
 
 
 def coloring_to_span_coloring(g: Graph, c: Coloring, p: int) -> SpanColoring:
-    """Send color i to the standard basis vector e_i; valid whenever c is proper."""
+    """Send color i to the standard basis vector e_i, one shared `FpVector` per
+    color: a span coloring, since f(N(v)) spans only basis vectors other than
+    f(v). Raises `ContractError` unless c is a proper coloring of g."""
+    if not coloring_is_valid(g, c):
+        raise ContractError("not a valid coloring of the graph")
     n = c.num_colors
-    assignment = {
-        v: FpVector(p, tuple(1 if i == c.assignment[v] - 1 else 0 for i in range(n)))
-        for v in g.vertices
-    }
-    return SpanColoring(p, n, assignment)
+    used = set(c.assignment.values())
+    basis = {i: FpVector(p, tuple(int(j == i) for j in range(1, n + 1))) for i in used}
+    return SpanColoring(p, n, {v: basis[c.assignment[v]] for v in g.vertices})

@@ -12,8 +12,9 @@ from random import Random
 
 from sr_chroma.algebra import AlgebraElement
 from sr_chroma.errors import ContractError
-from sr_chroma.graph import Graph
+from sr_chroma.graph import Graph, max_clique
 from sr_chroma.realize import validate_decomposition
+from sr_chroma.span import FpVector, SpanColoring, _search_dimension, span_membership
 from sr_chroma.steenrod import (
     CheckReport,
     Violation,
@@ -215,6 +216,58 @@ def oracle_span_chromatic(g: Graph, p: int) -> int:
             return n
         n += 1
     raise AssertionError("oracle found no span coloring up to |V| dimensions")
+
+
+def antiflag_graph(q: int) -> Graph:
+    """The antiflag graph of PG(2,q), q prime: a vertex per (point x, line L)
+    with x off L, and (x,L) ~ (y,M) when y is on L, x is on M and x != y.
+    q = 2 is the Fano antiflag graph (28 vertices, 84 edges, omega 3, chi 4);
+    q = 3 has 117 vertices and 702 edges."""
+    points = projective_vectors(q, 3)  # lines are the same vectors, dually
+
+    def on(x: int, line: int) -> bool:
+        return sum(a * b for a, b in zip(points[x], points[line])) % q == 0
+
+    flags = [(x, line) for x in range(len(points)) for line in range(len(points))]
+    flags = [(x, line) for x, line in flags if not on(x, line)]
+    labels = [f"x{x}L{line}" for x, line in flags]
+    edges = [
+        (labels[a], labels[b])
+        for a, b in itertools.combinations(range(len(flags)), 2)
+        if flags[a][0] != flags[b][0]
+        and on(flags[b][0], flags[a][1])
+        and on(flags[a][0], flags[b][1])
+    ]
+    return Graph.build(labels, edges)
+
+
+def reference_span_chromatic(g: Graph, p: int) -> int:
+    """s_p-chi by the plain dimension loop: `_search_dimension` from
+    max(2, omega) upward until the first dimension that succeeds, with no
+    upper bound to stop at."""
+    if not g.vertices:
+        return 0
+    if not g.edges:
+        return 1
+    n = max(2, len(max_clique(g)))
+    while _search_dimension(g, p, n) is None:
+        n += 1
+    return n
+
+
+def reference_span_conditions(g: Graph, c: SpanColoring):
+    """The span check over `FpVector` lists: per vertex, f(v) is nonzero and
+    not in `span_membership` of its neighbors' vectors, validated and packed
+    afresh at each vertex."""
+    for v in g.vertices:
+        if v not in c.assignment:
+            raise ContractError(f"no vector assigned to vertex {v!r}")
+    for v in g.vertices:
+        vec = c.assignment[v]
+        if vec.p != c.p or vec.dim != c.dim:
+            raise ContractError(f"vector for {v!r} does not match coloring parameters")
+        nbr_vecs = [c.assignment[u] for u in sorted(g.neighbors(v), key=g.index.get)]
+        yield v, not vec.is_zero() and not span_membership(nbr_vecs, vec)
 
 
 # -- face enumeration oracle -------------------------------------------------

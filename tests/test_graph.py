@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from random import Random
 
 import pytest
@@ -22,6 +23,7 @@ from sr_chroma.errors import ContractError, GraphParseError
 from sr_chroma.graph import (
     Coloring,
     Graph,
+    _saturation_coloring,
     chromatic_number,
     coloring_is_valid,
     max_clique,
@@ -128,6 +130,35 @@ def test_no_smaller_coloring_exists():
 def test_chromatic_exhaustive_four_vertices():
     for g in all_graphs(4):
         assert chromatic_number(g)[0] == oracle_chromatic(g)
+
+
+def _greedy_dsatur(g):
+    """One greedy pass, written out: the uncolored vertex with the most distinct
+    neighbor colors, then the most neighbors, then the earliest, takes its
+    least free color."""
+    colors = {}
+    while len(colors) < len(g.vertices):
+        def seen(v):
+            return {colors[u] for u in g.adjacency[v] if u in colors}
+
+        uncolored = [v for v in g.vertices if v not in colors]
+        v = max(uncolored, key=lambda v: (len(seen(v)), g.degree(v), -g.index[v]))
+        colors[v] = next(c for c in itertools.count(1) if c not in seen(v))
+    return [colors[v] for v in g.vertices]
+
+
+def test_saturation_search_with_a_color_per_vertex_is_one_greedy_pass():
+    # with k above the maximum degree the search never backtracks, so its
+    # coloring is the greedy pass's, and its color count bounds chi
+    rng = Random(17)
+    graphs = list(all_graphs(5)) + [random_graph(rng, 9) for _ in range(40)]
+    for g in graphs:
+        colors = _saturation_coloring(g, len(g.vertices))
+        assert colors == _greedy_dsatur(g), g
+        if g.vertices:
+            assert coloring_is_valid(g, Coloring(max(colors), dict(zip(g.vertices, colors))))
+            assert max(colors) >= chromatic_number(g)[0]
+    assert _saturation_coloring(cycle_graph(5), 2) is None
 
 
 def test_chromatic_on_a_long_path():

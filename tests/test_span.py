@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from helpers import (
     all_graphs,
+    antiflag_graph,
     complete_graph,
     connected_graphs,
     cycle_graph,
@@ -19,6 +20,8 @@ from helpers import (
     oracle_span_chromatic,
     path_graph,
     random_graph,
+    reference_span_chromatic,
+    reference_span_conditions,
     rref_in_span,
 )
 from sr_chroma import graph as graph_module
@@ -31,6 +34,7 @@ from sr_chroma.span import (
     _search_dimension,
     coloring_to_span_coloring,
     span_chromatic_number,
+    span_conditions,
     span_membership,
     verify_span_coloring,
 )
@@ -142,11 +146,89 @@ def test_no_span_coloring_below_the_clique_bound():
                 assert _search_dimension(g, p, below) is None, (g, p)
 
 
+def _witness_graphs():
+    """Every labeled graph on <= 5 vertices, then 24 seeded 6-8-vertex graphs."""
+    yield from all_graphs(5)
+    rng = Random(23)
+    for _ in range(24):
+        n = rng.randint(6, 8)
+        labels = [str(i + 1) for i in range(n)]
+        edges = [(labels[i], labels[j]) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5]
+        yield Graph.build(labels, edges)
+
+
+def test_span_values_equal_the_plain_dimension_loop():
+    for g in _witness_graphs():
+        for p in (2, 3, 5):
+            assert span_chromatic_number(g, p)[0] == reference_span_chromatic(g, p), (g, p)
+
+
+def test_fano_antiflag_span_values():
+    # omega = 3 < chi = 4: s_2-chi sits below chi. The plain loop's p = 3 run
+    # spends seconds in its successful dimension-4 search, and its p = 5 run
+    # minutes, so s_5-chi is pinned rather than compared.
+    g = antiflag_graph(2)
+    assert (len(g.vertices), len(g.edges), len(max_clique(g))) == (28, 84, 3)
+    for p, expected in ((2, 3), (3, 4)):
+        assert span_chromatic_number(g, p)[0] == reference_span_chromatic(g, p) == expected
+    n, witness = span_chromatic_number(g, 5)
+    assert n == 4 and verify_span_coloring(g, witness)
+
+
+def test_no_dimension_at_or_above_the_greedy_count_is_searched(monkeypatch):
+    searched = []
+    search = span_module._search_dimension
+
+    def counting(g, p, n):
+        searched.append(n)
+        return search(g, p, n)
+
+    monkeypatch.setattr(span_module, "_search_dimension", counting)
+    for g in itertools.chain(_witness_graphs(), [antiflag_graph(2)]):
+        if not g.edges:
+            continue
+        u = max(graph_module._saturation_coloring(g, len(g.vertices)))
+        lower = max(2, len(max_clique(g)))
+        for p in (2, 3, 5):
+            searched.clear()
+            n, _ = span_chromatic_number(g, p)
+            # the dimensions from max(2, omega) in turn, up to the answer or u - 1
+            assert searched == list(range(lower, min(n + 1, u))), (g, p)
+
+
+def test_span_chromatic_computes_no_chi(monkeypatch):
+    # chi of the PG(2,3) antiflag graph (117 vertices) has no bound in
+    # practice; s_3-chi must not need it
+    def refuse(*args):
+        raise AssertionError("the span solver computed chi")
+
+    monkeypatch.setattr(graph_module, "chromatic_number", refuse)
+    monkeypatch.setattr(graph_module, "_colorable", refuse)
+    g = antiflag_graph(3)
+    assert (len(g.vertices), len(g.edges)) == (117, 702)
+    n, witness = span_chromatic_number(g, 3)
+    assert n == 3 and witness.dim == 3
+    assert verify_span_coloring(g, witness)
+
+
 def test_complete_graph_span_equals_size():
     # each vector must avoid the span of all others: forces independence
     for p in (2, 3, 5):
         for m in (2, 3, 4):
             assert span_chromatic_number(complete_graph(m), p)[0] == m
+
+
+def test_coloring_to_span_coloring_rejects_an_improper_coloring():
+    g = path_graph(3)
+    with pytest.raises(ContractError, match="not a valid coloring"):
+        coloring_to_span_coloring(g, Coloring(2, {"1": 1, "2": 2}), 3)  # "3" missing
+    with pytest.raises(ContractError, match="not a valid coloring"):
+        coloring_to_span_coloring(g, Coloring(2, {"1": 1, "2": 3, "3": 1}), 3)  # 3 > num_colors
+    with pytest.raises(ContractError, match="not a valid coloring"):
+        coloring_to_span_coloring(g, Coloring(2, {"1": 1, "2": 1, "3": 2}), 3)  # edge 1-2
+    sc = coloring_to_span_coloring(g, Coloring(3, {"1": 1, "2": 2, "3": 1}), 3)
+    assert sc.dim == 3 and sc.assignment["1"] == vec(3, 1, 0, 0)
+    assert sc.assignment["1"] is sc.assignment["3"]  # one vector per color
 
 
 def test_basis_vector_assignment_from_coloring():
@@ -292,17 +374,7 @@ def test_serialize_witness_format():
 # Pins the chi witness and the s_p-chi witnesses (p = 2, 3, 5), so a rewrite of
 # the searches that changes their visiting order shows up here. The digest is
 # sha256 over the chi coloring and every serialized span witness, in order.
-WITNESS_SHA256 = "839e6662df5159dbf86d252dfec0c03c6bfe96113e7bbd8f6f9b591db9a4096a"
-
-
-def _witness_graphs():
-    yield from all_graphs(5)
-    rng = Random(23)
-    for _ in range(24):
-        n = rng.randint(6, 8)
-        labels = [str(i + 1) for i in range(n)]
-        edges = [(labels[i], labels[j]) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5]
-        yield Graph.build(labels, edges)
+WITNESS_SHA256 = "53e78ba033f82d4e8fd65ce70c5ab4e890198324594530f9ccaa3b94aa365bb8"
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -334,3 +406,74 @@ def test_span_conditions_reject_a_vector_of_other_parameters(bad):
     with pytest.raises(ContractError) as exc:
         verify_span_coloring(g, c)
     assert str(exc.value) == "vector for '1' does not match coloring parameters"
+
+
+def _trace(conditions, g, c):
+    """The yields of a span check, then its ContractError message or None."""
+    seen = []
+    try:
+        for item in conditions(g, c):
+            seen.append(item)
+    except ContractError as exc:
+        return seen, str(exc)
+    return seen, None
+
+
+def _outcome(call):
+    """A call's result, or its ContractError message."""
+    try:
+        return call()
+    except ContractError as exc:
+        return str(exc)
+
+
+def test_span_conditions_check_a_neighbor_with_span_membership_messages():
+    # vertex 1 is valid, so its neighbor's vector is read as span_membership reads it
+    g = complete_graph(2)
+    c = SpanColoring(3, 2, {"1": vec(3, 1, 0), "2": vec(5, 1, 0)})
+    expected = ([], "prime mismatch: 5 vs 3")
+    assert _trace(span_conditions, g, c) == _trace(reference_span_conditions, g, c) == expected
+
+
+def test_verify_span_coloring_stops_before_a_later_malformed_vector():
+    # f(1) lies in the span of f(2); vertex 3, not adjacent to either, is malformed
+    g = Graph.build(["1", "2", "3"], [("1", "2")])
+    c = SpanColoring(3, 2, {"1": vec(3, 1, 0), "2": vec(3, 2, 0), "3": vec(5, 1, 0)})
+    assert verify_span_coloring(g, c) is False
+    expected = ([("1", False), ("2", False)], "vector for '3' does not match coloring parameters")
+    assert _trace(span_conditions, g, c) == _trace(reference_span_conditions, g, c) == expected
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(
+    st.integers(1, 5),
+    st.integers(0, 2**10 - 1),
+    st.sampled_from([2, 3, 5]),
+    st.integers(1, 3),
+    st.data(),
+)
+def test_packed_span_conditions_match_the_fpvector_reference(n, edge_bits, p, dim, data):
+    labels = [str(i + 1) for i in range(n)]
+    pairs = itertools.combinations(labels, 2)
+    g = Graph.build(labels, [e for i, e in enumerate(pairs) if edge_bits >> i & 1])
+    coords = st.integers(0, p - 1)
+    # mostly well-formed vectors, so a malformed one is often met as a neighbor
+    kinds = st.sampled_from(["valid"] * 8 + ["zero", "wrong-dim"] * 2 + ["wrong-p", "missing"])
+    assignment = {}
+    for v in g.vertices:
+        kind = data.draw(kinds)
+        if kind == "valid":
+            assignment[v] = FpVector(p, data.draw(st.tuples(*[coords] * dim)))
+        elif kind == "zero":
+            assignment[v] = FpVector(p, (0,) * dim)
+        elif kind == "wrong-p":
+            other = data.draw(st.sampled_from([q for q in (2, 3, 5, 7) if q != p]))
+            other_dim = data.draw(st.sampled_from([dim, dim + 1]))
+            assignment[v] = FpVector(other, (1,) * other_dim)
+        elif kind == "wrong-dim":
+            other_dim = data.draw(st.sampled_from([d for d in range(5) if d != dim]))
+            assignment[v] = FpVector(p, data.draw(st.tuples(*[coords] * other_dim)))
+    c = SpanColoring(p, dim, assignment)
+    assert _trace(span_conditions, g, c) == _trace(reference_span_conditions, g, c)
+    reference = _outcome(lambda: all(ok for _, ok in reference_span_conditions(g, c)))
+    assert _outcome(lambda: verify_span_coloring(g, c)) == reference
