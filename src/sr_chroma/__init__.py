@@ -23,7 +23,6 @@ from .graph import (
     coloring_is_valid,
     parse_graph,
     serialize_graph,
-    two_core,
 )
 from .realize import (
     AndersonGrodalFamily,
@@ -47,7 +46,6 @@ from .span import (
     FpVector,
     SpanColoring,
     span_chromatic_number,
-    span_membership,
     verify_span_coloring,
 )
 from .steenrod import (

@@ -230,9 +230,8 @@ class JoinComplex(_AmbientBase):
         """The graph part of each maximal face, in `maximal_faces` order: each
         edge, then each isolated vertex; one empty face when there is neither."""
         faces = [frozenset({y_label(u), y_label(v)}) for u, v in self.graph.sorted_edges()]
-        faces += [
-            frozenset({y_label(v)}) for v in self.graph.vertices if not self.graph.neighbors(v)
-        ]
+        rows = zip(self.graph.vertices, self.graph.neighbor_indices)
+        faces += [frozenset({y_label(v)}) for v, row in rows if not row]
         return faces or [frozenset()]
 
     def maximal_faces(self) -> list[frozenset[str]]:

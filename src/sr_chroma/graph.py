@@ -1,10 +1,11 @@
-"""Finite simple graphs: edge-list parsing, exact chromatic number, 2-core.
+"""Finite simple graphs: edge-list parsing, exact chromatic number.
 
-A `Graph` is immutable, so its exact answers are facts about it: `max_clique`
-and `chromatic_number` (and `span.span_chromatic_number`, per prime) solve at
-most once per `Graph` instance and keep the answer on it. Witnesses are
-returned as fresh copies, so a caller that mutates one cannot change a later
-answer.
+A `Graph` is immutable, so its exact answers are facts about it: `max_clique`,
+the greedy DSATUR coloring and `chromatic_number` (and
+`span.span_chromatic_number`, per prime) solve at most once per `Graph`
+instance and keep the answer on it. Witnesses are returned as fresh copies, so
+a caller that mutates one cannot change a later answer. Every search reads
+neighbors through one index view, `Graph.neighbor_indices`.
 """
 
 from __future__ import annotations
@@ -28,7 +29,11 @@ class Graph:
         if len(index) != len(self.vertices):
             raise ContractError("duplicate vertex labels")
         normalized = set()
-        for u, v in self.edges:
+        for edge in self.edges:
+            try:
+                u, v = edge
+            except (TypeError, ValueError):
+                raise ContractError(f"edge {edge!r} is not a pair of vertices") from None
             if u == v:
                 raise ContractError(f"loop edge at {u!r}")
             if u not in index or v not in index:
@@ -45,33 +50,34 @@ class Graph:
         return {v: i for i, v in enumerate(self.vertices)}
 
     @cached_property
-    def adjacency(self) -> dict[str, frozenset[str]]:
-        adj: dict[str, set[str]] = {v: set() for v in self.vertices}
+    def neighbor_indices(self) -> tuple[tuple[int, ...], ...]:
+        """The ascending neighbor indices of each vertex index."""
+        index = self.index
+        rows: list[list[int]] = [[] for _ in self.vertices]
         for u, v in self.edges:
-            adj[u].add(v)
-            adj[v].add(u)
-        return {v: frozenset(s) for v, s in adj.items()}
+            rows[index[u]].append(index[v])
+            rows[index[v]].append(index[u])
+        return tuple(tuple(sorted(row)) for row in rows)
 
     @cached_property
     def _answers(self) -> dict:
-        """Exact answers solved on this graph, by key: "clique", "chi", ("span", p)."""
+        """Exact answers solved on this graph, by key: "clique", "greedy", "chi", ("span", p)."""
         return {}
 
     def neighbors(self, v: str) -> frozenset[str]:
         if v not in self.index:
             raise ContractError(f"unknown vertex {v!r}")
-        return self.adjacency[v]
+        return frozenset(self.vertices[j] for j in self.neighbor_indices[self.index[v]])
 
     def degree(self, v: str) -> int:
         return len(self.neighbors(v))
 
     def min_degree(self) -> int:
-        if not self.vertices:
-            return 0
-        return min(len(self.adjacency[v]) for v in self.vertices)
+        return min(map(len, self.neighbor_indices), default=0)
 
     def sorted_edges(self) -> list[tuple[str, str]]:
-        return sorted(self.edges, key=lambda e: (self.index[e[0]], self.index[e[1]]))
+        vs = self.vertices
+        return [(vs[i], vs[j]) for i, row in enumerate(self.neighbor_indices) for j in row if i < j]
 
     def induced(self, keep: Iterable[str]) -> "Graph":
         kept = set(keep)
@@ -147,18 +153,6 @@ def serialize_graph(g: Graph) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def two_core(g: Graph) -> Graph:
-    """Maximal subgraph of minimum degree >= 2 (iterated shedding of low-degree vertices)."""
-    current = g
-    while current.vertices:
-        low = [v for v in current.vertices if current.degree(v) < 2]
-        if not low:
-            break
-        keep = [v for v in current.vertices if current.degree(v) >= 2]
-        current = current.induced(keep)
-    return current
-
-
 def max_clique(g: Graph) -> tuple[str, ...]:
     """Exact maximum clique, exponential search; fine at the sizes handled here.
 
@@ -169,6 +163,13 @@ def max_clique(g: Graph) -> tuple[str, ...]:
     return answers["clique"]
 
 
+def _degree_order(g: Graph) -> list[int]:
+    """Vertex indices by descending degree, then ascending index: the order in
+    which `_max_clique` and `span._search_dimension` take vertices."""
+    nbrs = g.neighbor_indices
+    return sorted(range(len(nbrs)), key=lambda i: (-len(nbrs[i]), i))
+
+
 def _max_clique(g: Graph) -> tuple[str, ...]:
     """Branch and bound over candidates in degree order, on an explicit stack.
 
@@ -177,10 +178,9 @@ def _max_clique(g: Graph) -> tuple[str, ...]:
     the best clique so far; the bound only shrinks for later candidates, and
     it always holds when they run out, since `best` is never shorter than a
     frame's clique."""
-    order = sorted(g.vertices, key=lambda v: (-g.degree(v), g.index[v]))
-    adj = g.adjacency
-    best: list[str] = []
-    stack: list[list] = [[[], order, 0]]
+    adj = [set(row) for row in g.neighbor_indices]
+    best: list[int] = []
+    stack: list[list] = [[[], _degree_order(g), 0]]
     while stack:
         frame = stack[-1]
         clique, candidates, i = frame
@@ -193,7 +193,7 @@ def _max_clique(g: Graph) -> tuple[str, ...]:
         if len(grown) > len(best):
             best = grown
         stack.append([grown, [u for u in candidates[i + 1 :] if u in adj[v]], 0])
-    return tuple(best)
+    return tuple(g.vertices[i] for i in best)
 
 
 def _saturation_coloring(g: Graph, k: int) -> list[int] | None:
@@ -205,7 +205,7 @@ def _saturation_coloring(g: Graph, k: int) -> list[int] | None:
     With k above the maximum degree a free color always exists, so the search
     never backtracks: it is one greedy DSATUR pass, a bound chi <= max color."""
     n = len(g.vertices)
-    adj = [sorted(g.index[u] for u in g.adjacency[v]) for v in g.vertices]
+    adj = g.neighbor_indices
     colors = [0] * n
     nbr_colors: list[set[int]] = [set() for _ in range(n)]
 
@@ -245,6 +245,16 @@ def _saturation_coloring(g: Graph, k: int) -> list[int] | None:
     return colors
 
 
+def _greedy_coloring(g: Graph) -> tuple[int, ...]:
+    """One greedy DSATUR pass (`_saturation_coloring` with a color per
+    vertex), as colors by vertex index; its largest color u bounds chi.
+    Solved once per `Graph`, however many primes ask for s_p-chi."""
+    answers = g._answers
+    if "greedy" not in answers:
+        answers["greedy"] = tuple(_saturation_coloring(g, len(g.vertices)))
+    return answers["greedy"]
+
+
 def _colorable(g: Graph, k: int) -> bool:
     """Whether g has a k-coloring; the feasibility test of chi's search."""
     return _saturation_coloring(g, k) is not None
@@ -253,7 +263,7 @@ def _colorable(g: Graph, k: int) -> bool:
 def _lex_least_coloring(g: Graph, k: int) -> dict[str, int]:
     """First k-coloring in lexicographic order over the input vertex order."""
     n = len(g.vertices)
-    adj = [[g.index[u] for u in g.adjacency[v]] for v in g.vertices]
+    adj = g.neighbor_indices
     colors = [0] * n
     i = 0
     while i < n:
@@ -287,8 +297,7 @@ def _chromatic_number(g: Graph) -> tuple[int, Coloring]:
         return 0, Coloring(0, {})
     if not g.edges:
         return 1, Coloring(1, {v: 1 for v in g.vertices})
-    lower = max(2, len(max_clique(g)))
-    k = lower
-    while not _colorable(g, k):
-        k += 1
+    # max(2, omega) <= chi <= u: only the counts below the greedy one are tried
+    u = max(_greedy_coloring(g))
+    k = next((k for k in range(max(2, len(max_clique(g))), u) if _colorable(g, k)), u)
     return k, Coloring(k, _lex_least_coloring(g, k))

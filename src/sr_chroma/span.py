@@ -16,8 +16,8 @@ proper coloring sent to basis vectors is a span coloring,
 are searched; when none admits a span coloring the answer is u, with the
 greedy coloring's basis vectors as witness. chi itself is never computed.
 
-All row reduction (the solver's, `span_conditions`' and `span_membership`'s)
-runs on one kernel (`_Packing`), over packed ints:
+All row reduction (the solver's and `span_conditions`') runs on one kernel
+(`_Packing`), over packed ints:
 - An F_p^n vector is one int, coordinate i in bits [w*i, w*i + w), where w is
   the least width with 2^(w-1) >= p. A field of the sum of two reduced
   vectors holds at most 2p - 2 < 2^w, so it never carries into the next.
@@ -38,7 +38,7 @@ from functools import lru_cache
 from typing import Iterator, Sequence
 
 from .errors import ContractError
-from .graph import Coloring, Graph, _saturation_coloring, coloring_is_valid, max_clique
+from .graph import Coloring, Graph, _degree_order, _greedy_coloring, coloring_is_valid, max_clique
 
 
 def is_prime(n: int) -> bool:
@@ -156,58 +156,44 @@ def _packing(p: int, n: int) -> _Packing:
     return _Packing(p, n)
 
 
-def span_membership(vectors: Sequence[FpVector], target: FpVector) -> bool:
-    """True iff target lies in the F_p-span of vectors; the empty span is {0}."""
-    p, dim = target.p, target.dim
-    for v in vectors:
-        if v.p != p:
-            raise ContractError(f"prime mismatch: {v.p} vs {p}")
-        if v.dim != dim:
-            raise ContractError(f"dimension mismatch: {v.dim} vs {dim}")
-    kernel = _packing(p, dim)
-    rows: list[_Row] = []
-    for v in vectors:
-        kernel.append(rows, kernel.pack(v.coords))
-    return not kernel.reduce(rows, kernel.pack(target.coords))
-
-
 def span_conditions(g: Graph, c: SpanColoring) -> Iterator[tuple[str, bool]]:
     """Per vertex in graph order, whether f(v) is nonzero and outside the span
     of f(N(v)), neighbors in graph order. Every vertex must have a vector;
     each vector is checked against the coloring's p and dim when first read,
     then packed once (`_packing(p, dim)`).
 
-    Vectors are read as `span_membership` over each neighborhood would read
-    them: a zero f(v) is answered without reading its neighbors, and a
-    neighbor's vector fails with `span_membership`'s messages."""
-    for v in g.vertices:
+    A zero f(v) is answered without reading its neighbors, and a neighbor's
+    vector is read only once f(v) passed: it fails with `prime mismatch` or
+    `dimension mismatch`."""
+    vertices = g.vertices
+    for v in vertices:
         if v not in c.assignment:
             raise ContractError(f"no vector assigned to vertex {v!r}")
-    p, dim, assignment, index = c.p, c.dim, c.assignment, g.index
-    packed: dict[str, int] = {}
+    p, dim, assignment, nbrs = c.p, c.dim, c.assignment, g.neighbor_indices
+    packed: list[int | None] = [None] * len(vertices)
     kernel = None  # made after the first check passes, so a bad dim costs nothing
-    for v in g.vertices:
-        x = packed.get(v)
+    for i, v in enumerate(vertices):
+        x = packed[i]
         if x is None:
             vec = assignment[v]
             if vec.p != p or vec.dim != dim:
                 raise ContractError(f"vector for {v!r} does not match coloring parameters")
             if kernel is None:
                 kernel = _packing(p, dim)
-            x = packed[v] = kernel.pack(vec.coords)
+            x = packed[i] = kernel.pack(vec.coords)
         if not x:
             yield v, False
             continue
         rows: list[_Row] = []
-        for u in sorted(g.adjacency[v], key=index.get):
-            y = packed.get(u)
+        for j in nbrs[i]:
+            y = packed[j]
             if y is None:
-                vec = assignment[u]
+                vec = assignment[vertices[j]]
                 if vec.p != p:
                     raise ContractError(f"prime mismatch: {vec.p} vs {p}")
                 if vec.dim != dim:
                     raise ContractError(f"dimension mismatch: {vec.dim} vs {dim}")
-                y = packed[u] = kernel.pack(vec.coords)
+                y = packed[j] = kernel.pack(vec.coords)
             kernel.append(rows, y)
         yield v, bool(kernel.reduce(rows, x))
 
@@ -243,21 +229,23 @@ def _search_dimension(g: Graph, p: int, n: int) -> dict[str, tuple[int, ...]] | 
     `span_chromatic_number` calls it only below the greedy bound u (module
     docstring), where it may fail: dimensions max(2, omega) to u - 1 in turn.
 
-    Vertices are processed in descending-degree order; per-vertex candidate
+    Vertices are processed in `graph._degree_order`; per-vertex candidate
     vectors are projective representatives inside the span of the already
     assigned vectors plus one fresh basis vector, which covers every solution
     up to a global change of basis.
 
     Vectors are packed ints (format: see the module docstring) and every
     span test runs on `_packing(p, n)`. The candidates of rank r are packed
-    once per (p, r), and the fresh basis vector is 1 << (w*r).
+    once per (p, r), and the fresh basis vector is 1 << (w*r). A placement
+    adds at most one row per neighbor and reads only zero and rank tests, so
+    the result does not depend on the order in which neighbors are visited.
     """
     kernel = _packing(p, n)
     reduce, append = kernel.reduce, kernel.append
-    order = sorted(g.vertices, key=lambda v: (-g.degree(v), g.index[v]))
+    order = _degree_order(g)
     m = len(order)
     pos = {v: i for i, v in enumerate(order)}
-    adj = [[pos[u] for u in g.adjacency[v]] for v in order]
+    adj = [[pos[u] for u in g.neighbor_indices[v]] for v in order]
     assigned: list[int] = [0] * m
     # per-vertex echelon rows of the assigned part of its open neighborhood
     nbr_rows: list[list[_Row]] = [[] for _ in range(m)]
@@ -305,7 +293,7 @@ def _search_dimension(g: Graph, p: int, n: int) -> dict[str, tuple[int, ...]] | 
             assigned[len(frames)] = 0
             for u in touched:
                 nbr_rows[u].pop()
-    return {order[i]: kernel.unpack(assigned[i]) for i in range(m)}
+    return {g.vertices[v]: kernel.unpack(x) for v, x in zip(order, assigned)}
 
 
 def span_chromatic_number(g: Graph, p: int) -> tuple[int, SpanColoring]:
@@ -338,7 +326,7 @@ def _span_chromatic_number(g: Graph, p: int) -> tuple[int, SpanColoring]:
     if not g.edges:
         witness = {v: FpVector(p, (1,)) for v in g.vertices}
         return 1, SpanColoring(p, 1, witness)
-    colors = _saturation_coloring(g, len(g.vertices))
+    colors = _greedy_coloring(g)
     greedy = Coloring(max(colors), dict(zip(g.vertices, colors)))
     for n in range(max(2, len(max_clique(g))), greedy.num_colors):
         sol = _search_dimension(g, p, n)

@@ -567,7 +567,7 @@ def coloring_from_action(table: SteenrodTable) -> tuple[SpanColoring, CokernelRe
     """The g-function of a table and its cokernel report: g(y_i) in F_p^{s_1}
     holds the coefficients of x_j^(1) * y_i^(p-1) in P^p(y_i), one per
     first-block generator x_j^(1). Every term of P^p(y_i) must lie in
-    (y_i) + (y_j*y_k); requires minimum degree 2 (apply two_core first)."""
+    (y_i) + (y_j*y_k); requires minimum degree 2."""
     ambient = table.ambient
     if not isinstance(ambient, JoinComplex):
         raise ContractError("coloring extraction needs a join complex")

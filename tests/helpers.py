@@ -14,7 +14,7 @@ from sr_chroma.algebra import AlgebraElement
 from sr_chroma.errors import ContractError
 from sr_chroma.graph import Graph, max_clique
 from sr_chroma.realize import validate_decomposition
-from sr_chroma.span import FpVector, SpanColoring, _search_dimension, span_membership
+from sr_chroma.span import SpanColoring, _search_dimension
 from sr_chroma.steenrod import (
     CheckReport,
     Violation,
@@ -54,14 +54,25 @@ def all_graphs(n: int):
             yield Graph.build(labels, chosen)
 
 
+def edge_adjacency(g: Graph) -> list[list[int]]:
+    """Neighbor indices per vertex index, read off `g.edges` alone, so the
+    references below do not rest on `Graph.neighbor_indices`."""
+    adj: list[list[int]] = [[] for _ in g.vertices]
+    for u, v in g.edges:
+        adj[g.index[u]].append(g.index[v])
+        adj[g.index[v]].append(g.index[u])
+    return adj
+
+
 def is_connected(g: Graph) -> bool:
     if not g.vertices:
         return True
-    seen = {g.vertices[0]}
-    frontier = [g.vertices[0]]
+    adj = edge_adjacency(g)
+    seen = {0}
+    frontier = [0]
     while frontier:
         v = frontier.pop()
-        for u in g.adjacency[v]:
+        for u in adj[v]:
             if u not in seen:
                 seen.add(u)
                 frontier.append(u)
@@ -89,7 +100,7 @@ def random_graph(rng: Random, max_n: int = 8) -> Graph:
 def oracle_colorable(g: Graph, k: int) -> bool:
     """Plain depth-first enumeration of all <=k colorings in input order."""
     n = len(g.vertices)
-    adj = [[g.index[u] for u in g.adjacency[v]] for v in g.vertices]
+    adj = edge_adjacency(g)
     colors = [0] * n
 
     def go(i: int) -> bool:
@@ -177,7 +188,7 @@ def oracle_has_span_coloring(g: Graph, p: int, n: int) -> bool:
     an unassigned vertex's assigned neighborhood spans the whole space."""
     verts = list(g.vertices)
     m = len(verts)
-    adj = [[g.index[u] for u in g.adjacency[v]] for v in verts]
+    adj = edge_adjacency(g)
     adj_before = [[u for u in adj[i] if u < i] for i in range(m)]
     cands = projective_vectors(p, n)
     chosen: list[tuple[int, ...]] = []
@@ -256,18 +267,28 @@ def reference_span_chromatic(g: Graph, p: int) -> int:
 
 
 def reference_span_conditions(g: Graph, c: SpanColoring):
-    """The span check over `FpVector` lists: per vertex, f(v) is nonzero and
-    not in `span_membership` of its neighbors' vectors, validated and packed
-    afresh at each vertex."""
+    """The span check on `rref_in_span`: per vertex, f(v) is nonzero and not
+    in the span of its neighbors' vectors, taken in graph order and validated
+    afresh at each vertex; a neighbor's vector is read only when f(v) is
+    nonzero. Neighbors come from `edge_adjacency`."""
     for v in g.vertices:
         if v not in c.assignment:
             raise ContractError(f"no vector assigned to vertex {v!r}")
-    for v in g.vertices:
+    adj = edge_adjacency(g)
+    for i, v in enumerate(g.vertices):
         vec = c.assignment[v]
         if vec.p != c.p or vec.dim != c.dim:
             raise ContractError(f"vector for {v!r} does not match coloring parameters")
-        nbr_vecs = [c.assignment[u] for u in sorted(g.neighbors(v), key=g.index.get)]
-        yield v, not vec.is_zero() and not span_membership(nbr_vecs, vec)
+        if vec.is_zero():
+            yield v, False
+            continue
+        nbr_vecs = [c.assignment[g.vertices[j]] for j in sorted(adj[i])]
+        for w in nbr_vecs:
+            if w.p != c.p:
+                raise ContractError(f"prime mismatch: {w.p} vs {c.p}")
+            if w.dim != c.dim:
+                raise ContractError(f"dimension mismatch: {w.dim} vs {c.dim}")
+        yield v, not rref_in_span([w.coords for w in nbr_vecs], vec.coords, c.p)
 
 
 # -- face enumeration oracle -------------------------------------------------

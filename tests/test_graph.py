@@ -1,4 +1,4 @@
-"""Graph parsing, chromatic number, and 2-core behavior."""
+"""Graph parsing, the index view, max clique and chromatic number."""
 
 from __future__ import annotations
 
@@ -6,19 +6,19 @@ import itertools
 from random import Random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from helpers import (
     all_graphs,
     complete_graph,
     cycle_graph,
+    edge_adjacency,
     empty_graph,
     oracle_chromatic,
     oracle_colorable,
     path_graph,
     random_graph,
 )
+from sr_chroma import graph as graph_module
 from sr_chroma.errors import ContractError, GraphParseError
 from sr_chroma.graph import (
     Coloring,
@@ -29,8 +29,8 @@ from sr_chroma.graph import (
     max_clique,
     parse_graph,
     serialize_graph,
-    two_core,
 )
+from sr_chroma.span import span_chromatic_number
 
 
 def test_parse_single_edge():
@@ -79,6 +79,36 @@ def test_neighbors():
     assert p3.neighbors("2") == frozenset({"1", "3"})
     with pytest.raises(ContractError):
         k3.neighbors("nope")
+
+
+def test_index_view_matches_the_edges():
+    rng = Random(29)
+    graphs = [empty_graph(0), empty_graph(3)] + [random_graph(rng, 12) for _ in range(60)]
+    for g in graphs:
+        adj = edge_adjacency(g)
+        assert g.neighbor_indices == tuple(tuple(sorted(row)) for row in adj)
+        by_index = sorted((g.index[u], g.index[v]) for u, v in g.edges)
+        assert g.sorted_edges() == [(g.vertices[i], g.vertices[j]) for i, j in by_index]
+        for v, row in zip(g.vertices, adj):
+            assert g.neighbors(v) == frozenset(g.vertices[j] for j in row)
+            assert g.degree(v) == len(row)
+        assert g.min_degree() == min(map(len, adj), default=0)
+
+
+def test_one_greedy_pass_per_graph(monkeypatch):
+    calls = []
+    saturation = graph_module._saturation_coloring
+
+    def counting(g, k):
+        calls.append(k)
+        return saturation(g, k)
+
+    monkeypatch.setattr(graph_module, "_saturation_coloring", counting)
+    g = cycle_graph(4)
+    assert chromatic_number(g)[0] == 2
+    for p in (2, 3, 5):
+        assert span_chromatic_number(g, p)[0] == 2
+    assert calls == [4]
 
 
 def test_loop_rejected_at_build():
@@ -132,17 +162,22 @@ def test_chromatic_exhaustive_four_vertices():
         assert chromatic_number(g)[0] == oracle_chromatic(g)
 
 
+def _label_neighbors(g: Graph) -> dict[str, set[str]]:
+    return {v: {g.vertices[j] for j in row} for v, row in zip(g.vertices, edge_adjacency(g))}
+
+
 def _greedy_dsatur(g):
     """One greedy pass, written out: the uncolored vertex with the most distinct
     neighbor colors, then the most neighbors, then the earliest, takes its
     least free color."""
+    nbrs = _label_neighbors(g)
     colors = {}
     while len(colors) < len(g.vertices):
         def seen(v):
-            return {colors[u] for u in g.adjacency[v] if u in colors}
+            return {colors[u] for u in nbrs[v] if u in colors}
 
         uncolored = [v for v in g.vertices if v not in colors]
-        v = max(uncolored, key=lambda v: (len(seen(v)), g.degree(v), -g.index[v]))
+        v = max(uncolored, key=lambda v: (len(seen(v)), len(nbrs[v]), -g.index[v]))
         colors[v] = next(c for c in itertools.count(1) if c not in seen(v))
     return [colors[v] for v in g.vertices]
 
@@ -171,7 +206,8 @@ def test_chromatic_on_a_long_path():
 
 def _recursive_max_clique(g: Graph) -> tuple[str, ...]:
     """The branch and bound as first written, one call per clique member."""
-    order = sorted(g.vertices, key=lambda v: (-g.degree(v), g.index[v]))
+    nbrs = _label_neighbors(g)
+    order = sorted(g.vertices, key=lambda v: (-len(nbrs[v]), g.index[v]))
     best: list[str] = []
 
     def extend(clique: list[str], candidates: list[str]) -> None:
@@ -181,7 +217,7 @@ def _recursive_max_clique(g: Graph) -> tuple[str, ...]:
         if len(clique) + len(candidates) <= len(best):
             return
         for i, v in enumerate(candidates):
-            extend(clique + [v], [u for u in candidates[i + 1 :] if u in g.adjacency[v]])
+            extend(clique + [v], [u for u in candidates[i + 1 :] if u in nbrs[v]])
 
     extend([], order)
     return tuple(best)
@@ -198,40 +234,6 @@ def test_max_clique_on_a_1100_vertex_complete_graph():
     # one recursive call per member used to pass the default recursion limit
     g = complete_graph(1100)
     assert max_clique(g) == g.vertices
-
-
-def test_two_core_examples():
-    assert two_core(path_graph(3)).vertices == ()
-    c5 = cycle_graph(5)
-    assert two_core(c5) == c5
-    c4_pendant = Graph.build(
-        ["1", "2", "3", "4", "5"],
-        [("1", "2"), ("2", "3"), ("3", "4"), ("4", "1"), ("4", "5")],
-    )
-    assert two_core(c4_pendant) == cycle_graph(4).induced(["1", "2", "3", "4"])
-
-
-def test_two_core_min_degree():
-    rng = Random(3)
-    for _ in range(40):
-        core = two_core(random_graph(rng))
-        assert not core.vertices or core.min_degree() >= 2
-
-
-@settings(max_examples=60, deadline=None, derandomize=True)
-@given(st.integers(1, 7), st.integers(0, 2**21 - 1))
-def test_two_core_idempotent(n, seed):
-    rng = Random(seed)
-    labels = [str(i + 1) for i in range(n)]
-    edges = [
-        (labels[i], labels[j])
-        for i in range(n)
-        for j in range(i + 1, n)
-        if rng.random() < 0.5
-    ]
-    g = Graph.build(labels, edges)
-    once = two_core(g)
-    assert two_core(once) == once
 
 
 def test_coloring_validity_checks():
@@ -252,8 +254,21 @@ def test_coloring_validity_checks():
         ),
         (lambda: parse_graph("v a b\n"), GraphParseError, "line 1: expected `v <label>`"),
         (lambda: parse_graph("v a\ne a\n"), GraphParseError, "line 2: expected `e <label> <label>`"),
+        (
+            lambda: Graph.build("ab", [("a", "b", "c")]),
+            ContractError,
+            "edge ('a', 'b', 'c') is not a pair of vertices",
+        ),
+        (lambda: Graph(("a",), frozenset({("a",)})), ContractError, "edge ('a',) is not a pair of vertices"),
     ],
-    ids=["duplicate-vertex", "edge-to-unknown", "malformed-v", "malformed-e"],
+    ids=[
+        "duplicate-vertex",
+        "edge-to-unknown",
+        "malformed-v",
+        "malformed-e",
+        "edge-of-three",
+        "edge-of-one",
+    ],
 )
 def test_graph_input_errors(call, error, message):
     with pytest.raises(error) as exc:

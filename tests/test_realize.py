@@ -5,13 +5,18 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 from random import Random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sr_chroma
 from helpers import (
     all_graphs,
     complete_graph,
@@ -661,6 +666,58 @@ def test_realizability_reports_oracle():
                 digest.update(verdict.to_text().encode())
                 digest.update(json.dumps(verdict.to_json_dict(), sort_keys=True).encode())
     assert digest.hexdigest() == REPORTS_SHA256
+
+
+# Prints chi, the s_p-chi witnesses and the realizability reports, each in the
+# library's own order, for 30 seeded graphs and the Fano antiflag graph.
+_HASH_SEED_SCRIPT = """
+from random import Random
+
+from helpers import antiflag_graph, random_graph
+from sr_chroma.families import FamilySpec
+from sr_chroma.graph import chromatic_number
+from sr_chroma.realize import check_realizable
+from sr_chroma.span import span_chromatic_number
+
+specs = [
+    FamilySpec("B", (3,)),
+    FamilySpec("A", (3, 3, 3)),
+    FamilySpec("Ap", (5, 5), 3),
+    FamilySpec("Bp", (6, 4), 5),
+    FamilySpec("Ap", (5, 5, 5, 5), 5),
+]
+rng = Random(59)
+cases = [(random_graph(rng, 9), (2, 3, 5), specs) for _ in range(30)]
+cases.append((antiflag_graph(2), (2, 3), specs[:3]))  # s_5-chi and p = 5 cost 0.3 s more
+for g, primes, graph_specs in cases:
+    chi, coloring = chromatic_number(g)
+    print(f"chi = {chi}: {coloring.assignment}")
+    for p in primes:
+        n, witness = span_chromatic_number(g, p)
+        print(f"s_{p}chi = {n}\\n{witness.serialize()}", end="")
+    for spec in graph_specs:
+        print(check_realizable(spec, g).to_text())
+"""
+
+
+def test_reports_are_byte_identical_across_hash_seeds():
+    # the suite runs in one process under one hash seed, so only separate
+    # processes show an answer or a report that follows set iteration order
+    src = Path(sr_chroma.__file__).resolve().parents[1]
+    path = os.pathsep.join([str(src), str(Path(__file__).resolve().parent)])
+    outputs = []
+    for seed in ("0", "1"):
+        proc = subprocess.run(
+            [sys.executable, "-c", _HASH_SEED_SCRIPT],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": path},
+            timeout=120,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        outputs.append(proc.stdout)
+    assert outputs[0].count("status: ") == 30 * 5 + 3
+    assert outputs[0] == outputs[1]
 
 
 _B1_EDGE = build_complex(FamilySpec("B", (1,)), complete_graph(2))

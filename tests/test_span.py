@@ -1,4 +1,4 @@
-"""Span membership, verification, and the exact span-chromatic solver."""
+"""The packed row kernel, span verification, and the exact span-chromatic solver."""
 
 from __future__ import annotations
 
@@ -35,7 +35,6 @@ from sr_chroma.span import (
     coloring_to_span_coloring,
     span_chromatic_number,
     span_conditions,
-    span_membership,
     verify_span_coloring,
 )
 from sr_chroma.steenrod import cokernel_report
@@ -45,17 +44,9 @@ def vec(p, *coords):
     return FpVector(p, coords)
 
 
-def test_span_membership_basics():
-    assert span_membership([], vec(3, 0, 0))
-    assert not span_membership([], vec(3, 1, 0))
-    assert not span_membership([vec(3, 1, 0)], vec(3, 0, 1))
-    # e1 = (e1+e2) - e2, row-reduced by hand
-    assert span_membership([vec(3, 1, 1), vec(3, 0, 1)], vec(3, 1, 0))
-
-
 @settings(max_examples=400, deadline=None, derandomize=True)
 @given(st.sampled_from([2, 3, 5, 7, 11, 13, 251]), st.integers(1, 8), st.data())
-def test_span_membership_matches_rref_oracle(p, dim, data):
+def test_packed_rows_match_rref_oracle(p, dim, data):
     # widths 2-9 bits and up to 8 fields: the packed fold and carry rules well
     # past the census's p <= 5, n <= 6; coordinates may be negative or >= p
     coord = st.one_of(st.integers(0, p - 1), st.integers(-3 * p, 3 * p))
@@ -67,14 +58,11 @@ def test_span_membership_matches_rref_oracle(p, dim, data):
     combination = tuple(sum(k * v[i] for k, v in zip(coeffs, vectors)) for i in range(dim))
     target = data.draw(st.one_of(vector, st.just(combination)))
     expected = rref_in_span(list(vectors), target, p)
-    assert span_membership([FpVector(p, v) for v in vectors], FpVector(p, target)) == expected
-
-
-def test_span_membership_contract_errors():
-    with pytest.raises(ContractError):
-        span_membership([vec(3, 1, 0)], vec(5, 1, 0))
-    with pytest.raises(ContractError):
-        span_membership([vec(3, 1)], vec(3, 1, 0))
+    kernel = span_module._packing(p, dim)
+    rows = []
+    for v in vectors:
+        kernel.append(rows, kernel.pack(FpVector(p, v).coords))
+    assert (kernel.reduce(rows, kernel.pack(FpVector(p, target).coords)) == 0) == expected
 
 
 def test_fpvector_reduction_and_primality():
@@ -273,8 +261,8 @@ def test_cokernel_report_and_verify_share_one_span_check(n, edge_bits, p, dim, d
     assert report.all_nonzero == verify_span_coloring(g, c)
     assert [v for v, _ in report.entries] == list(g.vertices)
     for v, ok in report.entries:
-        nbrs = [c.assignment[u] for u in sorted(g.neighbors(v), key=g.index.get)]
-        assert ok == (not span_membership(nbrs, c.assignment[v]))
+        nbrs = [c.assignment[u].coords for u in sorted(g.neighbors(v), key=g.index.get)]
+        assert ok == (not rref_in_span(nbrs, c.assignment[v].coords, p))
     missing = SpanColoring(p, dim, {v: c.assignment[v] for v in g.vertices[:-1]})
     with pytest.raises(ContractError, match="no vector"):
         cokernel_report(g, missing)
@@ -428,7 +416,7 @@ def _outcome(call):
 
 
 def test_span_conditions_check_a_neighbor_with_span_membership_messages():
-    # vertex 1 is valid, so its neighbor's vector is read as span_membership reads it
+    # vertex 1 is valid, so its neighbor's vector is read, and its prime checked first
     g = complete_graph(2)
     c = SpanColoring(3, 2, {"1": vec(3, 1, 0), "2": vec(5, 1, 0)})
     expected = ([], "prime mismatch: 5 vs 3")

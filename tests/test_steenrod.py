@@ -17,13 +17,14 @@ from helpers import (
     reference_cartan_extend,
     reference_check_ideal_preservation,
     reference_check_relations,
+    rref_in_span,
 )
 from sr_chroma.algebra import AlgebraElement, FreePolynomialAlgebra
 from sr_chroma.errors import ContractError, IncompleteTableError, SrChromaError
 from sr_chroma.families import FamilySpec, build_complex
 from sr_chroma.graph import Graph
 from sr_chroma.search import search_action, unknown_entry_blocks
-from sr_chroma.span import FpVector, SpanColoring, span_membership
+from sr_chroma.span import FpVector, SpanColoring
 from sr_chroma.steenrod import (
     PowerRelation,
     SteenrodTable,
@@ -264,8 +265,8 @@ def test_cokernel_report_matches_direct_span_checks():
     gf = _gfun(p, 2, {v: ((0, 1) if int(v) % 2 else (1, 0)) for v in c5.vertices})
     rep = cokernel_report(c5, gf)
     for v, ok in rep.entries:
-        nbr = [gf.assignment[u] for u in sorted(c5.neighbors(v), key=c5.index.get)]
-        assert ok == (not span_membership(nbr, gf.assignment[v]))
+        nbr = [gf.assignment[u].coords for u in sorted(c5.neighbors(v), key=c5.index.get)]
+        assert ok == (not rref_in_span(nbr, gf.assignment[v].coords, p))
 
 
 def test_coloring_from_action_requires_min_degree_two():
