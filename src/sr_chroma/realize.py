@@ -1,15 +1,28 @@
 """Sufficiency certificates and the realizability pipeline.
 
 A partition of the complex's generators certifies sufficiency when every
-maximal face meets every block in an allowed degree multiset or not at all;
-`verify_partition_family` is the one checker, in closed form per block. The
-one construction reads the general block-size vector off the complex (a
+maximal face meets every block in an allowed degree multiset or not at all.
+A maximal face is every x generator plus a graph face F: an edge, an
+isolated vertex, or nothing when the graph has no vertex. So a block with
+graph-vertex bitmask Y meets it in its own x generators plus t = |F & Y|
+graph generators, and only the set T of sizes t that occur matters:
+2 in T iff an edge lies inside Y, 1 in T iff an edge crosses Y or an
+isolated vertex is in Y, 0 in T iff an edge or an isolated vertex lies
+wholly outside Y, and T = {0} when Y is empty. (An edge meets Y in 2, 1 or
+0 vertices as it lies inside, crosses or lies outside Y; an isolated vertex
+in 1 or 0; the empty face only occurs with no vertex, when Y is empty too.)
+`verify_partition_family` is the one checker, in that closed form per block,
+on generator indices. The graph-face sizes of `check_realizable` are read
+off the graph the same way.
+
+The one construction reads the general block-size vector off the complex (a
 block of degree d sits at level (d - 2) / 2, the graph degree 2n + 4 fixes
 the length n), splits it into a weakly decreasing part plus an odd-slot part
-(`decompose_s`) and lays the complex's own generators out from it in two
-cases; on uniform families it reproduces the coloring partition. Degree
-multisets of maximal faces are tested for decomposability into the family's
-lists, the realizable polynomial-algebra degree lists by default.
+(`decompose_s`) and lays the complex's own generator indices out from it in
+two cases; labels are made once, for the certificate. On uniform families it
+reproduces the coloring partition. Degree multisets of maximal faces are
+tested for decomposability into the family's lists, the realizable
+polynomial-algebra degree lists by default.
 """
 
 from __future__ import annotations
@@ -74,8 +87,7 @@ class DegreeMultisetFamily:
     degree."""
 
     def is_allowed(self, multiset: tuple[int, ...]) -> bool:
-        ms = tuple(sorted(multiset))
-        return bool(ms) and ms in self.blocks_with_max(ms[-1])
+        return _allowed(tuple(sorted(multiset)), self)
 
     def blocks_with_max(self, top: int) -> list[tuple[int, ...]]:
         raise NotImplementedError
@@ -155,6 +167,13 @@ def multiset_decomposable(
 
 
 _DECOMPOSITIONS_KEPT = 256
+
+
+@lru_cache(maxsize=_DECOMPOSITIONS_KEPT)
+def _allowed(multiset: tuple[int, ...], fam: DegreeMultisetFamily) -> bool:
+    """`fam.is_allowed` on a sorted multiset, kept per (multiset, family
+    object) as `_decompose_multiset` keeps its answers."""
+    return bool(multiset) and multiset in fam.blocks_with_max(multiset[-1])
 
 
 @lru_cache(maxsize=_DECOMPOSITIONS_KEPT)
@@ -305,47 +324,71 @@ def partition_from_decomposition(
     s_dprime: tuple[int, ...],
     c: Coloring,
 ) -> Partition:
-    """The block lists of the decomposition construction, for a split of k's
-    general block-size vector; the result is validated structurally and
-    should be re-checked against the degree-multiset family by the caller.
+    """The label view of the decomposition construction (`_decomposition_blocks`)
+    for a split of k's general block-size vector; the result is validated
+    structurally and should be re-checked against the degree-multiset family
+    by the caller."""
+    part = _label_partition(k, _decomposition_blocks(k, _general_sizes(k), s_prime, s_dprime, c))
+    part.validate_against(k)
+    return part
 
-    Each general level's generators are a slice of `k.gen_labels` and the
-    color classes are k's graph generators grouped by color; the subscripts
-    only count, so any unused generator of the right level serves. Both
-    layout cases emit full-range blocks, the descending prefixes, then the
-    odd chains from the last odd slot. Odd n, or even n with s'_n >= chi,
-    colors chi full-range blocks; otherwise all s'_n of them are colored, and
-    the first chi - s'_n blocks of the top odd chain."""
-    sizes = _general_sizes(k)
+
+def _label_partition(k: JoinComplex, blocks: list[list[int]]) -> Partition:
+    labels = k.gen_labels
+    return Partition(tuple(frozenset(labels[i] for i in block) for block in blocks))
+
+
+def _decomposition_blocks(
+    k: JoinComplex,
+    sizes: tuple[int, ...],
+    s_prime: tuple[int, ...],
+    s_dprime: tuple[int, ...],
+    c: Coloring,
+) -> list[list[int]]:
+    """The blocks of the decomposition construction as lists of generator
+    indices, for a split of k's general block-size vector `sizes`; empty
+    blocks are dropped.
+
+    Each general level's generators are an index range of k's generator list
+    and the color classes are k's graph generators grouped by color, in
+    vertex order; the subscripts only count, so any unused generator of the
+    right level serves. Both layout cases emit full-range blocks, the
+    descending prefixes, then the odd chains from the last odd slot. Odd n,
+    or even n with s'_n >= chi, colors chi full-range blocks; otherwise all
+    s'_n of them are colored, and the first chi - s'_n blocks of the top odd
+    chain."""
     n = len(sizes)
     validate_decomposition(sizes, s_prime, s_dprime, c.num_colors)
     if not coloring_is_valid(k.graph, c):
         raise ContractError("not a valid coloring of the complex's graph")
     chi = c.num_colors
-    # unused generators per level and unused color classes, each reversed so
-    # that pop() hands out the first one
-    pools: dict[int, list[str]] = {}
+    # the unused generators of each level, and the unused color classes
+    # reversed so that pop() hands out color 1 first
+    pools: dict[int, range] = {}
     start = 0
     for size, degree in k.blocks:
-        pools[(degree - 2) // 2] = list(reversed(k.gen_labels[start : start + size]))
+        pools[(degree - 2) // 2] = range(start, start + size)
         start += size
-    color_classes: list[list[str]] = [[] for _ in range(chi)]
-    for v, label in zip(k.graph.vertices, k.gen_labels[start:]):
-        color_classes[chi - c.assignment[v]].append(label)
-    blocks: list[frozenset[str]] = []
+    color_classes: list[list[int]] = [[] for _ in range(chi)]
+    for i, v in enumerate(k.graph.vertices, start):
+        color_classes[chi - c.assignment[v]].append(i)
+    blocks: list[list[int]] = []
 
     def emit(levels: range, colored_count: int, uncolored_count: int) -> None:
         for colored in [True] * colored_count + [False] * uncolored_count:
             members = []
             for level in levels:
-                if not pools.get(level):
+                pool = pools.get(level)
+                if not pool:
                     raise ContractError(f"level {level} exhausted during construction")
-                members.append(pools[level].pop())
+                members.append(pool[0])
+                pools[level] = pool[1:]
             if colored:
                 if not color_classes:
                     raise ContractError("color classes exhausted during construction")
                 members += color_classes.pop()
-            blocks.append(frozenset(members))
+            if members:
+                blocks.append(members)
 
     last = s_prime[n - 1]
     if n % 2 or last >= chi:
@@ -363,29 +406,87 @@ def partition_from_decomposition(
 
     if any(pools.values()) or color_classes:
         raise ContractError("construction left generators unassigned")
-    part = Partition(tuple(b for b in blocks if b))
-    part.validate_against(k)
-    return part
+    if sorted(i for block in blocks for i in block) != list(range(k.num_generators)):
+        raise ContractError("construction blocks do not partition V(K)")
+    return blocks
 
 
 def verify_partition_family(k: JoinComplex, part: Partition, family: DegreeMultisetFamily | None = None) -> bool:
     """The sufficiency check: every nonempty intersection of a maximal face with
     a block must carry an allowed degree multiset (default family if None).
 
-    A maximal face is all block generators plus a graph face (an edge, an
-    isolated vertex, or nothing), so it meets a block in the block's own
-    x-generators plus t = |graph face & block| graph generators. Each block is
-    checked once per distinct t in {0, 1, 2}, not once per face."""
+    The partition is validated against k, its labels are turned into
+    generator indices, and `_index_blocks_pass` decides it. A maximal face is
+    all block generators plus a graph face F (an edge, an isolated vertex, or
+    nothing when the graph has no vertex), so it meets a block in the block's
+    own x-generators plus t = |F & Y| graph generators, Y the block's graph
+    vertices. With that, the set T of sizes t that occur is, per block:
+    2 in T iff an edge lies inside Y; 1 in T iff an edge crosses Y or an
+    isolated vertex is in Y; 0 in T iff an edge or an isolated vertex lies
+    wholly outside Y; a block with no graph generator has T = {0}.
+    Proof: an edge meets Y in 2, 1 or 0 vertices as it lies inside, crosses
+    or lies outside Y, and an isolated vertex in 1 or 0 as it is in Y or not;
+    with no vertex the one graph face is empty, and Y too. Each block is
+    checked once per t in T, not once per face."""
     fam = family if family is not None else DEFAULT_FAMILY
     part.validate_against(k)
-    graph_faces = k.maximal_graph_faces()
-    for block in part.blocks:
-        indices = [k.label_index[lbl] for lbl in block]
-        x_degrees = [k.gen_degrees[i] for i in indices if not k.is_graph_generator(i)]
-        for t in {len(face & block) for face in graph_faces}:
-            ms = tuple(sorted(x_degrees + [k.graph_degree] * t))
-            if ms and not fam.is_allowed(ms):
-                return False
+    index = k.label_index
+    return _index_blocks_pass(k, [[index[lbl] for lbl in block] for block in part.blocks], fam)
+
+
+def _index_blocks_pass(k: JoinComplex, blocks: list[list[int]], fam: DegreeMultisetFamily) -> bool:
+    """`verify_partition_family` on blocks of generator indices.
+
+    Y is a block's graph-vertex bitmask. Over Y's vertices v only,
+    sum |N(v) & Y| is twice the edges inside Y and sum |N(v) - Y| is the
+    edges crossing it; the rest of the |E| edges lie outside. Each distinct
+    multiset is looked up once per call."""
+    g = k.graph
+    # the neighbor bitmask of each vertex index, and the isolated vertices' mask
+    masks = []
+    isolated = 0
+    for v, row in enumerate(g.neighbor_indices):
+        mask = 0
+        for j in row:
+            mask |= 1 << j
+        masks.append(mask)
+        if not row:
+            isolated |= 1 << v
+    x_count = k.num_generators - len(masks)
+    degrees = k.gen_degrees
+    top = (k.graph_degree,)
+    twice_edges = 2 * len(g.edges)
+    passed: set[tuple[int, ...]] = set()
+    for block in blocks:
+        x_degrees = []
+        vertices = []
+        for i in block:
+            if i < x_count:
+                x_degrees.append(degrees[i])
+            else:
+                vertices.append(i - x_count)
+        sizes = (0,)
+        if vertices:
+            y = 0
+            for v in vertices:
+                y |= 1 << v
+            twice_inside = crossing = 0
+            for v in vertices:
+                twice_inside += (masks[v] & y).bit_count()
+                crossing += (masks[v] & ~y).bit_count()
+            sizes = []
+            if twice_inside:
+                sizes.append(2)
+            if crossing or isolated & y:
+                sizes.append(1)
+            if twice_inside + 2 * crossing < twice_edges or isolated & ~y:
+                sizes.append(0)
+        for t in sizes:
+            ms = tuple(x_degrees) + top * t
+            if ms and ms not in passed:
+                if not fam.is_allowed(ms):
+                    return False
+                passed.add(ms)
     return True
 
 
@@ -455,18 +556,21 @@ def sufficiency_partition(k: JoinComplex, family: DegreeMultisetFamily | None = 
     or the partition fails the caller's `family`.
 
     For a uniform family with chi <= n the construction yields the coloring
-    partition (`partition_from_coloring`). The partition must pass the default
-    family; that self-check raises AssertionError on failure."""
+    partition (`partition_from_coloring`). Both checks run on the
+    construction's index blocks, and labels are made only for the returned
+    certificate. The blocks must pass the default family; that self-check
+    raises AssertionError on failure."""
     chi, coloring = chromatic_number(k.graph)
-    dec = decompose_s(_general_sizes(k), chi)
+    sizes = _general_sizes(k)
+    dec = decompose_s(sizes, chi)
     if dec is None:
         return None
-    part = partition_from_decomposition(k, dec[0], dec[1], coloring)
-    if not verify_partition_family(k, part):
+    blocks = _decomposition_blocks(k, sizes, dec[0], dec[1], coloring)
+    if not _index_blocks_pass(k, blocks, DEFAULT_FAMILY):
         raise AssertionError("decomposition construction failed its own multiset check")
-    if family is not None and not verify_partition_family(k, part, family):
+    if family is not None and not _index_blocks_pass(k, blocks, family):
         return None
-    return part
+    return _label_partition(k, blocks)
 
 
 def check_realizable(
@@ -476,7 +580,9 @@ def check_realizable(
     sufficiency construction; anything left over is honestly inconclusive.
 
     A maximal face is every x generator plus a graph face of size t <= 2, so
-    its degree multiset depends only on t and is decided once per t."""
+    its degree multiset depends only on t and is decided once per t; the
+    sizes that occur are read off the graph, and a witness face is built only
+    when one fails."""
     fam = family if family is not None else DEFAULT_FAMILY
     k = build_complex(spec, g)
     if spec.kind in SPAN_CONDITION_KINDS:
@@ -487,23 +593,24 @@ def check_realizable(
                 span_gap=(outcome.p, outcome.span_value, outcome.bound),
                 note="no mod-p power-operation action exists",
             )
-    x_degrees = [degree for size, degree in k.blocks for _ in range(size)]
-    decided: set[int] = set()
-    for graph_face in k.maximal_graph_faces():
-        t = len(graph_face)
-        if t in decided:
-            continue
-        decided.add(t)
+    # the graph-face sizes t in `maximal_faces` order: edges, isolated
+    # vertices, or the one empty face of a graph with no vertex
+    isolated = () in g.neighbor_indices
+    sizes = ([2] if g.edges else []) + ([1] if isolated else []) or [0]
+    x_count = k.num_generators - len(g.vertices)
+    x_degrees = list(k.gen_degrees[:x_count])
+    for t in sizes:
         ms = tuple(sorted(x_degrees + [k.graph_degree] * t))
         if ms and multiset_decomposable(ms, fam) is None:
-            face = tuple(
-                lbl
-                for i, lbl in enumerate(k.gen_labels)
-                if lbl in graph_face or not k.is_graph_generator(i)
-            )
+            if t == 2:
+                graph_face = g.sorted_edges()[0]
+            elif t == 1:
+                graph_face = (g.vertices[g.neighbor_indices.index(())],)
+            else:
+                graph_face = ()
             return RealizabilityVerdict(
                 "CertifiedNotRealizable",
-                face=face,
+                face=k.gen_labels[:x_count] + tuple(map(y_label, graph_face)),
                 face_multiset=ms,
                 note="maximal face multiset is not a union of allowed lists",
             )

@@ -40,7 +40,10 @@ from sr_chroma.realize import (
     ExplicitFamily,
     Partition,
     _decompose_multiset,
+    _decomposition_blocks,
     _general_sizes,
+    _index_blocks_pass,
+    _label_partition,
     check_realizable,
     chromatic_bounds,
     decompose_s,
@@ -588,6 +591,23 @@ def test_certified_partitions_pass_the_family_they_were_checked_with():
     assert statuses[False, "Inconclusive"]
 
 
+def _random_partitions(rng: Random, k: JoinComplex, count: int) -> list[Partition]:
+    """`count` partitions with generators dealt to random blocks, then `count`
+    whose blocks hold only x generators or only graph generators."""
+    x_labels = [lbl for i, lbl in enumerate(k.gen_labels) if not k.is_graph_generator(i)]
+    y_labels = [k.gen_labels[i] for i in k.graph_generator_indices()]
+    parts = []
+    for groups in [[list(k.gen_labels)]] * count + [[x_labels, y_labels]] * count:
+        blocks = []
+        for labels in groups:
+            slots = [[] for _ in range(rng.randint(1, max(1, len(labels))))]
+            for lbl in labels:
+                slots[rng.randrange(len(slots))].append(lbl)
+            blocks += [frozenset(b) for b in slots if b]
+        parts.append(Partition(tuple(blocks)))
+    return parts
+
+
 def test_verify_partition_family_matches_face_oracle():
     rng = Random(43)
     specs = (
@@ -597,29 +617,56 @@ def test_verify_partition_family_matches_face_oracle():
         FamilySpec("A", (1, 2)),
     )
     families = (DEFAULT_FAMILY, SOME_CHAINS) + TWO_FAMILIES
+    # the graph with no vertex, an edgeless graph, an edge plus an isolated
+    # vertex and K4 pin each branch of the closed form; then random graphs
+    fixed = [
+        Graph.build([], []),
+        empty_graph(3),
+        Graph.build(["a", "b", "c"], [("a", "b")]),
+        complete_graph(4),
+    ]
     outcomes = Counter()
-    for _ in range(12):
-        g = random_graph(rng, 5)
+    doors = 0
+    for g in fixed + [random_graph(rng, 5) for _ in range(12)]:
         for spec in specs:
             k = build_complex(spec, g)
             faces = oracle_maximal_faces(k)
             assert sorted(map(sorted, faces)) == sorted(map(sorted, k.maximal_faces()))
-            parts = []
+            parts = _random_partitions(rng, k, 10)
             certified = sufficiency_partition(k)
             if certified is not None:
                 parts.append(certified)
-            for _ in range(10):
-                r = rng.randint(1, k.num_generators)
-                slots = [[] for _ in range(r)]
-                for lbl in k.gen_labels:
-                    slots[rng.randrange(r)].append(lbl)
-                parts.append(Partition(tuple(frozenset(b) for b in slots if b)))
+                # the two doors agree: the public check on the label partition
+                # and the index check on the construction's own blocks
+                chi, coloring = chromatic_number(g)
+                sizes = _general_sizes(k)
+                blocks = _decomposition_blocks(k, sizes, *decompose_s(sizes, chi), coloring)
+                assert _label_partition(k, blocks) == certified
+                for fam in families:
+                    assert verify_partition_family(k, certified, fam) == _index_blocks_pass(k, blocks, fam)
+                    doors += 1
             for part in parts:
                 for fam in families:
                     got = verify_partition_family(k, part, fam)
                     assert got == oracle_verify_partition(k, part, fam, faces), (spec, g, part)
                     outcomes[got] += 1
     assert outcomes[True] > 50 and outcomes[False] > 50
+    assert doors > 40
+
+
+def test_face_witness_for_each_graph_face_size():
+    # the witness is the first face of the first failing size t: an edge, an
+    # isolated vertex, or the empty graph face
+    cases = [
+        (("A", (1, 1)), Graph.build(["a", "b", "c"], [("a", "b")]), ("x1^(1)", "x1^(2)", "y_a", "y_b"), (4, 6, 8, 8)),
+        (("A", (0,)), Graph.build(["a"], []), ("y_a",), (6,)),
+        (("A", (0, 1)), Graph.build([], []), ("x1^(2)",), (6,)),
+    ]
+    for (kind, vector), g, face, multiset in cases:
+        verdict = check_realizable(FamilySpec(kind, vector), g)
+        assert verdict.status == "CertifiedNotRealizable"
+        assert (verdict.face, verdict.face_multiset) == (face, multiset)
+        assert frozenset(face) in build_complex(FamilySpec(kind, vector), g).maximal_faces()
 
 
 # -- oracle: the realizability reports, text and JSON ------------------------
