@@ -269,7 +269,7 @@ def _cmd_partition(args: argparse.Namespace) -> Report:
     lines = part.serialize(k).rstrip("\n").splitlines()
     lines.append("verified: True")
     report = {
-        "partition": [sorted(b, key=k.label_index.get) for b in part.blocks],
+        "partition": part.label_blocks(k),
         "verified": True,
     }
     return report, lines, EXIT_OK

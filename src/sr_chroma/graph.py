@@ -6,6 +6,10 @@ the greedy DSATUR coloring and `chromatic_number` (and
 instance and keep the answer on it. Witnesses are returned as fresh copies, so
 a caller that mutates one cannot change a later answer. Every search reads
 neighbors through one index view, `Graph.neighbor_indices`.
+
+There is one coloring search, `_saturation_coloring` (DSATUR). With a color
+per vertex it is the greedy pass; below the greedy count it is chi's search,
+and the first coloring it finds is chi's witness.
 """
 
 from __future__ import annotations
@@ -255,36 +259,14 @@ def _greedy_coloring(g: Graph) -> tuple[int, ...]:
     return answers["greedy"]
 
 
-def _colorable(g: Graph, k: int) -> bool:
-    """Whether g has a k-coloring; the feasibility test of chi's search."""
-    return _saturation_coloring(g, k) is not None
-
-
-def _lex_least_coloring(g: Graph, k: int) -> dict[str, int]:
-    """First k-coloring in lexicographic order over the input vertex order."""
-    n = len(g.vertices)
-    adj = g.neighbor_indices
-    colors = [0] * n
-    i = 0
-    while i < n:
-        c = colors[i] + 1
-        while c <= k and any(colors[u] == c for u in adj[i] if u < i):
-            c += 1
-        if c <= k:
-            colors[i] = c
-            i += 1
-            continue
-        colors[i] = 0
-        i -= 1
-        if i < 0:
-            raise ContractError(f"graph is not {k}-colorable")
-    return {v: colors[i] for i, v in enumerate(g.vertices)}
-
-
 def chromatic_number(g: Graph) -> tuple[int, Coloring]:
-    """Exact chromatic number with the lexicographically least witness.
+    """Exact chromatic number, with the coloring that decided it as the witness.
 
-    Solved once per `Graph`; every call returns its own copy of the witness."""
+    max(2, omega) <= chi <= u, where u is the greedy pass's largest color. The
+    counts from max(2, omega) to u - 1 are searched in turn, and the first
+    coloring found is the witness; when none is found, chi is u and the
+    witness is the greedy coloring. Solved once per `Graph`; every call
+    returns its own copy of the witness."""
     answers = g._answers
     if "chi" not in answers:
         answers["chi"] = _chromatic_number(g)
@@ -295,9 +277,10 @@ def chromatic_number(g: Graph) -> tuple[int, Coloring]:
 def _chromatic_number(g: Graph) -> tuple[int, Coloring]:
     if not g.vertices:
         return 0, Coloring(0, {})
-    if not g.edges:
-        return 1, Coloring(1, {v: 1 for v in g.vertices})
-    # max(2, omega) <= chi <= u: only the counts below the greedy one are tried
-    u = max(_greedy_coloring(g))
-    k = next((k for k in range(max(2, len(max_clique(g))), u) if _colorable(g, k)), u)
-    return k, Coloring(k, _lex_least_coloring(g, k))
+    colors = _greedy_coloring(g)
+    u = max(colors)
+    for k in range(max(2, len(max_clique(g))), u):
+        found = _saturation_coloring(g, k)
+        if found is not None:
+            return k, Coloring(k, dict(zip(g.vertices, found)))
+    return u, Coloring(u, dict(zip(g.vertices, colors)))

@@ -59,12 +59,14 @@ class Partition:
             extra = sorted(seen - everything)
             raise ContractError(f"partition does not cover V(K): missing={missing} extra={extra}")
 
-    def serialize(self, k: JoinComplex) -> str:
+    def label_blocks(self, k: JoinComplex) -> list[list[str]]:
+        """Each block's labels in k's generator order: the order every report
+        lists them in."""
         order = k.label_index
-        lines = []
-        for i, block in enumerate(self.blocks, 1):
-            labels = ", ".join(sorted(block, key=order.get))
-            lines.append(f"V_{i}: {labels}")
+        return [sorted(block, key=order.get) for block in self.blocks]
+
+    def serialize(self, k: JoinComplex) -> str:
+        lines = [f"V_{i}: {', '.join(labels)}" for i, labels in enumerate(self.label_blocks(k), 1)]
         return "\n".join(lines) + ("\n" if lines else "")
 
 
@@ -325,10 +327,12 @@ def partition_from_decomposition(
     c: Coloring,
 ) -> Partition:
     """The label view of the decomposition construction (`_decomposition_blocks`)
-    for a split of k's general block-size vector; the result is validated
-    structurally and should be re-checked against the degree-multiset family
-    by the caller."""
-    part = _label_partition(k, _decomposition_blocks(k, _general_sizes(k), s_prime, s_dprime, c))
+    for a split of k's general block-size vector. The split is validated
+    first (`validate_decomposition`), and the result structurally; it should
+    be re-checked against the degree-multiset family by the caller."""
+    sizes = _general_sizes(k)
+    validate_decomposition(sizes, s_prime, s_dprime, c.num_colors)
+    part = _label_partition(k, _decomposition_blocks(k, sizes, s_prime, s_dprime, c))
     part.validate_against(k)
     return part
 
@@ -346,8 +350,10 @@ def _decomposition_blocks(
     c: Coloring,
 ) -> list[list[int]]:
     """The blocks of the decomposition construction as lists of generator
-    indices, for a split of k's general block-size vector `sizes`; empty
-    blocks are dropped.
+    indices, for a split of k's general block-size vector `sizes` that
+    already passed `validate_decomposition` (`decompose_s` checks the split it
+    returns, `partition_from_decomposition` one it is given); empty blocks are
+    dropped.
 
     Each general level's generators are an index range of k's generator list
     and the color classes are k's graph generators grouped by color, in
@@ -358,7 +364,6 @@ def _decomposition_blocks(
     s'_n of them are colored, and the first chi - s'_n blocks of the top odd
     chain."""
     n = len(sizes)
-    validate_decomposition(sizes, s_prime, s_dprime, c.num_colors)
     if not coloring_is_valid(k.graph, c):
         raise ContractError("not a valid coloring of the complex's graph")
     chi = c.num_colors
@@ -543,8 +548,7 @@ class RealizabilityVerdict:
                 "multiset": list(self.face_multiset),
             }
         if self.partition is not None and self.complex is not None:
-            order = self.complex.label_index
-            out["partition"] = [sorted(b, key=order.get) for b in self.partition.blocks]
+            out["partition"] = self.partition.label_blocks(self.complex)
         if self.note:
             out["note"] = self.note
         return out

@@ -323,9 +323,6 @@ def span_chromatic_number(g: Graph, p: int) -> tuple[int, SpanColoring]:
 def _span_chromatic_number(g: Graph, p: int) -> tuple[int, SpanColoring]:
     if not g.vertices:
         return 0, SpanColoring(p, 0, {})
-    if not g.edges:
-        witness = {v: FpVector(p, (1,)) for v in g.vertices}
-        return 1, SpanColoring(p, 1, witness)
     colors = _greedy_coloring(g)
     greedy = Coloring(max(colors), dict(zip(g.vertices, colors)))
     for n in range(max(2, len(max_clique(g))), greedy.num_colors):

@@ -95,6 +95,18 @@ def random_graph(rng: Random, max_n: int = 8) -> Graph:
     return Graph.build(labels, edges)
 
 
+def witness_graphs():
+    """Every labeled graph on <= 5 vertices, then 24 seeded 6-8-vertex graphs:
+    the graphs whose chi and s_p-chi witnesses the test suite pins."""
+    yield from all_graphs(5)
+    rng = Random(23)
+    for _ in range(24):
+        n = rng.randint(6, 8)
+        labels = [str(i + 1) for i in range(n)]
+        edges = [(labels[i], labels[j]) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5]
+        yield Graph.build(labels, edges)
+
+
 # -- chromatic oracle --------------------------------------------------------
 
 def oracle_colorable(g: Graph, k: int) -> bool:

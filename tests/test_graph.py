@@ -17,6 +17,7 @@ from helpers import (
     oracle_colorable,
     path_graph,
     random_graph,
+    witness_graphs,
 )
 from sr_chroma import graph as graph_module
 from sr_chroma.errors import ContractError, GraphParseError
@@ -128,14 +129,24 @@ def test_chromatic_complete_graphs():
         assert chromatic_number(complete_graph(m))[0] == m
 
 
-def test_chromatic_witness_is_valid_and_lex_least():
-    for g in [cycle_graph(5), complete_graph(4), path_graph(4)]:
+def test_chromatic_witness_is_the_deciding_coloring():
+    for g in itertools.chain([cycle_graph(5), complete_graph(4), path_graph(4)], witness_graphs()):
         n, witness = chromatic_number(g)
         assert coloring_is_valid(g, witness)
-        assert witness.colors_used() == n
-    # lex-least over input order: C5 gets 1,2,1,2,3
-    _, w = chromatic_number(cycle_graph(5))
-    assert [w.assignment[v] for v in cycle_graph(5).vertices] == [1, 2, 1, 2, 3]
+        assert witness.colors_used() == n == oracle_chromatic(g)
+    # chi = u: the greedy DSATUR pass is the witness
+    for g, colors in ((cycle_graph(5), [1, 2, 1, 2, 3]), (path_graph(4), [2, 1, 2, 1])):
+        _, w = chromatic_number(g)
+        assert [w.assignment[v] for v in g.vertices] == colors
+    # chi = 3 < u = 4 on census graph 4655: the 3-coloring the search found
+    g = Graph.build(
+        map(str, range(7)),
+        [tuple(e.split("-")) for e in "0-3 0-4 0-6 1-2 1-3 1-5 2-5 2-6 3-4 3-6 4-5".split()],
+    )
+    assert max(_saturation_coloring(g, 7)) == 4
+    chi, w = chromatic_number(g)
+    assert chi == 3
+    assert w.assignment == {"0": 2, "1": 3, "2": 1, "3": 1, "4": 3, "5": 2, "6": 3}
 
 
 def test_chromatic_matches_oracle_on_random_graphs():

@@ -30,6 +30,7 @@ from helpers import (
     reference_anderson_grodal_allowed,
     reference_decompose_s,
 )
+from sr_chroma import realize as realize_module
 from sr_chroma.algebra import JoinComplex
 from sr_chroma.errors import ContractError
 from sr_chroma.families import FamilySpec, build_complex
@@ -262,6 +263,26 @@ def test_partition_from_decomposition_rejects_bad_split():
         partition_from_decomposition(k, (1, 2), (1, 0), coloring)  # s' not decreasing
 
 
+def test_sufficiency_partition_validates_its_split_once(monkeypatch):
+    calls = []
+    validate = realize_module.validate_decomposition
+
+    def counting(*args):
+        calls.append(args)
+        return validate(*args)
+
+    monkeypatch.setattr(realize_module, "validate_decomposition", counting)
+    outcomes = set()
+    for g in all_graphs(3):
+        for spec in (FamilySpec("A", (2, 2)), FamilySpec("B", (3,)), FamilySpec("Bp", (2, 1), 5)):
+            calls.clear()
+            part = sufficiency_partition(build_complex(spec, g))
+            # decompose_s checks the split it finds, and nothing checks it again
+            assert len(calls) == (part is not None), (spec, g)
+            outcomes.add(part is not None)
+    assert outcomes == {True, False}  # specs with a split, and without one
+
+
 # -- oracle: the construction on every split ---------------------------------
 #
 # `sufficiency_partition` only ever builds from `decompose_s`'s first split;
@@ -270,7 +291,7 @@ def test_partition_from_decomposition_rejects_bad_split():
 # most 4 vertices. The digest is sha256 over each partition's serialization,
 # or the ContractError's text, in the order below.
 
-SPLIT_SPECS_SHA256 = "104d0dbbe59a07cd85f4535fd621ce8366219852fb1213e21ac97d73df3d6bf3"
+SPLIT_SPECS_SHA256 = "f22aa31b01d7f2b43df96ad2508bd18f906dcb44940190f0a3884df0eb3c44e3"
 
 
 def _split_specs():
@@ -692,7 +713,7 @@ REPORT_SPECS = (
     FamilySpec("Bp", (2, 0), 5),
     FamilySpec("Ap", (1, 0), 3),
 )
-REPORTS_SHA256 = "25530c26190456731bade5aa6d848a77a0cf658b8f3c8b4b82ac21058143f3d9"
+REPORTS_SHA256 = "b46bbfbc2daae27207d6895f72167d7d12687f5a42f6b7ec8bdfc06316ae8935"
 
 
 def _report_graphs():

@@ -23,6 +23,7 @@ from helpers import (
     reference_span_chromatic,
     reference_span_conditions,
     rref_in_span,
+    witness_graphs,
 )
 from sr_chroma import graph as graph_module
 from sr_chroma import span as span_module
@@ -134,19 +135,8 @@ def test_no_span_coloring_below_the_clique_bound():
                 assert _search_dimension(g, p, below) is None, (g, p)
 
 
-def _witness_graphs():
-    """Every labeled graph on <= 5 vertices, then 24 seeded 6-8-vertex graphs."""
-    yield from all_graphs(5)
-    rng = Random(23)
-    for _ in range(24):
-        n = rng.randint(6, 8)
-        labels = [str(i + 1) for i in range(n)]
-        edges = [(labels[i], labels[j]) for i in range(n) for j in range(i + 1, n) if rng.random() < 0.5]
-        yield Graph.build(labels, edges)
-
-
 def test_span_values_equal_the_plain_dimension_loop():
-    for g in _witness_graphs():
+    for g in witness_graphs():
         for p in (2, 3, 5):
             assert span_chromatic_number(g, p)[0] == reference_span_chromatic(g, p), (g, p)
 
@@ -172,7 +162,7 @@ def test_no_dimension_at_or_above_the_greedy_count_is_searched(monkeypatch):
         return search(g, p, n)
 
     monkeypatch.setattr(span_module, "_search_dimension", counting)
-    for g in itertools.chain(_witness_graphs(), [antiflag_graph(2)]):
+    for g in itertools.chain(witness_graphs(), [antiflag_graph(2)]):
         if not g.edges:
             continue
         u = max(graph_module._saturation_coloring(g, len(g.vertices)))
@@ -186,17 +176,27 @@ def test_no_dimension_at_or_above_the_greedy_count_is_searched(monkeypatch):
 
 def test_span_chromatic_computes_no_chi(monkeypatch):
     # chi of the PG(2,3) antiflag graph (117 vertices) has no bound in
-    # practice; s_3-chi must not need it
+    # practice; s_3-chi must not need it, and its only coloring search is the
+    # greedy pass, with a color per vertex
     def refuse(*args):
         raise AssertionError("the span solver computed chi")
 
+    searched = []
+    saturation = graph_module._saturation_coloring
+
+    def counting(g, k):
+        searched.append(k)
+        return saturation(g, k)
+
     monkeypatch.setattr(graph_module, "chromatic_number", refuse)
-    monkeypatch.setattr(graph_module, "_colorable", refuse)
+    monkeypatch.setattr(graph_module, "_chromatic_number", refuse)
+    monkeypatch.setattr(graph_module, "_saturation_coloring", counting)
     g = antiflag_graph(3)
     assert (len(g.vertices), len(g.edges)) == (117, 702)
     n, witness = span_chromatic_number(g, 3)
     assert n == 3 and witness.dim == 3
     assert verify_span_coloring(g, witness)
+    assert searched == [117]
 
 
 def test_complete_graph_span_equals_size():
@@ -359,10 +359,13 @@ def test_serialize_witness_format():
     assert all(" : " in line for line in lines)
 
 
-# Pins the chi witness and the s_p-chi witnesses (p = 2, 3, 5), so a rewrite of
-# the searches that changes their visiting order shows up here. The digest is
-# sha256 over the chi coloring and every serialized span witness, in order.
-WITNESS_SHA256 = "53e78ba033f82d4e8fd65ce70c5ab4e890198324594530f9ccaa3b94aa365bb8"
+# Pin the chi witnesses and the s_p-chi witnesses (p = 2, 3, 5) on
+# `witness_graphs()`, each in its own digest, so a rewrite of one search that
+# changes its visiting order shows up in that search's digest alone. Each is
+# sha256 over the witnesses in order: the chi colorings, or every serialized
+# span witness.
+CHI_WITNESS_SHA256 = "b282799548ec59438cf3321c578dbe1b579c292dba4c78b13f6cb0ad7c0a4d3b"
+SPAN_WITNESS_SHA256 = "5df2ee88ceb65d51cb50ec5611042bc41742ee33ae471b7836c6985f911b3766"
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -375,15 +378,21 @@ def test_projective_reps_are_the_normalized_vectors_in_lex_order(p):
         assert tuple(map(unpack, span_module._packed_reps(p, r))) == tuple(sorted(normalized))
 
 
-def test_witness_oracle():
+def test_chi_witness_oracle():
     digest = hashlib.sha256()
-    for g in _witness_graphs():
+    for g in witness_graphs():
         chi, coloring = chromatic_number(g)
         digest.update(repr((chi, coloring.num_colors, sorted(coloring.assignment.items()))).encode())
+    assert digest.hexdigest() == CHI_WITNESS_SHA256
+
+
+def test_witness_oracle():
+    digest = hashlib.sha256()
+    for g in witness_graphs():
         for p in (2, 3, 5):
             n, witness = span_chromatic_number(g, p)
             digest.update(f"{p} {n} {witness.dim}\n{witness.serialize()}".encode())
-    assert digest.hexdigest() == WITNESS_SHA256
+    assert digest.hexdigest() == SPAN_WITNESS_SHA256
 
 
 @pytest.mark.parametrize("bad", [vec(5, 1, 0), vec(3, 1, 0, 0)], ids=["wrong-p", "wrong-dim"])
