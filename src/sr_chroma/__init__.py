@@ -31,7 +31,6 @@ from .realize import (
     Partition,
     RealizabilityVerdict,
     check_realizable,
-    chromatic_bounds,
     decompose_s,
     load_family_file,
     multiset_decomposable,

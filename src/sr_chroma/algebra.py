@@ -12,6 +12,7 @@ face to zero.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import compress
 from operator import add, mul, neg
 from typing import Iterable, Sequence
@@ -45,22 +46,20 @@ class _AmbientBase:
     gen_labels: tuple[str, ...]
     gen_degrees: tuple[int, ...]
 
-    def _init_generators(
-        self, labels: Sequence[str], degrees: Sequence[int], graph_start: int | None = None, graph_edges=()
-    ) -> None:
-        if len(set(labels)) != len(labels):
-            raise ContractError("generator labels are not distinct")
-        for lbl, d in zip(labels, degrees):
+    def _init_generators(self, degrees: Sequence[int], graph_start: int | None = None, graph_edges=()) -> None:
+        for i, d in enumerate(degrees):
             if d <= 0 or d % 2:
-                raise ContractError(f"generator {lbl!r} needs a positive even degree, got {d}")
+                raise ContractError(f"generator {self.gen_labels[i]!r} needs a positive even degree, got {d}")
         # subclasses are frozen dataclasses; bypass their __setattr__
-        object.__setattr__(self, "gen_labels", tuple(labels))
         object.__setattr__(self, "gen_degrees", tuple(degrees))
-        object.__setattr__(self, "label_index", {lbl: i for i, lbl in enumerate(labels)})
         object.__setattr__(self, "_basis_cache", {})
         # the generators from graph_start on are graph generators; none by default
-        object.__setattr__(self, "_graph_start", len(labels) if graph_start is None else graph_start)
+        object.__setattr__(self, "_graph_start", len(degrees) if graph_start is None else graph_start)
         object.__setattr__(self, "graph_edge_indices", frozenset(graph_edges))
+
+    @cached_property
+    def label_index(self) -> dict[str, int]:
+        return {lbl: i for i, lbl in enumerate(self.gen_labels)}
 
     # -- face structure ---------------------------------------------------------
     def graph_generator_indices(self) -> tuple[int, ...]:
@@ -83,7 +82,7 @@ class _AmbientBase:
     # -- monomial helpers -----------------------------------------------------
     @property
     def num_generators(self) -> int:
-        return len(self.gen_labels)
+        return len(self.gen_degrees)
 
     def unit_monomial(self) -> Monomial:
         return Monomial((0,) * self.num_generators)
@@ -192,7 +191,9 @@ class JoinComplex(_AmbientBase):
     Generators are x_i^(k) for block k and y_v for graph vertices; a generator
     subset is a face exactly when its y-part is empty, a vertex, or an edge.
     blocks entries are (size, degree) pairs; zero-size blocks contribute no
-    generators.
+    generators. The labels (`gen_labels`, `label_index`) are derived on first
+    read, and are distinct by construction: x labels start with `x`, y labels
+    with `y_`, and (k, i) pairs and graph vertices are distinct.
     """
 
     blocks: tuple[tuple[int, int], ...]
@@ -200,22 +201,22 @@ class JoinComplex(_AmbientBase):
     graph_degree: int
 
     def __post_init__(self):
-        labels: list[str] = []
         degrees: list[int] = []
-        for k, (size, deg) in enumerate(self.blocks, 1):
+        for size, deg in self.blocks:
             if size < 0:
                 raise ContractError("block sizes must be non-negative")
-            for i in range(1, size + 1):
-                labels.append(x_label(k, i))
-                degrees.append(deg)
-        x_count = len(labels)
-        for v in self.graph.vertices:
-            labels.append(y_label(v))
-            degrees.append(self.graph_degree)
+            degrees += [deg] * size
+        x_count = len(degrees)
+        degrees += [self.graph_degree] * len(self.graph.vertices)
         # graph edges are stored with the earlier vertex first
         at = self.graph.index
         edges = [(x_count + at[u], x_count + at[v]) for u, v in self.graph.edges]
-        self._init_generators(labels, degrees, x_count, edges)
+        self._init_generators(degrees, x_count, edges)
+
+    @cached_property
+    def gen_labels(self) -> tuple[str, ...]:
+        xs = [x_label(k, i) for k, (size, _) in enumerate(self.blocks, 1) for i in range(1, size + 1)]
+        return tuple(xs + [y_label(v) for v in self.graph.vertices])
 
     def y_index(self, vertex: str) -> int:
         return self._index_of(y_label(vertex))
@@ -254,7 +255,11 @@ class FreePolynomialAlgebra(_AmbientBase):
     generators: tuple[tuple[str, int], ...]
 
     def __post_init__(self):
-        self._init_generators([g for g, _ in self.generators], [d for _, d in self.generators])
+        labels = tuple(g for g, _ in self.generators)
+        if len(set(labels)) != len(labels):
+            raise ContractError("generator labels are not distinct")
+        object.__setattr__(self, "gen_labels", labels)
+        self._init_generators([d for _, d in self.generators])
 
 
 def parse_free_algebra(text: str) -> FreePolynomialAlgebra:

@@ -19,7 +19,7 @@ The one construction reads the general block-size vector off the complex (a
 block of degree d sits at level (d - 2) / 2, the graph degree 2n + 4 fixes
 the length n), splits it into a weakly decreasing part plus an odd-slot part
 (`decompose_s`) and lays the complex's own generator indices out from it in
-two cases; labels are made once, for the certificate. On uniform families it
+two cases; labels are made only by the report writers. On uniform families it
 reproduces the coloring partition. Degree multisets of maximal faces are
 tested for decomposability into the family's lists, the realizable
 polynomial-algebra degree lists by default.
@@ -32,42 +32,48 @@ from dataclasses import dataclass
 from functools import lru_cache
 from operator import add, lt, sub
 
-from .algebra import JoinComplex, x_label, y_label
+from .algebra import JoinComplex, y_label
 from .errors import ContractError
 from .families import SPAN_CONDITION_KINDS, FamilySpec, build_complex
 from .graph import Coloring, Graph, chromatic_number, coloring_is_valid
-from .span import span_chromatic_number
+from .span import span_chromatic_number  # noqa: F401 -- perfbench's tracer self-test reads it here
 from .steenrod import necessary_condition
 
 
 @dataclass(frozen=True)
 class Partition:
-    """Disjoint blocks covering the generator set of a join complex."""
+    """Disjoint blocks of generator indices covering a join complex's generators."""
 
-    blocks: tuple[frozenset[str], ...]
+    blocks: tuple[frozenset[int], ...]
 
     def validate_against(self, k: JoinComplex) -> None:
-        seen: set[str] = set()
+        n = k.num_generators
+        everything = range(n)
+        seen: set[int] = set()
         for block in self.blocks:
+            outside = [i for i in block if i not in everything]
+            if outside:
+                raise ContractError(f"partition holds generator indices {sorted(outside)} outside 0..{n - 1}")
             overlap = seen & block
             if overlap:
-                raise ContractError(f"partition blocks overlap on {sorted(overlap)}")
+                raise ContractError(f"partition blocks overlap on {_labels(k, overlap)}")
             seen |= block
-        everything = set(k.gen_labels)
-        if seen != everything:
-            missing = sorted(everything - seen)
-            extra = sorted(seen - everything)
-            raise ContractError(f"partition does not cover V(K): missing={missing} extra={extra}")
+        if len(seen) != n:
+            raise ContractError(f"partition does not cover V(K): missing={_labels(k, set(everything) - seen)}")
 
     def label_blocks(self, k: JoinComplex) -> list[list[str]]:
         """Each block's labels in k's generator order: the order every report
         lists them in."""
-        order = k.label_index
-        return [sorted(block, key=order.get) for block in self.blocks]
+        return [_labels(k, block) for block in self.blocks]
 
     def serialize(self, k: JoinComplex) -> str:
         lines = [f"V_{i}: {', '.join(labels)}" for i, labels in enumerate(self.label_blocks(k), 1)]
         return "\n".join(lines) + ("\n" if lines else "")
+
+
+def _labels(k: JoinComplex, indices) -> list[str]:
+    labels = k.gen_labels
+    return [labels[i] for i in sorted(indices)]
 
 
 def scheme_multisets(p: int, scheme: str) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -225,12 +231,11 @@ def partition_from_coloring(k: JoinComplex, c: Coloring) -> Partition:
         raise ContractError("not a valid coloring of the complex's graph")
     if c.num_colors > n:
         raise ContractError(f"coloring uses bound {c.num_colors} > block size {n}")
-    blocks = []
-    for i in range(1, n + 1):
-        members = {x_label(level, i) for level in range(1, len(k.blocks) + 1)}
-        members |= {y_label(v) for v, col in c.assignment.items() if col == i}
-        blocks.append(frozenset(members))
-    part = Partition(tuple(blocks))
+    # x_i^(level) is index (level - 1) * n + i - 1; the graph generators follow
+    columns = [[level * n + i for level in range(len(k.blocks))] for i in range(n)]
+    for j, v in enumerate(k.graph.vertices, n * len(k.blocks)):
+        columns[c.assignment[v] - 1].append(j)
+    part = Partition(tuple(map(frozenset, columns)))
     part.validate_against(k)
     return part
 
@@ -326,20 +331,15 @@ def partition_from_decomposition(
     s_dprime: tuple[int, ...],
     c: Coloring,
 ) -> Partition:
-    """The label view of the decomposition construction (`_decomposition_blocks`)
-    for a split of k's general block-size vector. The split is validated
-    first (`validate_decomposition`), and the result structurally; it should
+    """The decomposition construction (`_decomposition_blocks`) for a split of
+    k's general block-size vector. The split (`validate_decomposition`) and
+    the coloring are validated first, and the result structurally; it should
     be re-checked against the degree-multiset family by the caller."""
     sizes = _general_sizes(k)
     validate_decomposition(sizes, s_prime, s_dprime, c.num_colors)
-    part = _label_partition(k, _decomposition_blocks(k, sizes, s_prime, s_dprime, c))
-    part.validate_against(k)
-    return part
-
-
-def _label_partition(k: JoinComplex, blocks: list[list[int]]) -> Partition:
-    labels = k.gen_labels
-    return Partition(tuple(frozenset(labels[i] for i in block) for block in blocks))
+    if not coloring_is_valid(k.graph, c):
+        raise ContractError("not a valid coloring of the complex's graph")
+    return Partition(_decomposition_blocks(k, sizes, s_prime, s_dprime, c))
 
 
 def _decomposition_blocks(
@@ -348,12 +348,15 @@ def _decomposition_blocks(
     s_prime: tuple[int, ...],
     s_dprime: tuple[int, ...],
     c: Coloring,
-) -> list[list[int]]:
-    """The blocks of the decomposition construction as lists of generator
+) -> tuple[frozenset[int], ...]:
+    """The blocks of the decomposition construction as sets of generator
     indices, for a split of k's general block-size vector `sizes` that
     already passed `validate_decomposition` (`decompose_s` checks the split it
-    returns, `partition_from_decomposition` one it is given); empty blocks are
-    dropped.
+    returns, `partition_from_decomposition` one it is given) and a proper
+    coloring (chi's own witness, or one `partition_from_decomposition`
+    checked); empty blocks are dropped. An edge inside a color class would
+    put the graph degree twice into a block's multiset, which no
+    Anderson-Grodal list allows, so `sufficiency_partition`'s self-check fails.
 
     Each general level's generators are an index range of k's generator list
     and the color classes are k's graph generators grouped by color, in
@@ -364,8 +367,6 @@ def _decomposition_blocks(
     s'_n of them are colored, and the first chi - s'_n blocks of the top odd
     chain."""
     n = len(sizes)
-    if not coloring_is_valid(k.graph, c):
-        raise ContractError("not a valid coloring of the complex's graph")
     chi = c.num_colors
     # the unused generators of each level, and the unused color classes
     # reversed so that pop() hands out color 1 first
@@ -377,7 +378,7 @@ def _decomposition_blocks(
     color_classes: list[list[int]] = [[] for _ in range(chi)]
     for i, v in enumerate(k.graph.vertices, start):
         color_classes[chi - c.assignment[v]].append(i)
-    blocks: list[list[int]] = []
+    blocks: list[frozenset[int]] = []
 
     def emit(levels: range, colored_count: int, uncolored_count: int) -> None:
         for colored in [True] * colored_count + [False] * uncolored_count:
@@ -393,7 +394,7 @@ def _decomposition_blocks(
                     raise ContractError("color classes exhausted during construction")
                 members += color_classes.pop()
             if members:
-                blocks.append(members)
+                blocks.append(frozenset(members))
 
     last = s_prime[n - 1]
     if n % 2 or last >= chi:
@@ -413,15 +414,15 @@ def _decomposition_blocks(
         raise ContractError("construction left generators unassigned")
     if sorted(i for block in blocks for i in block) != list(range(k.num_generators)):
         raise ContractError("construction blocks do not partition V(K)")
-    return blocks
+    return tuple(blocks)
 
 
 def verify_partition_family(k: JoinComplex, part: Partition, family: DegreeMultisetFamily | None = None) -> bool:
     """The sufficiency check: every nonempty intersection of a maximal face with
     a block must carry an allowed degree multiset (default family if None).
 
-    The partition is validated against k, its labels are turned into
-    generator indices, and `_index_blocks_pass` decides it. A maximal face is
+    The partition is validated against k, and `_index_blocks_pass` decides
+    it on its generator indices. A maximal face is
     all block generators plus a graph face F (an edge, an isolated vertex, or
     nothing when the graph has no vertex), so it meets a block in the block's
     own x-generators plus t = |F & Y| graph generators, Y the block's graph
@@ -435,11 +436,10 @@ def verify_partition_family(k: JoinComplex, part: Partition, family: DegreeMulti
     checked once per t in T, not once per face."""
     fam = family if family is not None else DEFAULT_FAMILY
     part.validate_against(k)
-    index = k.label_index
-    return _index_blocks_pass(k, [[index[lbl] for lbl in block] for block in part.blocks], fam)
+    return _index_blocks_pass(k, part.blocks, fam)
 
 
-def _index_blocks_pass(k: JoinComplex, blocks: list[list[int]], fam: DegreeMultisetFamily) -> bool:
+def _index_blocks_pass(k: JoinComplex, blocks: tuple[frozenset[int], ...], fam: DegreeMultisetFamily) -> bool:
     """`verify_partition_family` on blocks of generator indices.
 
     Y is a block's graph-vertex bitmask. Over Y's vertices v only,
@@ -502,15 +502,6 @@ def verify_partition(k: JoinComplex, part: Partition, scheme: str) -> bool:
     return verify_partition_family(k, part, ExplicitFamily(scheme_multisets(p, scheme)))
 
 
-def chromatic_bounds(g: Graph, p: int) -> tuple[int, int]:
-    """(s_p-chi, chi) sandwich around the topological chromatic numbers."""
-    lower, _ = span_chromatic_number(g, p)
-    upper, _ = chromatic_number(g)
-    if lower > upper:
-        raise AssertionError("sandwich violated: solver bug")
-    return lower, upper
-
-
 @dataclass
 class RealizabilityVerdict:
     status: str  # CertifiedRealizable | CertifiedNotRealizable | Inconclusive
@@ -561,9 +552,9 @@ def sufficiency_partition(k: JoinComplex, family: DegreeMultisetFamily | None = 
 
     For a uniform family with chi <= n the construction yields the coloring
     partition (`partition_from_coloring`). Both checks run on the
-    construction's index blocks, and labels are made only for the returned
-    certificate. The blocks must pass the default family; that self-check
-    raises AssertionError on failure."""
+    construction's blocks, which are the returned certificate. The blocks must
+    pass the default family; that self-check raises AssertionError on
+    failure."""
     chi, coloring = chromatic_number(k.graph)
     sizes = _general_sizes(k)
     dec = decompose_s(sizes, chi)
@@ -574,7 +565,7 @@ def sufficiency_partition(k: JoinComplex, family: DegreeMultisetFamily | None = 
         raise AssertionError("decomposition construction failed its own multiset check")
     if family is not None and not _index_blocks_pass(k, blocks, family):
         return None
-    return _label_partition(k, blocks)
+    return Partition(blocks)
 
 
 def check_realizable(

@@ -331,8 +331,10 @@ def oracle_verify_partition(k, part, fam, maximal_faces=None) -> bool:
     all, checked face by face; pass `maximal_faces` to reuse an enumeration."""
     faces = oracle_maximal_faces(k) if maximal_faces is None else maximal_faces
     degree = dict(zip(k.gen_labels, k.gen_degrees))
+    # the partition holds generator indices; the faces are label sets
+    blocks = [{k.gen_labels[i] for i in block} for block in part.blocks]
     for face in faces:
-        for block in part.blocks:
+        for block in blocks:
             ms = tuple(sorted(degree[lbl] for lbl in face & block))
             if ms and not fam.is_allowed(ms):
                 return False

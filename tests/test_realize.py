@@ -44,9 +44,7 @@ from sr_chroma.realize import (
     _decomposition_blocks,
     _general_sizes,
     _index_blocks_pass,
-    _label_partition,
     check_realizable,
-    chromatic_bounds,
     decompose_s,
     load_family_file,
     multiset_decomposable,
@@ -71,21 +69,21 @@ def test_partition_from_coloring_identity_on_k3():
     k = build_complex(FamilySpec("Ap", (3, 3), 3), complete_graph(3))
     coloring = Coloring(3, {"1": 1, "2": 2, "3": 3})
     part = partition_from_coloring(k, coloring)
-    assert part.blocks == (
-        frozenset({"x1^(1)", "x1^(2)", "y_1"}),
-        frozenset({"x2^(1)", "x2^(2)", "y_2"}),
-        frozenset({"x3^(1)", "x3^(2)", "y_3"}),
-    )
+    # x1^(1), x2^(1), x3^(1), x1^(2), x2^(2), x3^(2), y_1, y_2, y_3
+    assert part.blocks == (frozenset({0, 3, 6}), frozenset({1, 4, 7}), frozenset({2, 5, 8}))
+    assert part.label_blocks(k) == [
+        ["x1^(1)", "x1^(2)", "y_1"],
+        ["x2^(1)", "x2^(2)", "y_2"],
+        ["x3^(1)", "x3^(2)", "y_3"],
+    ]
     assert verify_partition(k, part, "A")
 
 
 def test_partition_from_coloring_empty_graph():
     k = build_complex(FamilySpec("Ap", (2, 2), 3), Graph.build([], []))
     part = partition_from_coloring(k, Coloring(0, {}))
-    assert part.blocks == (
-        frozenset({"x1^(1)", "x1^(2)"}),
-        frozenset({"x2^(1)", "x2^(2)"}),
-    )
+    assert part.blocks == (frozenset({0, 2}), frozenset({1, 3}))
+    assert part.label_blocks(k) == [["x1^(1)", "x1^(2)"], ["x2^(1)", "x2^(2)"]]
     assert verify_partition(k, part, "A")
 
 
@@ -93,10 +91,8 @@ def test_partition_from_coloring_b5_edge():
     k = build_complex(FamilySpec("Bp", (2, 2), 5), complete_graph(2))
     coloring = Coloring(2, {"1": 1, "2": 2})
     part = partition_from_coloring(k, coloring)
-    assert part.blocks == (
-        frozenset({"x1^(1)", "x1^(2)", "y_1"}),
-        frozenset({"x2^(1)", "x2^(2)", "y_2"}),
-    )
+    assert part.blocks == (frozenset({0, 2, 4}), frozenset({1, 3, 5}))
+    assert part.serialize(k) == "V_1: x1^(1), x1^(2), y_1\nV_2: x2^(1), x2^(2), y_2\n"
     assert verify_partition(k, part, "B")
 
 
@@ -111,14 +107,14 @@ def test_partition_from_coloring_contract_errors():
 
 def test_verify_partition_one_block_fails():
     k = build_complex(FamilySpec("Ap", (2, 2), 3), complete_graph(3))
-    one_block = Partition((frozenset(k.gen_labels),))
+    one_block = Partition((frozenset(range(k.num_generators)),))
     assert not verify_partition(k, one_block, "A")
 
 
 def test_verify_partition_requires_coverage():
     k = build_complex(FamilySpec("B", (1,)), complete_graph(2))
     with pytest.raises(ContractError, match="cover"):
-        verify_partition(k, Partition((frozenset({"x1^(1)"}),)), "B")
+        verify_partition(k, Partition((frozenset({0}),)), "B")
 
 
 def test_coloring_partitions_verify_on_random_graphs():
@@ -190,7 +186,7 @@ def test_partition_from_decomposition_seven_block_shape():
     part = partition_from_decomposition(k, (5, 4, 3, 2), (2, 0, 1, 0), coloring)
     level_sets = [
         sorted({lbl.split("^")[1] for lbl in block if lbl.startswith("x")})
-        for block in part.blocks
+        for block in part.label_blocks(k)
     ]
     assert level_sets == [
         ["(1)", "(2)", "(3)", "(4)"],  # colored, i = 1..c
@@ -281,6 +277,66 @@ def test_sufficiency_partition_validates_its_split_once(monkeypatch):
             assert len(calls) == (part is not None), (spec, g)
             outcomes.add(part is not None)
     assert outcomes == {True, False}  # specs with a split, and without one
+
+
+def test_check_realizable_checks_no_coloring(monkeypatch):
+    # sufficiency_partition builds from chi's own witness, so only the public
+    # doors check a coloring, and they still do
+    calls = []
+    check = realize_module.coloring_is_valid
+
+    def counting(g, c):
+        calls.append(c)
+        return check(g, c)
+
+    monkeypatch.setattr(realize_module, "coloring_is_valid", counting)
+    realizable = 0
+    for g in all_graphs(4):
+        for spec in REPORT_SPECS[:9]:  # the benchmark census families
+            realizable += check_realizable(spec, g).status == "CertifiedRealizable"
+    assert calls == [] and realizable > 100
+    improper = Coloring(2, {"1": 1, "2": 1})
+    for door in (
+        lambda: partition_from_coloring(_B3_EDGE, improper),
+        lambda: partition_from_decomposition(_B3_EDGE, (1, 0), (2, 0), improper),
+    ):
+        with pytest.raises(ContractError, match="^not a valid coloring of the complex's graph$"):
+            door()
+    assert calls == [improper, improper]
+
+
+def test_generators_are_named_only_for_the_report(monkeypatch):
+    from sr_chroma import algebra
+
+    named = Counter()
+
+    def counting(name):
+        label = getattr(algebra, name)
+
+        def wrapped(*args):
+            named[name] += 1
+            return label(*args)
+
+        return wrapped
+
+    for name in ("x_label", "y_label"):
+        monkeypatch.setattr(algebra, name, counting(name))
+    verdict = check_realizable(FamilySpec("B", (3,)), complete_graph(3))
+    assert verdict.status == "CertifiedRealizable"
+    assert named == Counter()
+    text = verdict.to_text()
+    assert text.endswith("V_1: x1^(1), y_1\nV_2: x2^(1), y_2\nV_3: x3^(1), y_3")
+    # the labels are derived once and kept on the complex
+    assert verdict.to_text() == text
+    assert named == Counter(x_label=3, y_label=3)
+
+
+def test_label_blocks_lists_generator_order():
+    # generator order is x1^(1), x2^(1), x3^(1), x1^(2), ...: x2^(1) comes
+    # before x1^(2), though its label sorts after it
+    k = build_complex(FamilySpec("Ap", (3, 3), 3), complete_graph(3))
+    part = Partition((frozenset({7, 3, 1}), frozenset({8, 0})))
+    assert part.label_blocks(k) == [["x2^(1)", "x1^(2)", "y_2"], ["x1^(1)", "y_3"]]
 
 
 # -- oracle: the construction on every split ---------------------------------
@@ -428,18 +484,6 @@ def test_explicit_family_override():
 def test_family_file_rejects_degrees_no_generator_has(line):
     with pytest.raises(ContractError, match=f"^line 3: degrees must be positive even integers, got '{line}'$"):
         load_family_file(f"4\n# comment\n{line}\n")
-
-
-def test_chromatic_bounds():
-    assert chromatic_bounds(complete_graph(3), 3) == (3, 3)
-    assert chromatic_bounds(empty_graph(3), 5) == (1, 1)
-    lower, upper = chromatic_bounds(cycle_graph(5), 2)
-    assert (lower, upper) == (3, 3)
-    rng = Random(43)
-    for _ in range(20):
-        g = random_graph(rng, 6)
-        lower, upper = chromatic_bounds(g, 3)
-        assert lower <= upper
 
 
 def test_check_realizable_non_examples():
@@ -615,15 +659,15 @@ def test_certified_partitions_pass_the_family_they_were_checked_with():
 def _random_partitions(rng: Random, k: JoinComplex, count: int) -> list[Partition]:
     """`count` partitions with generators dealt to random blocks, then `count`
     whose blocks hold only x generators or only graph generators."""
-    x_labels = [lbl for i, lbl in enumerate(k.gen_labels) if not k.is_graph_generator(i)]
-    y_labels = [k.gen_labels[i] for i in k.graph_generator_indices()]
+    y_indices = list(k.graph_generator_indices())
+    x_indices = [i for i in range(k.num_generators) if not k.is_graph_generator(i)]
     parts = []
-    for groups in [[list(k.gen_labels)]] * count + [[x_labels, y_labels]] * count:
+    for groups in [[list(range(k.num_generators))]] * count + [[x_indices, y_indices]] * count:
         blocks = []
-        for labels in groups:
-            slots = [[] for _ in range(rng.randint(1, max(1, len(labels))))]
-            for lbl in labels:
-                slots[rng.randrange(len(slots))].append(lbl)
+        for indices in groups:
+            slots = [[] for _ in range(rng.randint(1, max(1, len(indices))))]
+            for i in indices:
+                slots[rng.randrange(len(slots))].append(i)
             blocks += [frozenset(b) for b in slots if b]
         parts.append(Partition(tuple(blocks)))
     return parts
@@ -657,12 +701,12 @@ def test_verify_partition_family_matches_face_oracle():
             certified = sufficiency_partition(k)
             if certified is not None:
                 parts.append(certified)
-                # the two doors agree: the public check on the label partition
+                # the two doors agree: the public check on the certificate
                 # and the index check on the construction's own blocks
                 chi, coloring = chromatic_number(g)
                 sizes = _general_sizes(k)
                 blocks = _decomposition_blocks(k, sizes, *decompose_s(sizes, chi), coloring)
-                assert _label_partition(k, blocks) == certified
+                assert certified.blocks == blocks
                 for fam in families:
                     assert verify_partition_family(k, certified, fam) == _index_blocks_pass(k, blocks, fam)
                     doors += 1
@@ -791,7 +835,8 @@ def test_reports_are_byte_identical_across_hash_seeds():
 _B1_EDGE = build_complex(FamilySpec("B", (1,)), complete_graph(2))
 _B3_EDGE = build_complex(FamilySpec("B", (3,)), complete_graph(2))
 _IMPROPER = Coloring(2, {"1": 1, "2": 1})
-_OVERLAPPING = Partition((frozenset({"x1^(1)", "y_1"}), frozenset({"y_1", "y_2"})))
+# _B1_EDGE's generators are x1^(1), y_1, y_2
+_OVERLAPPING = Partition((frozenset({0, 1}), frozenset({1, 2})))
 
 
 @pytest.mark.parametrize(
@@ -800,6 +845,10 @@ _OVERLAPPING = Partition((frozenset({"x1^(1)", "y_1"}), frozenset({"y_1", "y_2"}
         (
             lambda: _OVERLAPPING.validate_against(_B1_EDGE),
             "partition blocks overlap on ['y_1']",
+        ),
+        (
+            lambda: Partition((frozenset({0, 1}), frozenset({2, 3}))).validate_against(_B1_EDGE),
+            "partition holds generator indices [3] outside 0..2",
         ),
         (lambda: scheme_multisets(3, "C"), "unknown scheme 'C'"),
         (lambda: load_family_file("# no lists\n\n"), "multiset family file lists no multisets"),
@@ -830,6 +879,7 @@ _OVERLAPPING = Partition((frozenset({"x1^(1)", "y_1"}), frozenset({"y_1", "y_2"}
     ],
     ids=[
         "overlapping-blocks",
+        "index-outside",
         "unknown-scheme",
         "empty-family-file",
         "improper-coloring",
