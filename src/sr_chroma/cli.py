@@ -261,9 +261,15 @@ def _cmd_partition(args: argparse.Namespace) -> Report:
     spec = _family_from(args)
     g = _graph_from(args)
     k = build_complex(spec, g)
-    part = sufficiency_partition(k, _multiset_family_from(args))
+    family = _multiset_family_from(args)
+    part = sufficiency_partition(k, family)
     if part is None:
         chi, _ = chromatic_number(g)
+        # the construction's blocks always pass the default family, so it
+        # certifies exactly when a split exists
+        if family is not None and sufficiency_partition(k) is not None:
+            lines = [f"the multiset family rejects the construction's partition (chi = {chi})"]
+            return {"status": "rejected", "chi": chi}, lines, EXIT_INCONCLUSIVE
         lines = [f"no partition construction applies (chi = {chi})"]
         return {"status": "unavailable", "chi": chi}, lines, EXIT_INCONCLUSIVE
     lines = part.serialize(k).rstrip("\n").splitlines()

@@ -20,7 +20,11 @@ block of degree d sits at level (d - 2) / 2, the graph degree 2n + 4 fixes
 the length n), splits it into a weakly decreasing part plus an odd-slot part
 (`decompose_s`) and lays the complex's own generator indices out from it in
 two cases; labels are made only by the report writers. On uniform families it
-reproduces the coloring partition. Degree multisets of maximal faces are
+reproduces the coloring partition. The split and the layout depend on the
+graph only through chi, so they are kept across calls per (block shape,
+graph degree, chi), the last `_DECOMPOSITIONS_KEPT` of them; chi's color
+classes are attached, and the blocks are checked for cover and against the
+multiset family, on every graph. Degree multisets of maximal faces are
 tested for decomposability into the family's lists, the realizable
 polynomial-algebra degree lists by default.
 """
@@ -304,18 +308,19 @@ def validate_decomposition(
         raise ContractError("tail condition s'_{2k+1} >= c fails")
 
 
-def _general_sizes(k: JoinComplex) -> tuple[int, ...]:
-    """k's block-size vector in the general A(s, -) shape, read off its degrees.
+def _general_sizes(blocks: tuple[tuple[int, int], ...], graph_degree: int) -> tuple[int, ...]:
+    """A complex's block-size vector in the general A(s, -) shape, read off its
+    blocks' degrees and its graph degree.
 
     A block of degree d sits at general level (d - 2) / 2 and the graph degree
     2n + 4 fixes the length n; levels without a block have size 0. A and A_p
     fill levels 1..n; B and B_p put their degree-4j blocks at odd levels 2j - 1
     with n = p - 1. Raises ContractError on a complex outside that shape."""
-    n, odd = divmod(k.graph_degree - 4, 2)
+    n, odd = divmod(graph_degree - 4, 2)
     if n < 1 or odd:
-        raise ContractError(f"graph degree {k.graph_degree} is not an even number >= 6")
+        raise ContractError(f"graph degree {graph_degree} is not an even number >= 6")
     sizes: list[int | None] = [None] * n
-    for size, degree in k.blocks:
+    for size, degree in blocks:
         level, odd = divmod(degree - 2, 2)
         if odd or not 1 <= level <= n:
             raise ContractError(f"block degree {degree} is not at a general level 1..{n}")
@@ -331,56 +336,59 @@ def partition_from_decomposition(
     s_dprime: tuple[int, ...],
     c: Coloring,
 ) -> Partition:
-    """The decomposition construction (`_decomposition_blocks`) for a split of
-    k's general block-size vector. The split (`validate_decomposition`) and
-    the coloring are validated first, and the result structurally; it should
-    be re-checked against the degree-multiset family by the caller."""
-    sizes = _general_sizes(k)
+    """The decomposition construction (`_construction_plan`, then
+    `_decomposition_blocks`) for a split of k's general block-size vector.
+    The split (`validate_decomposition`) and the coloring are validated
+    first, on every call, and the result structurally; it should be
+    re-checked against the degree-multiset family by the caller."""
+    sizes = _general_sizes(k.blocks, k.graph_degree)
     validate_decomposition(sizes, s_prime, s_dprime, c.num_colors)
     if not coloring_is_valid(k.graph, c):
         raise ContractError("not a valid coloring of the complex's graph")
-    return Partition(_decomposition_blocks(k, sizes, s_prime, s_dprime, c))
+    plan = _construction_plan(k.blocks, k.graph_degree, c.num_colors, (tuple(s_prime), tuple(s_dprime)))
+    return Partition(_decomposition_blocks(k, plan, c))
 
 
-def _decomposition_blocks(
-    k: JoinComplex,
-    sizes: tuple[int, ...],
-    s_prime: tuple[int, ...],
-    s_dprime: tuple[int, ...],
-    c: Coloring,
-) -> tuple[frozenset[int], ...]:
-    """The blocks of the decomposition construction as sets of generator
-    indices, for a split of k's general block-size vector `sizes` that
-    already passed `validate_decomposition` (`decompose_s` checks the split it
-    returns, `partition_from_decomposition` one it is given) and a proper
-    coloring (chi's own witness, or one `partition_from_decomposition`
-    checked); empty blocks are dropped. An edge inside a color class would
-    put the graph degree twice into a block's multiset, which no
-    Anderson-Grodal list allows, so `sufficiency_partition`'s self-check fails.
+@lru_cache(maxsize=_DECOMPOSITIONS_KEPT)
+def _construction_plan(
+    blocks: tuple[tuple[int, int], ...],
+    graph_degree: int,
+    chi: int,
+    split: tuple[tuple[int, ...], tuple[int, ...]] | None = None,
+) -> tuple[tuple[tuple[int, ...], int], ...] | None:
+    """The graph-free part of the decomposition construction: per block, its
+    x-generator indices and the color whose class it takes (1..chi), or 0.
 
-    Each general level's generators are an index range of k's generator list
-    and the color classes are k's graph generators grouped by color, in
-    vertex order; the subscripts only count, so any unused generator of the
-    right level serves. Both layout cases emit full-range blocks, the
-    descending prefixes, then the odd chains from the last odd slot. Odd n,
-    or even n with s'_n >= chi, colors chi full-range blocks; otherwise all
-    s'_n of them are colored, and the first chi - s'_n blocks of the top odd
-    chain."""
-    n = len(sizes)
-    chi = c.num_colors
-    # the unused generators of each level, and the unused color classes
-    # reversed so that pop() hands out color 1 first
+    The layout reads the complex only through its blocks (each general
+    level's generators are an index range of the generator list) and chi, so
+    it is kept per (blocks, graph degree, chi, split), the last
+    `_DECOMPOSITIONS_KEPT` of them. With no split given it is `decompose_s`'s
+    split of `_general_sizes`, and None when there is none; a given split
+    must already have passed `validate_decomposition`. Errors are raised, not
+    kept, so they recur on every call.
+
+    Both layout cases emit full-range blocks, the descending prefixes, then
+    the odd chains from the last odd slot. Odd n, or even n with
+    s'_n >= chi, colors chi full-range blocks; otherwise all s'_n of them are
+    colored, and the first chi - s'_n blocks of the top odd chain. Colors are
+    handed out in emission order, color 1 first."""
+    if split is None:
+        split = decompose_s(_general_sizes(blocks, graph_degree), chi)
+        if split is None:
+            return None
+    s_prime, s_dprime = split
+    n = len(s_prime)
+    # the unused generators of each level
     pools: dict[int, range] = {}
     start = 0
-    for size, degree in k.blocks:
+    for size, degree in blocks:
         pools[(degree - 2) // 2] = range(start, start + size)
         start += size
-    color_classes: list[list[int]] = [[] for _ in range(chi)]
-    for i, v in enumerate(k.graph.vertices, start):
-        color_classes[chi - c.assignment[v]].append(i)
-    blocks: list[frozenset[int]] = []
+    plan: list[tuple[tuple[int, ...], int]] = []
+    colors_used = 0
 
     def emit(levels: range, colored_count: int, uncolored_count: int) -> None:
+        nonlocal colors_used
         for colored in [True] * colored_count + [False] * uncolored_count:
             members = []
             for level in levels:
@@ -389,12 +397,13 @@ def _decomposition_blocks(
                     raise ContractError(f"level {level} exhausted during construction")
                 members.append(pool[0])
                 pools[level] = pool[1:]
+            color = 0
             if colored:
-                if not color_classes:
+                if colors_used == chi:
                     raise ContractError("color classes exhausted during construction")
-                members += color_classes.pop()
-            if members:
-                blocks.append(frozenset(members))
+                colors_used += 1
+                color = colors_used
+            plan.append((tuple(members), color))
 
     last = s_prime[n - 1]
     if n % 2 or last >= chi:
@@ -410,11 +419,36 @@ def _decomposition_blocks(
         emit(range(1, j + 1, 2), colors_left, odd[j - 1] - odd[j + 1] - colors_left)
         colors_left = 0
 
-    if any(pools.values()) or color_classes:
+    if any(pools.values()) or colors_used < chi:
         raise ContractError("construction left generators unassigned")
-    if sorted(i for block in blocks for i in block) != list(range(k.num_generators)):
+    return tuple(plan)
+
+
+def _decomposition_blocks(
+    k: JoinComplex, plan: tuple[tuple[tuple[int, ...], int], ...], c: Coloring
+) -> tuple[frozenset[int], ...]:
+    """The blocks of the decomposition construction as sets of generator
+    indices: `plan`'s blocks with c's color classes attached, and checked
+    to partition k's generators, on every call.
+
+    c is a proper coloring with as many colors as the plan was made for
+    (chi's own witness, or one `partition_from_decomposition` checked). The
+    color classes are k's graph generators grouped by color, in vertex
+    order; the subscripts only count, so any unused generator of the right
+    level serves. An edge inside a color class would put the graph degree
+    twice into a block's multiset, which no Anderson-Grodal list allows, so
+    `sufficiency_partition`'s self-check fails."""
+    # classes[0] stays empty: it is what an uncolored block takes
+    classes: list[list[int]] = [[] for _ in range(c.num_colors + 1)]
+    for i, v in enumerate(k.graph.vertices, k.num_generators - len(k.graph.vertices)):
+        classes[c.assignment[v]].append(i)
+    blocks = tuple(frozenset((*members, *classes[color])) for members, color in plan)
+    # the blocks partition 0..n-1 iff their union is that range and their
+    # sizes add up to n, so no index is in two of them
+    n = k.num_generators
+    if sum(map(len, blocks)) != n or set().union(*blocks) != set(range(n)):
         raise ContractError("construction blocks do not partition V(K)")
-    return tuple(blocks)
+    return blocks
 
 
 def verify_partition_family(k: JoinComplex, part: Partition, family: DegreeMultisetFamily | None = None) -> bool:
@@ -551,16 +585,17 @@ def sufficiency_partition(k: JoinComplex, family: DegreeMultisetFamily | None = 
     or the partition fails the caller's `family`.
 
     For a uniform family with chi <= n the construction yields the coloring
-    partition (`partition_from_coloring`). Both checks run on the
-    construction's blocks, which are the returned certificate. The blocks must
-    pass the default family; that self-check raises AssertionError on
+    partition (`partition_from_coloring`). The split and layout are kept per
+    (block shape, graph degree, chi) (`_construction_plan`); chi's color
+    classes, the cover check and both multiset checks run on every call, on
+    the construction's blocks, which are the returned certificate. The blocks
+    must pass the default family; that self-check raises AssertionError on
     failure."""
     chi, coloring = chromatic_number(k.graph)
-    sizes = _general_sizes(k)
-    dec = decompose_s(sizes, chi)
-    if dec is None:
+    plan = _construction_plan(k.blocks, k.graph_degree, chi)
+    if plan is None:
         return None
-    blocks = _decomposition_blocks(k, sizes, dec[0], dec[1], coloring)
+    blocks = _decomposition_blocks(k, plan, coloring)
     if not _index_blocks_pass(k, blocks, DEFAULT_FAMILY):
         raise AssertionError("decomposition construction failed its own multiset check")
     if family is not None and not _index_blocks_pass(k, blocks, family):

@@ -310,10 +310,15 @@ def test_partition_rejected_by_multiset_family_is_inconclusive(capsys, tmp_path,
     assert code == 4
     assert out.splitlines()[0] == "status: Inconclusive"
     assert "Traceback" not in err
+    # decompose finds the split s' = 1,1, s'' = 1,0; the family rejects the
+    # partition built from it, and the report names that step
     code, out, err = run(capsys, ["partition"] + base)
     assert code == 4
-    assert out == "no partition construction applies (chi = 2)\n"
+    assert out == "the multiset family rejects the construction's partition (chi = 2)\n"
     assert "Traceback" not in err
+    code, out, err = run(capsys, ["partition"] + base + ["--format", "json"])
+    assert code == 4
+    assert json.loads(out) == {"status": "rejected", "chi": 2}
 
 
 def test_partition_scheme_option_is_gone(capsys, edge_file):
@@ -547,7 +552,7 @@ CLI_CORPUS = (
     "multiset --entries 4,6,8,8 --config {multiset_cfg}",
     "chromatic {k3} --config {missing}",
 )
-CLI_REPORTS_SHA256 = "cb162300b8c2c150b2b6abbd813933dec54066ebdc28766e7d9c84df2b2d61c8"
+CLI_REPORTS_SHA256 = "0508675226ca1ebe297030de771c3de67b909c3cd80ecc9bd08b111cf54931fc"
 
 
 def test_cli_reports_oracle(capsys, tmp_path):

@@ -40,6 +40,7 @@ from sr_chroma.realize import (
     AndersonGrodalFamily,
     ExplicitFamily,
     Partition,
+    _construction_plan,
     _decompose_multiset,
     _decomposition_blocks,
     _general_sizes,
@@ -243,7 +244,7 @@ def test_partition_from_decomposition_random():
             g = random_graph(rng, 5)
             chi, coloring = chromatic_number(g)
             k = build_complex(spec, g)
-            dec = decompose_s(_general_sizes(k), chi)
+            dec = decompose_s(_general_sizes(k.blocks, k.graph_degree), chi)
             if dec is None:
                 continue
             trials += 1
@@ -271,12 +272,76 @@ def test_sufficiency_partition_validates_its_split_once(monkeypatch):
     outcomes = set()
     for g in all_graphs(3):
         for spec in (FamilySpec("A", (2, 2)), FamilySpec("B", (3,)), FamilySpec("Bp", (2, 1), 5)):
+            k = build_complex(spec, g)
+            _construction_plan.cache_clear()
             calls.clear()
-            part = sufficiency_partition(build_complex(spec, g))
+            part = sufficiency_partition(k)
             # decompose_s checks the split it finds, and nothing checks it again
             assert len(calls) == (part is not None), (spec, g)
             outcomes.add(part is not None)
+            # the split is kept with its layout, so a warm call validates nothing
+            calls.clear()
+            again = sufficiency_partition(k)
+            assert calls == [] and again == part, (spec, g)
     assert outcomes == {True, False}  # specs with a split, and without one
+
+
+def test_construction_plan_is_kept_per_shape_and_chi():
+    # the split and layout read the graph only through chi, so a plan kept per
+    # (block shape, graph degree, chi) must give the blocks a cold call builds;
+    # one plan is made per key, so graphs of different chi never share one
+    def cases():
+        for g in (g for order in range(6) for g in all_graphs(order)):
+            for spec in REPORT_SPECS[:9]:  # the benchmark census families
+                for fam in (None, SOME_CHAINS):
+                    yield build_complex(spec, g), fam
+
+    def blocks(k, fam):
+        part = sufficiency_partition(k, fam)
+        return None if part is None else part.blocks
+
+    cold = []
+    for k, fam in cases():
+        _construction_plan.cache_clear()
+        cold.append(blocks(k, fam))
+    _construction_plan.cache_clear()
+    keys = set()
+    for (k, fam), expected in zip(cases(), cold, strict=True):
+        keys.add((k.blocks, k.graph_degree, chromatic_number(k.graph)[0]))
+        assert blocks(k, fam) == expected, (k.blocks, k.graph.edges, fam)
+    info = _construction_plan.cache_info()
+    assert (info.misses, info.hits) == (len(keys), len(cold) - len(keys))
+    assert len(keys) == 9 * 6  # each census shape at chi = 0..5
+    outcomes = Counter((fam is None, got is not None) for (_, fam), got in zip(cases(), cold))
+    assert len(outcomes) == 4 and min(outcomes.values()) > 100
+
+
+def test_certificate_is_checked_on_every_call(monkeypatch):
+    # the plan is kept, the certificate is not: each call that builds blocks
+    # checks them under the default family, then under the caller's
+    calls = []
+    check = realize_module._index_blocks_pass
+
+    def counting(k, blocks, fam):
+        calls.append(fam)
+        return check(k, blocks, fam)
+
+    monkeypatch.setattr(realize_module, "_index_blocks_pass", counting)
+    built = Counter()
+    for g in (g for order in range(5) for g in all_graphs(order)):
+        chi, _ = chromatic_number(g)
+        for spec in REPORT_SPECS[:9]:  # the benchmark census families
+            k = build_complex(spec, g)
+            builds = _construction_plan.__wrapped__(k.blocks, k.graph_degree, chi) is not None
+            for fam in (None, SOME_CHAINS):
+                expected = ([DEFAULT_FAMILY] + ([fam] if fam else [])) * builds
+                _construction_plan.cache_clear()
+                for warmth in ("cold", "warm"):
+                    calls.clear()
+                    sufficiency_partition(k, fam)
+                    assert calls == expected, (spec, g, fam, warmth)
+                    built[warmth, builds] += 1
+    assert built["warm", True] == built["cold", True] > 100 and built["warm", False] == built["cold", False] > 0
 
 
 def test_check_realizable_checks_no_coloring(monkeypatch):
@@ -371,7 +436,7 @@ def test_partition_from_decomposition_on_every_split_oracle():
         chi, coloring = chromatic_number(g)
         for spec in specs:
             k = build_complex(spec, g)
-            s = _general_sizes(k)
+            s = _general_sizes(k.blocks, k.graph_degree)
             n = len(s)
             for s_prime, s_dprime in odd_slot_splits(s):
                 try:
@@ -390,11 +455,14 @@ def test_partition_from_decomposition_on_every_split_oracle():
 
 
 def test_general_shape_is_read_off_the_complex():
-    edge = complete_graph(2)
-    assert _general_sizes(build_complex(FamilySpec("A", (2, 0, 1)), edge)) == (2, 0, 1)
-    assert _general_sizes(build_complex(FamilySpec("Ap", (3, 1), 3), edge)) == (3, 1)
-    assert _general_sizes(build_complex(FamilySpec("B", (3,)), edge)) == (3, 0)
-    assert _general_sizes(build_complex(FamilySpec("Bp", (3, 1, 2), 7), edge)) == (3, 0, 1, 0, 2, 0)
+    def sizes(spec):
+        k = build_complex(spec, complete_graph(2))
+        return _general_sizes(k.blocks, k.graph_degree)
+
+    assert sizes(FamilySpec("A", (2, 0, 1))) == (2, 0, 1)
+    assert sizes(FamilySpec("Ap", (3, 1), 3)) == (3, 1)
+    assert sizes(FamilySpec("B", (3,))) == (3, 0)
+    assert sizes(FamilySpec("Bp", (3, 1, 2), 7)) == (3, 0, 1, 0, 2, 0)
 
 
 @pytest.mark.parametrize(
@@ -704,8 +772,7 @@ def test_verify_partition_family_matches_face_oracle():
                 # the two doors agree: the public check on the certificate
                 # and the index check on the construction's own blocks
                 chi, coloring = chromatic_number(g)
-                sizes = _general_sizes(k)
-                blocks = _decomposition_blocks(k, sizes, *decompose_s(sizes, chi), coloring)
+                blocks = _decomposition_blocks(k, _construction_plan(k.blocks, k.graph_degree, chi), coloring)
                 assert certified.blocks == blocks
                 for fam in families:
                     assert verify_partition_family(k, certified, fam) == _index_blocks_pass(k, blocks, fam)
