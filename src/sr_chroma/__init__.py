@@ -34,8 +34,6 @@ from .realize import (
     decompose_s,
     load_family_file,
     multiset_decomposable,
-    partition_from_coloring,
-    partition_from_decomposition,
     sufficiency_partition,
     verify_partition,
     verify_partition_family,

@@ -39,7 +39,7 @@ from operator import add, lt, sub
 from .algebra import JoinComplex, y_label
 from .errors import ContractError
 from .families import SPAN_CONDITION_KINDS, FamilySpec, build_complex
-from .graph import Coloring, Graph, chromatic_number, coloring_is_valid
+from .graph import Coloring, Graph, chromatic_number
 from .span import span_chromatic_number  # noqa: F401 -- perfbench's tracer self-test reads it here
 from .steenrod import necessary_condition
 
@@ -51,8 +51,14 @@ class Partition:
     blocks: tuple[frozenset[int], ...]
 
     def validate_against(self, k: JoinComplex) -> None:
+        """Raise ContractError unless the blocks partition 0..n-1, n the
+        number of k's generators. They do iff their union is that range and
+        their sizes add up to n, so no index is in two of them; the
+        diagnostics are made only when that test fails."""
         n = k.num_generators
         everything = range(n)
+        if sum(map(len, self.blocks)) == n and set().union(*self.blocks) == set(everything):
+            return
         seen: set[int] = set()
         for block in self.blocks:
             outside = [i for i in block if i not in everything]
@@ -225,25 +231,6 @@ def _decompose_multiset(
     return None
 
 
-def partition_from_coloring(k: JoinComplex, c: Coloring) -> Partition:
-    """Column i of every block plus the i-th color class, i = 1..n."""
-    sizes = {size for size, _ in k.blocks}
-    if len(sizes) != 1:
-        raise ContractError("the coloring construction needs all block sizes equal")
-    n = sizes.pop()
-    if not coloring_is_valid(k.graph, c):
-        raise ContractError("not a valid coloring of the complex's graph")
-    if c.num_colors > n:
-        raise ContractError(f"coloring uses bound {c.num_colors} > block size {n}")
-    # x_i^(level) is index (level - 1) * n + i - 1; the graph generators follow
-    columns = [[level * n + i for level in range(len(k.blocks))] for i in range(n)]
-    for j, v in enumerate(k.graph.vertices, n * len(k.blocks)):
-        columns[c.assignment[v] - 1].append(j)
-    part = Partition(tuple(map(frozenset, columns)))
-    part.validate_against(k)
-    return part
-
-
 def decompose_s(s: tuple[int, ...], c: int) -> tuple[tuple[int, ...], tuple[int, ...]] | None:
     """Split s = s' + s'' with s' weakly decreasing and s'' supported on odd
     slots (weakly decreasing there), subject to the tail condition against c;
@@ -330,52 +317,35 @@ def _general_sizes(blocks: tuple[tuple[int, int], ...], graph_degree: int) -> tu
     return tuple(size or 0 for size in sizes)
 
 
-def partition_from_decomposition(
-    k: JoinComplex,
-    s_prime: tuple[int, ...],
-    s_dprime: tuple[int, ...],
-    c: Coloring,
-) -> Partition:
-    """The decomposition construction (`_construction_plan`, then
-    `_decomposition_blocks`) for a split of k's general block-size vector.
-    The split (`validate_decomposition`) and the coloring are validated
-    first, on every call, and the result structurally; it should be
-    re-checked against the degree-multiset family by the caller."""
-    sizes = _general_sizes(k.blocks, k.graph_degree)
-    validate_decomposition(sizes, s_prime, s_dprime, c.num_colors)
-    if not coloring_is_valid(k.graph, c):
-        raise ContractError("not a valid coloring of the complex's graph")
-    plan = _construction_plan(k.blocks, k.graph_degree, c.num_colors, (tuple(s_prime), tuple(s_dprime)))
-    return Partition(_decomposition_blocks(k, plan, c))
-
-
 @lru_cache(maxsize=_DECOMPOSITIONS_KEPT)
 def _construction_plan(
-    blocks: tuple[tuple[int, int], ...],
-    graph_degree: int,
-    chi: int,
-    split: tuple[tuple[int, ...], tuple[int, ...]] | None = None,
+    blocks: tuple[tuple[int, int], ...], graph_degree: int, chi: int
 ) -> tuple[tuple[tuple[int, ...], int], ...] | None:
-    """The graph-free part of the decomposition construction: per block, its
-    x-generator indices and the color whose class it takes (1..chi), or 0.
+    """The graph-free part of the decomposition construction: `decompose_s`'s
+    split of `_general_sizes`, laid out by `_layout`; None when there is no
+    split.
 
-    The layout reads the complex only through its blocks (each general
-    level's generators are an index range of the generator list) and chi, so
-    it is kept per (blocks, graph degree, chi, split), the last
-    `_DECOMPOSITIONS_KEPT` of them. With no split given it is `decompose_s`'s
-    split of `_general_sizes`, and None when there is none; a given split
-    must already have passed `validate_decomposition`. Errors are raised, not
-    kept, so they recur on every call.
+    Both read the complex only through its blocks (each general level's
+    generators are an index range of the generator list), its graph degree
+    and chi, so the plan is kept per (blocks, graph degree, chi), the last
+    `_DECOMPOSITIONS_KEPT` of them. Errors are raised, not kept, so they
+    recur on every call."""
+    split = decompose_s(_general_sizes(blocks, graph_degree), chi)
+    return None if split is None else _layout(blocks, chi, split)
+
+
+def _layout(
+    blocks: tuple[tuple[int, int], ...], chi: int, split: tuple[tuple[int, ...], tuple[int, ...]]
+) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Per block of the construction, its x-generator indices and the color
+    whose class it takes (1..chi), or 0, for a split that has passed
+    `validate_decomposition`.
 
     Both layout cases emit full-range blocks, the descending prefixes, then
     the odd chains from the last odd slot. Odd n, or even n with
     s'_n >= chi, colors chi full-range blocks; otherwise all s'_n of them are
     colored, and the first chi - s'_n blocks of the top odd chain. Colors are
     handed out in emission order, color 1 first."""
-    if split is None:
-        split = decompose_s(_general_sizes(blocks, graph_degree), chi)
-        if split is None:
-            return None
     s_prime, s_dprime = split
     n = len(s_prime)
     # the unused generators of each level
@@ -428,27 +398,20 @@ def _decomposition_blocks(
     k: JoinComplex, plan: tuple[tuple[tuple[int, ...], int], ...], c: Coloring
 ) -> tuple[frozenset[int], ...]:
     """The blocks of the decomposition construction as sets of generator
-    indices: `plan`'s blocks with c's color classes attached, and checked
-    to partition k's generators, on every call.
+    indices: `plan`'s blocks with c's color classes attached.
 
-    c is a proper coloring with as many colors as the plan was made for
-    (chi's own witness, or one `partition_from_decomposition` checked). The
-    color classes are k's graph generators grouped by color, in vertex
-    order; the subscripts only count, so any unused generator of the right
-    level serves. An edge inside a color class would put the graph degree
-    twice into a block's multiset, which no Anderson-Grodal list allows, so
-    `sufficiency_partition`'s self-check fails."""
+    c is chi's own witness, a proper coloring with as many colors as the
+    plan was made for. The color classes are k's graph generators grouped
+    by color, in vertex order; the subscripts only count, so any unused
+    generator of the right level serves. An edge inside a color class would
+    put the graph degree twice into a block's multiset, which no
+    Anderson-Grodal list allows, so `sufficiency_partition`'s self-check
+    fails."""
     # classes[0] stays empty: it is what an uncolored block takes
     classes: list[list[int]] = [[] for _ in range(c.num_colors + 1)]
     for i, v in enumerate(k.graph.vertices, k.num_generators - len(k.graph.vertices)):
         classes[c.assignment[v]].append(i)
-    blocks = tuple(frozenset((*members, *classes[color])) for members, color in plan)
-    # the blocks partition 0..n-1 iff their union is that range and their
-    # sizes add up to n, so no index is in two of them
-    n = k.num_generators
-    if sum(map(len, blocks)) != n or set().union(*blocks) != set(range(n)):
-        raise ContractError("construction blocks do not partition V(K)")
-    return blocks
+    return tuple(frozenset((*members, *classes[color])) for members, color in plan)
 
 
 def verify_partition_family(k: JoinComplex, part: Partition, family: DegreeMultisetFamily | None = None) -> bool:
@@ -585,22 +548,23 @@ def sufficiency_partition(k: JoinComplex, family: DegreeMultisetFamily | None = 
     or the partition fails the caller's `family`.
 
     For a uniform family with chi <= n the construction yields the coloring
-    partition (`partition_from_coloring`). The split and layout are kept per
-    (block shape, graph degree, chi) (`_construction_plan`); chi's color
-    classes, the cover check and both multiset checks run on every call, on
-    the construction's blocks, which are the returned certificate. The blocks
-    must pass the default family; that self-check raises AssertionError on
-    failure."""
+    partition: column i of every block plus color class i. The split and
+    layout are kept per (block shape, graph degree, chi)
+    (`_construction_plan`); chi's color classes, the cover check
+    (`Partition.validate_against`) and both multiset checks run on every
+    call, on the returned certificate. It must pass the default family;
+    that self-check raises AssertionError on failure."""
     chi, coloring = chromatic_number(k.graph)
     plan = _construction_plan(k.blocks, k.graph_degree, chi)
     if plan is None:
         return None
-    blocks = _decomposition_blocks(k, plan, coloring)
-    if not _index_blocks_pass(k, blocks, DEFAULT_FAMILY):
+    part = Partition(_decomposition_blocks(k, plan, coloring))
+    part.validate_against(k)
+    if not _index_blocks_pass(k, part.blocks, DEFAULT_FAMILY):
         raise AssertionError("decomposition construction failed its own multiset check")
-    if family is not None and not _index_blocks_pass(k, blocks, family):
+    if family is not None and not _index_blocks_pass(k, part.blocks, family):
         return None
-    return Partition(blocks)
+    return part
 
 
 def check_realizable(

@@ -12,8 +12,8 @@ from random import Random
 
 from sr_chroma.algebra import AlgebraElement
 from sr_chroma.errors import ContractError
-from sr_chroma.graph import Graph, max_clique
-from sr_chroma.realize import validate_decomposition
+from sr_chroma.graph import Graph, coloring_is_valid, max_clique
+from sr_chroma.realize import Partition, validate_decomposition
 from sr_chroma.span import SpanColoring, _search_dimension
 from sr_chroma.steenrod import (
     CheckReport,
@@ -339,6 +339,23 @@ def oracle_verify_partition(k, part, fam, maximal_faces=None) -> bool:
             if ms and not fam.is_allowed(ms):
                 return False
     return True
+
+
+# -- uniform coloring partition reference ------------------------------------
+
+def reference_coloring_partition(k, c) -> Partition:
+    """The uniform coloring construction, for a complex whose blocks all have
+    one size n and a proper coloring c of its graph with at most n colors:
+    column i of every block plus the i-th color class, i = 1..n."""
+    (n,) = {size for size, _ in k.blocks}
+    assert coloring_is_valid(k.graph, c) and c.num_colors <= n
+    # x_i^(level) is index (level - 1) * n + i - 1; the graph generators follow
+    columns = [[level * n + i for level in range(len(k.blocks))] for i in range(n)]
+    for j, v in enumerate(k.graph.vertices, n * len(k.blocks)):
+        columns[c.assignment[v] - 1].append(j)
+    part = Partition(tuple(map(frozenset, columns)))
+    part.validate_against(k)
+    return part
 
 
 # -- default-family membership reference ------------------------------------

@@ -17,6 +17,7 @@ from helpers import (
     cycle_graph,
     oracle_face_set,
     random_graph,
+    reference_coloring_partition,
 )
 from sr_chroma.algebra import AlgebraElement, FreePolynomialAlgebra
 from sr_chroma.families import FamilySpec, build_complex
@@ -24,7 +25,6 @@ from sr_chroma.graph import chromatic_number
 from sr_chroma.realize import (
     check_realizable,
     decompose_s,
-    partition_from_coloring,
     verify_partition,
 )
 from sr_chroma.search import search_action
@@ -115,7 +115,7 @@ def test_criterion_5_sufficiency_certificates():
                 for kind, scheme in (("Ap", "A"), ("Bp", "B")):
                     width = p - 1 if kind == "Ap" else (p - 1) // 2
                     k = build_complex(FamilySpec(kind, (chi,) * width, p), g)
-                    part = partition_from_coloring(k, coloring)
+                    part = reference_coloring_partition(k, coloring)
                     if not verify_partition(k, part, scheme):
                         failures += 1
                     checked += 1

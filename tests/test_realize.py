@@ -28,13 +28,14 @@ from helpers import (
     oracle_verify_partition,
     random_graph,
     reference_anderson_grodal_allowed,
+    reference_coloring_partition,
     reference_decompose_s,
 )
 from sr_chroma import realize as realize_module
 from sr_chroma.algebra import JoinComplex
 from sr_chroma.errors import ContractError
 from sr_chroma.families import FamilySpec, build_complex
-from sr_chroma.graph import Coloring, Graph, chromatic_number
+from sr_chroma.graph import Coloring, Graph, chromatic_number, coloring_is_valid
 from sr_chroma.realize import (
     DEFAULT_FAMILY,
     AndersonGrodalFamily,
@@ -45,12 +46,11 @@ from sr_chroma.realize import (
     _decomposition_blocks,
     _general_sizes,
     _index_blocks_pass,
+    _layout,
     check_realizable,
     decompose_s,
     load_family_file,
     multiset_decomposable,
-    partition_from_coloring,
-    partition_from_decomposition,
     scheme_multisets,
     sufficiency_partition,
     validate_decomposition,
@@ -67,9 +67,12 @@ def test_scheme_multisets():
 
 
 def test_partition_from_coloring_identity_on_k3():
+    # the construction on a uniform family is the coloring partition
     k = build_complex(FamilySpec("Ap", (3, 3), 3), complete_graph(3))
-    coloring = Coloring(3, {"1": 1, "2": 2, "3": 3})
-    part = partition_from_coloring(k, coloring)
+    _, coloring = chromatic_number(k.graph)
+    assert coloring.assignment == {"1": 1, "2": 2, "3": 3}
+    part = sufficiency_partition(k)
+    assert part == reference_coloring_partition(k, coloring)
     # x1^(1), x2^(1), x3^(1), x1^(2), x2^(2), x3^(2), y_1, y_2, y_3
     assert part.blocks == (frozenset({0, 3, 6}), frozenset({1, 4, 7}), frozenset({2, 5, 8}))
     assert part.label_blocks(k) == [
@@ -82,7 +85,8 @@ def test_partition_from_coloring_identity_on_k3():
 
 def test_partition_from_coloring_empty_graph():
     k = build_complex(FamilySpec("Ap", (2, 2), 3), Graph.build([], []))
-    part = partition_from_coloring(k, Coloring(0, {}))
+    part = sufficiency_partition(k)
+    assert part == reference_coloring_partition(k, Coloring(0, {}))
     assert part.blocks == (frozenset({0, 2}), frozenset({1, 3}))
     assert part.label_blocks(k) == [["x1^(1)", "x1^(2)"], ["x2^(1)", "x2^(2)"]]
     assert verify_partition(k, part, "A")
@@ -90,20 +94,13 @@ def test_partition_from_coloring_empty_graph():
 
 def test_partition_from_coloring_b5_edge():
     k = build_complex(FamilySpec("Bp", (2, 2), 5), complete_graph(2))
-    coloring = Coloring(2, {"1": 1, "2": 2})
-    part = partition_from_coloring(k, coloring)
+    _, coloring = chromatic_number(k.graph)
+    assert coloring.assignment == {"1": 1, "2": 2}
+    part = sufficiency_partition(k)
+    assert part == reference_coloring_partition(k, coloring)
     assert part.blocks == (frozenset({0, 2, 4}), frozenset({1, 3, 5}))
     assert part.serialize(k) == "V_1: x1^(1), x1^(2), y_1\nV_2: x2^(1), x2^(2), y_2\n"
     assert verify_partition(k, part, "B")
-
-
-def test_partition_from_coloring_contract_errors():
-    k = build_complex(FamilySpec("Bp", (2, 1), 5), complete_graph(2))
-    with pytest.raises(ContractError, match="block sizes"):
-        partition_from_coloring(k, Coloring(2, {"1": 1, "2": 2}))
-    k2 = build_complex(FamilySpec("B", (1,)), complete_graph(2))
-    with pytest.raises(ContractError, match="bound"):
-        partition_from_coloring(k2, Coloring(2, {"1": 1, "2": 2}))
 
 
 def test_verify_partition_one_block_fails():
@@ -127,7 +124,7 @@ def test_coloring_partitions_verify_on_random_graphs():
             width = p - 1 if kind == "Ap" else (p - 1) // 2
             spec = FamilySpec(kind, (chi,) * width, p)
             k = build_complex(spec, g)
-            part = partition_from_coloring(k, coloring)
+            part = reference_coloring_partition(k, coloring)
             assert verify_partition(k, part, scheme)
 
 
@@ -178,13 +175,27 @@ def test_decompose_matches_the_enumeration_on_longer_vectors(s, c):
     assert decompose_s(tuple(s), c) == reference_decompose_s(tuple(s), c)
 
 
+def _split_partition(
+    k: JoinComplex, s_prime: tuple[int, ...], s_dprime: tuple[int, ...], coloring: Coloring
+) -> Partition:
+    """The decomposition construction from a given split of k's general
+    block-size vector rather than `decompose_s`'s: the split is validated
+    against the coloring's color count, laid out, given the color classes
+    and checked to partition k's generators."""
+    chi = coloring.num_colors
+    validate_decomposition(_general_sizes(k.blocks, k.graph_degree), s_prime, s_dprime, chi)
+    part = Partition(_decomposition_blocks(k, _layout(k.blocks, chi, (s_prime, s_dprime)), coloring))
+    part.validate_against(k)
+    return part
+
+
 def test_partition_from_decomposition_seven_block_shape():
     # s' = (5,4,3,2), s'' = (2,0,1,0), c = 2 on a single edge
     g = complete_graph(2)
     spec = FamilySpec("A", (7, 4, 4, 2))
     k = build_complex(spec, g)
     _, coloring = chromatic_number(g)
-    part = partition_from_decomposition(k, (5, 4, 3, 2), (2, 0, 1, 0), coloring)
+    part = _split_partition(k, (5, 4, 3, 2), (2, 0, 1, 0), coloring)
     level_sets = [
         sorted({lbl.split("^")[1] for lbl in block if lbl.startswith("x")})
         for block in part.label_blocks(k)
@@ -209,7 +220,7 @@ def test_partition_from_decomposition_even_case_two():
     dec = decompose_s(s, chi)
     assert dec == ((2, 2, 1, 1), (4, 0, 3, 0))
     k = build_complex(FamilySpec("A", s), g)
-    part = partition_from_decomposition(k, dec[0], dec[1], coloring)
+    part = _split_partition(k, dec[0], dec[1], coloring)
     assert verify_partition_family(k, part)
 
 
@@ -220,7 +231,7 @@ def test_partition_from_decomposition_odd_length():
         dec = decompose_s(s, chi)
         assert dec is not None
         k = build_complex(FamilySpec("A", s), g)
-        part = partition_from_decomposition(k, dec[0], dec[1], coloring)
+        part = _split_partition(k, dec[0], dec[1], coloring)
         assert verify_partition_family(k, part)
 
 
@@ -248,16 +259,8 @@ def test_partition_from_decomposition_random():
             if dec is None:
                 continue
             trials += 1
-            part = partition_from_decomposition(k, dec[0], dec[1], coloring)
+            part = _split_partition(k, dec[0], dec[1], coloring)
             assert verify_partition_family(k, part)
-
-
-def test_partition_from_decomposition_rejects_bad_split():
-    g = complete_graph(2)
-    k = build_complex(FamilySpec("A", (2, 2)), g)
-    _, coloring = chromatic_number(g)
-    with pytest.raises(ContractError):
-        partition_from_decomposition(k, (1, 2), (1, 0), coloring)  # s' not decreasing
 
 
 def test_sufficiency_partition_validates_its_split_once(monkeypatch):
@@ -345,29 +348,30 @@ def test_certificate_is_checked_on_every_call(monkeypatch):
 
 
 def test_check_realizable_checks_no_coloring(monkeypatch):
-    # sufficiency_partition builds from chi's own witness, so only the public
-    # doors check a coloring, and they still do
-    calls = []
-    check = realize_module.coloring_is_valid
+    # sufficiency_partition builds from chi's own witness, so no realize code
+    # checks a coloring. The profile hook sees every call of
+    # `coloring_is_valid`, however it is imported, with its caller's file
+    check = coloring_is_valid.__code__
+    callers = Counter()
 
-    def counting(g, c):
-        calls.append(c)
-        return check(g, c)
+    def hook(frame, event, arg):
+        if event == "call" and frame.f_code is check:
+            callers[frame.f_back.f_code.co_filename] += 1
 
-    monkeypatch.setattr(realize_module, "coloring_is_valid", counting)
     realizable = 0
-    for g in all_graphs(4):
-        for spec in REPORT_SPECS[:9]:  # the benchmark census families
-            realizable += check_realizable(spec, g).status == "CertifiedRealizable"
-    assert calls == [] and realizable > 100
-    improper = Coloring(2, {"1": 1, "2": 1})
-    for door in (
-        lambda: partition_from_coloring(_B3_EDGE, improper),
-        lambda: partition_from_decomposition(_B3_EDGE, (1, 0), (2, 0), improper),
-    ):
-        with pytest.raises(ContractError, match="^not a valid coloring of the complex's graph$"):
-            door()
-    assert calls == [improper, improper]
+    sys.setprofile(hook)
+    try:
+        for g in all_graphs(4):
+            for spec in REPORT_SPECS[:9]:  # the benchmark census families
+                realizable += check_realizable(spec, g).status == "CertifiedRealizable"
+    finally:
+        sys.setprofile(None)
+    assert callers[realize_module.__file__] == 0 and realizable > 100
+    # nor does it check one some other way: an improper witness goes through
+    # to the construction's own multiset check, the one guard it has
+    monkeypatch.setattr(realize_module, "chromatic_number", lambda g: (2, _IMPROPER))
+    with pytest.raises(AssertionError, match="^decomposition construction failed its own multiset check$"):
+        sufficiency_partition(_B3_EDGE)
 
 
 def test_generators_are_named_only_for_the_report(monkeypatch):
@@ -445,7 +449,7 @@ def test_partition_from_decomposition_on_every_split_oracle():
                 except ContractError:
                     layouts["invalid"] += 1
                 try:
-                    out = partition_from_decomposition(k, s_prime, s_dprime, coloring).serialize(k)
+                    out = _split_partition(k, s_prime, s_dprime, coloring).serialize(k)
                 except ContractError as exc:
                     out = f"ContractError: {exc}\n"
                 digest.update(out.encode())
@@ -478,8 +482,6 @@ def test_hand_built_complex_outside_the_general_shape(blocks, graph_degree, mess
     k = JoinComplex(blocks, complete_graph(2), graph_degree)
     with pytest.raises(ContractError, match=message):
         sufficiency_partition(k)
-    with pytest.raises(ContractError, match=message):
-        partition_from_decomposition(k, (3, 0), (0, 0), Coloring(2, {"1": 1, "2": 2}))
 
 
 def test_decompose_rejects_negative_sizes():
@@ -637,7 +639,7 @@ def test_sufficiency_partition_is_the_coloring_partition_on_uniform_families():
                     FamilySpec("Ap", (n,) * 4, 5),
                 ):
                     k = build_complex(spec, g)
-                    expect = partition_from_coloring(k, coloring)
+                    expect = reference_coloring_partition(k, coloring)
                     assert sufficiency_partition(k) == expect, (spec, g)
                     cases += 1
     assert cases == 8 * sum(2 ** (v * (v - 1) // 2) for v in range(6))
@@ -919,11 +921,6 @@ _OVERLAPPING = Partition((frozenset({0, 1}), frozenset({1, 2})))
         ),
         (lambda: scheme_multisets(3, "C"), "unknown scheme 'C'"),
         (lambda: load_family_file("# no lists\n\n"), "multiset family file lists no multisets"),
-        (lambda: partition_from_coloring(_B3_EDGE, _IMPROPER), "not a valid coloring of the complex's graph"),
-        (
-            lambda: partition_from_decomposition(_B3_EDGE, (1, 0), (2, 0), _IMPROPER),
-            "not a valid coloring of the complex's graph",
-        ),
         (lambda: decompose_s((1,), -1), "chromatic bound must be non-negative"),
         (lambda: decompose_s((), 1), "empty size vector"),
         (lambda: validate_decomposition((2, 1), (2,), (0, 0), 0), "decomposition length mismatch"),
@@ -949,8 +946,6 @@ _OVERLAPPING = Partition((frozenset({0, 1}), frozenset({1, 2})))
         "index-outside",
         "unknown-scheme",
         "empty-family-file",
-        "improper-coloring",
-        "improper-coloring-decomposition",
         "negative-c",
         "empty-vector",
         "length-mismatch",
