@@ -2,6 +2,12 @@
 
 `span_conditions` is the one span check: f(v) nonzero and outside the span of
 f(N(v)). `verify_span_coloring` and `steenrod.cokernel_report` both use it.
+It decides a vertex by coordinate support before any elimination: when some
+coordinate i is nonzero in f(v) and zero in every f(u), u in N(v), the
+coordinate functional e*_i vanishes on span f(N(v)) but not on f(v), so f(v)
+lies outside that span. That takes |V| + 2|E| word operations and decides
+every vertex of a basis-vector witness (`coloring_to_span_coloring`); any
+other vertex falls back to the echelon elimination below.
 
 `span_chromatic_number` solves at most once per (`Graph` instance, p) and
 keeps the answer on the graph, next to chi and the max clique (see `graph`);
@@ -29,6 +35,12 @@ All row reduction (the solver's and `span_conditions`') runs on one kernel
   and adding (`_Packing.add_multiple`, the fold's one home): at most
   2*log2(p) folds, one when c = p - 1. Nothing stored grows with p but the
   candidates (`_packed_reps`).
+- The support mask `(x + LOW) & HIGH` (LOW holds 2^(w-1) - 1 in every field)
+  has a field's top bit set exactly when that field is nonzero: a reduced
+  field is at most p - 1 <= 2^(w-1) - 1, so field + LOW <= 2^w - 2 never
+  carries, and reaches 2^(w-1) exactly when the field is at least 1. Reduced
+  fields use only their low w - 1 bits, so the OR of reduced vectors is one
+  too, and its support is the union of theirs.
 """
 
 from __future__ import annotations
@@ -102,6 +114,7 @@ class _Packing:
         self.p, self.n, self.w = p, n, w
         self.mask = (1 << w) - 1
         self.off = ((1 << (w - 1)) - p) * ones
+        self.low = ((1 << (w - 1)) - 1) * ones
         self.high = (1 << (w - 1)) * ones
 
     def pack(self, coords: Sequence[int]) -> int:
@@ -113,6 +126,10 @@ class _Packing:
     def unpack(self, x: int) -> tuple[int, ...]:
         w, mask = self.w, self.mask
         return tuple(x >> (w * i) & mask for i in range(self.n))
+
+    def support(self, x: int) -> int:
+        """The top bit of every nonzero field of reduced x (module docstring)."""
+        return (x + self.low) & self.high
 
     def add_multiple(self, acc: int, x: int, k: int) -> int:
         """acc + k*x for reduced acc and x and k >= 1, by doubling and adding."""
@@ -156,6 +173,13 @@ def _packing(p: int, n: int) -> _Packing:
     return _Packing(p, n)
 
 
+@lru_cache(maxsize=64)
+def _basis(p: int, n: int) -> tuple[FpVector, ...]:
+    """The standard basis e_1, ..., e_n of F_p^n, shared by every witness
+    `coloring_to_span_coloring` builds (an `FpVector` is frozen)."""
+    return tuple(FpVector(p, tuple(int(j == i) for j in range(n))) for i in range(n))
+
+
 def span_conditions(g: Graph, c: SpanColoring) -> Iterator[tuple[str, bool]]:
     """Per vertex in graph order, whether f(v) is nonzero and outside the span
     of f(N(v)), neighbors in graph order. Every vertex must have a vector;
@@ -164,7 +188,14 @@ def span_conditions(g: Graph, c: SpanColoring) -> Iterator[tuple[str, bool]]:
 
     A zero f(v) is answered without reading its neighbors, and a neighbor's
     vector is read only once f(v) passed: it fails with `prime mismatch` or
-    `dimension mismatch`."""
+    `dimension mismatch`. Every neighbor is read before the vertex is decided.
+
+    The decision: when `support(f(v)) & ~support(OR of f(N(v)))` is nonzero,
+    some coordinate i is nonzero in f(v) and zero on every neighbor, so the
+    functional e*_i vanishes on span f(N(v)) but not on f(v), and f(v) lies
+    outside the span (the support formula and why it never carries: module
+    docstring). Otherwise the echelon elimination of f(N(v)) decides. So the
+    certificate only answers True where the elimination would."""
     vertices = g.vertices
     for v in vertices:
         if v not in c.assignment:
@@ -184,7 +215,7 @@ def span_conditions(g: Graph, c: SpanColoring) -> Iterator[tuple[str, bool]]:
         if not x:
             yield v, False
             continue
-        rows: list[_Row] = []
+        covered = 0
         for j in nbrs[i]:
             y = packed[j]
             if y is None:
@@ -194,7 +225,13 @@ def span_conditions(g: Graph, c: SpanColoring) -> Iterator[tuple[str, bool]]:
                 if vec.dim != dim:
                     raise ContractError(f"dimension mismatch: {vec.dim} vs {dim}")
                 y = packed[j] = kernel.pack(vec.coords)
-            kernel.append(rows, y)
+            covered |= y
+        if kernel.support(x) & ~kernel.support(covered):
+            yield v, True
+            continue
+        rows: list[_Row] = []
+        for j in nbrs[i]:
+            kernel.append(rows, packed[j])
         yield v, bool(kernel.reduce(rows, x))
 
 
@@ -338,12 +375,12 @@ def _span_chromatic_number(g: Graph, p: int) -> tuple[int, SpanColoring]:
 
 
 def coloring_to_span_coloring(g: Graph, c: Coloring, p: int) -> SpanColoring:
-    """Send color i to the standard basis vector e_i, one shared `FpVector` per
-    color: a span coloring, since f(N(v)) spans only basis vectors other than
-    f(v). Raises `ContractError` unless c is a proper coloring of g."""
+    """Send color i to the standard basis vector e_i: a span coloring, since
+    f(N(v)) spans only basis vectors other than f(v). The vectors are the one
+    shared tuple `_basis(p, num_colors)`, so a color's vector is the same
+    `FpVector` in every witness of that (p, num_colors). Raises
+    `ContractError` unless c is a proper coloring of g."""
     if not coloring_is_valid(g, c):
         raise ContractError("not a valid coloring of the graph")
-    n = c.num_colors
-    used = set(c.assignment.values())
-    basis = {i: FpVector(p, tuple(int(j == i) for j in range(1, n + 1))) for i in used}
-    return SpanColoring(p, n, {v: basis[c.assignment[v]] for v in g.vertices})
+    basis, assignment = _basis(p, c.num_colors), c.assignment
+    return SpanColoring(p, c.num_colors, {v: basis[assignment[v] - 1] for v in g.vertices})

@@ -66,6 +66,31 @@ def test_packed_rows_match_rref_oracle(p, dim, data):
     assert (kernel.reduce(rows, kernel.pack(FpVector(p, target).coords)) == 0) == expected
 
 
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.sampled_from([2, 3, 5, 7, 251, 257]), st.integers(1, 8), st.data())
+def test_support_mask_marks_the_nonzero_coordinates(p, dim, data):
+    # the largest reduced field, p - 1, is the carry boundary of field + LOW;
+    # at p = 2 the field width is tight, p = 2^(w-1)
+    kernel = span_module._packing(p, dim)
+    assert p <= 1 << (kernel.w - 1) and (p == 2) == (p == 1 << (kernel.w - 1))
+    coord = st.one_of(st.sampled_from([0, 1, p - 1]), st.integers(0, p - 1))
+    vectors = data.draw(st.lists(st.tuples(*[coord] * dim), min_size=1, max_size=4))
+    top = 1 << (kernel.w - 1)
+
+    def expected(coords):
+        return sum(top << (kernel.w * i) for i, c in enumerate(coords) if c)
+
+    union = 0
+    for coords in vectors:
+        x = kernel.pack(coords)
+        assert kernel.unpack(x) == coords
+        assert kernel.support(x) == expected(coords)
+        union |= x
+    # reduced fields use only their low w - 1 bits, so an OR of vectors is
+    # one too, and its support is the union of the supports
+    assert kernel.support(union) == expected([any(v[i] for v in vectors) for i in range(dim)])
+
+
 def test_fpvector_reduction_and_primality():
     assert FpVector(3, (4, -1)).coords == (1, 2)
     with pytest.raises(ContractError):
@@ -219,6 +244,18 @@ def test_coloring_to_span_coloring_rejects_an_improper_coloring():
     assert sc.assignment["1"] is sc.assignment["3"]  # one vector per color
 
 
+def test_basis_vectors_are_shared_per_prime_and_dimension():
+    g = path_graph(3)
+    coloring = Coloring(3, {"1": 1, "2": 2, "3": 3})
+    first = coloring_to_span_coloring(g, coloring, 5)
+    second = coloring_to_span_coloring(g, Coloring(3, {"1": 3, "2": 1, "3": 2}), 5)
+    assert first == coloring_to_span_coloring(g, coloring, 5)
+    assert first.assignment is not second.assignment
+    # the same FpVector per (p, n, color), in every witness
+    assert first.assignment["1"] is second.assignment["2"] is span_module._basis(5, 3)[0]
+    assert span_module._basis.cache_info().maxsize is not None
+
+
 def test_basis_vector_assignment_from_coloring():
     rng = Random(13)
     for _ in range(30):
@@ -340,6 +377,18 @@ def test_mutating_a_witness_leaves_the_answer_alone():
     witness.assignment.clear()
     assert span_chromatic_number(g, 3) == (n, SpanColoring(3, n, expected_span))
 
+    # a greedy basis witness shares its vectors with later witnesses, but not
+    # its assignment
+    k3 = complete_graph(3)
+    n, witness = span_chromatic_number(k3, 2)
+    expected_span = dict(witness.assignment)
+    coloring = Coloring(3, {"1": 1, "2": 2, "3": 3})
+    expected_basis = coloring_to_span_coloring(k3, coloring, 2)
+    witness.assignment["1"] = witness.assignment["2"]
+    witness.assignment.pop("3")
+    assert span_chromatic_number(k3, 2) == (n, SpanColoring(2, n, expected_span))
+    assert coloring_to_span_coloring(k3, coloring, 2) == expected_basis
+
 
 def test_non_prime_raises_on_every_call():
     g = cycle_graph(5)
@@ -445,7 +494,7 @@ def test_verify_span_coloring_stops_before_a_later_malformed_vector():
 @given(
     st.integers(1, 5),
     st.integers(0, 2**10 - 1),
-    st.sampled_from([2, 3, 5]),
+    st.sampled_from([2, 3, 5, 7, 251]),
     st.integers(1, 3),
     st.data(),
 )
@@ -454,13 +503,21 @@ def test_packed_span_conditions_match_the_fpvector_reference(n, edge_bits, p, di
     pairs = itertools.combinations(labels, 2)
     g = Graph.build(labels, [e for i, e in enumerate(pairs) if edge_bits >> i & 1])
     coords = st.integers(0, p - 1)
-    # mostly well-formed vectors, so a malformed one is often met as a neighbor
-    kinds = st.sampled_from(["valid"] * 8 + ["zero", "wrong-dim"] * 2 + ["wrong-p", "missing"])
+    # mostly well-formed vectors, so a malformed one is often met as a neighbor;
+    # sparse ones (mostly zeros, else 1 or p - 1) leave coordinates off the
+    # neighbors' support, so the support certificate and the elimination
+    # fallback both decide vertices here
+    kinds = st.sampled_from(
+        ["valid"] * 5 + ["sparse"] * 4 + ["zero", "wrong-dim"] * 2 + ["wrong-p", "missing"]
+    )
+    sparse = st.sampled_from([0, 0, 0, 1, p - 1])
     assignment = {}
     for v in g.vertices:
         kind = data.draw(kinds)
         if kind == "valid":
             assignment[v] = FpVector(p, data.draw(st.tuples(*[coords] * dim)))
+        elif kind == "sparse":
+            assignment[v] = FpVector(p, data.draw(st.tuples(*[sparse] * dim)))
         elif kind == "zero":
             assignment[v] = FpVector(p, (0,) * dim)
         elif kind == "wrong-p":
@@ -474,3 +531,64 @@ def test_packed_span_conditions_match_the_fpvector_reference(n, edge_bits, p, di
     assert _trace(span_conditions, g, c) == _trace(reference_span_conditions, g, c)
     reference = _outcome(lambda: all(ok for _, ok in reference_span_conditions(g, c)))
     assert _outcome(lambda: verify_span_coloring(g, c)) == reference
+
+
+# -- the support certificate and its fallback ---------------------------------
+
+def _count_appends(monkeypatch):
+    calls = []
+    append = span_module._Packing.append
+
+    def counting(self, rows, x):
+        calls.append(x)
+        return append(self, rows, x)
+
+    monkeypatch.setattr(span_module._Packing, "append", counting)
+    return calls
+
+
+def test_basis_witnesses_verify_without_elimination(monkeypatch):
+    calls = _count_appends(monkeypatch)
+    checked = 0
+    for g in witness_graphs():
+        if not g.vertices:
+            continue
+        colors = graph_module._greedy_coloring(g)
+        colorings = [Coloring(max(colors), dict(zip(g.vertices, colors))), chromatic_number(g)[1]]
+        for coloring in colorings:
+            for p in (2, 3, 5):
+                assert verify_span_coloring(g, coloring_to_span_coloring(g, coloring, p)), (g, p)
+                checked += 1
+    assert checked > 0 and calls == []
+
+
+def test_the_fano_witness_is_decided_through_elimination(monkeypatch):
+    calls = _count_appends(monkeypatch)
+    g = antiflag_graph(2)
+    n, witness = span_chromatic_number(g, 2)
+    assert n == 3
+    calls.clear()
+    assert verify_span_coloring(g, witness)
+    assert calls
+    kernel = span_module._packing(2, n)
+    packed = {v: kernel.pack(w.coords) for v, w in witness.assignment.items()}
+
+    def certified(i):
+        covered = 0
+        for j in g.neighbor_indices[i]:
+            covered |= packed[g.vertices[j]]
+        return kernel.support(packed[g.vertices[i]]) & ~kernel.support(covered)
+
+    # tamper a vertex that elimination decides: its vector becomes the sum of
+    # two of its neighbors' vectors, whose support the neighbors cover
+    i = next(i for i in range(len(g.vertices)) if not certified(i))
+    neighbors = [witness.assignment[g.vertices[j]] for j in g.neighbor_indices[i]]
+    a, b = next((a, b) for a, b in itertools.combinations(neighbors, 2) if a != b)
+    tampered = dict(witness.assignment)
+    tampered[g.vertices[i]] = FpVector(2, tuple(x + y for x, y in zip(a.coords, b.coords)))
+    c = SpanColoring(2, n, tampered)
+    calls.clear()
+    trace = _trace(span_conditions, g, c)
+    assert trace == _trace(reference_span_conditions, g, c)
+    assert (g.vertices[i], False) in trace[0] and calls
+    assert verify_span_coloring(g, c) is False
