@@ -45,8 +45,11 @@ class _AmbientBase:
 
     gen_labels: tuple[str, ...]
     gen_degrees: tuple[int, ...]
+    # each graph edge as a pair (i, j), i < j, of generator indices; an ambient
+    # without graph generators has none (`JoinComplex` builds its own)
+    graph_edge_indices: frozenset[tuple[int, int]] = frozenset()
 
-    def _init_generators(self, degrees: Sequence[int], graph_start: int | None = None, graph_edges=()) -> None:
+    def _init_generators(self, degrees: Sequence[int], graph_start: int | None = None) -> None:
         for i, d in enumerate(degrees):
             if d <= 0 or d % 2:
                 raise ContractError(f"generator {self.gen_labels[i]!r} needs a positive even degree, got {d}")
@@ -55,7 +58,6 @@ class _AmbientBase:
         object.__setattr__(self, "_basis_cache", {})
         # the generators from graph_start on are graph generators; none by default
         object.__setattr__(self, "_graph_start", len(degrees) if graph_start is None else graph_start)
-        object.__setattr__(self, "graph_edge_indices", frozenset(graph_edges))
 
     @cached_property
     def label_index(self) -> dict[str, int]:
@@ -191,9 +193,11 @@ class JoinComplex(_AmbientBase):
     Generators are x_i^(k) for block k and y_v for graph vertices; a generator
     subset is a face exactly when its y-part is empty, a vertex, or an edge.
     blocks entries are (size, degree) pairs; zero-size blocks contribute no
-    generators. The labels (`gen_labels`, `label_index`) are derived on first
-    read, and are distinct by construction: x labels start with `x`, y labels
-    with `y_`, and (k, i) pairs and graph vertices are distinct.
+    generators. The labels (`gen_labels`, `label_index`) and the edge index
+    (`graph_edge_indices`) are derived on first read, so a complex that only
+    meets the realizability check builds neither. Labels are distinct by
+    construction: x labels start with `x`, y labels with `y_`, and (k, i)
+    pairs and graph vertices are distinct.
     """
 
     blocks: tuple[tuple[int, int], ...]
@@ -208,10 +212,15 @@ class JoinComplex(_AmbientBase):
             degrees += [deg] * size
         x_count = len(degrees)
         degrees += [self.graph_degree] * len(self.graph.vertices)
-        # graph edges are stored with the earlier vertex first
-        at = self.graph.index
-        edges = [(x_count + at[u], x_count + at[v]) for u, v in self.graph.edges]
-        self._init_generators(degrees, x_count, edges)
+        self._init_generators(degrees, x_count)
+
+    @cached_property
+    def graph_edge_indices(self) -> frozenset[tuple[int, int]]:
+        """Each graph edge as a pair (i, j), i < j, of generator indices, the
+        earlier vertex first; built on first read and kept on the complex."""
+        x = self._graph_start
+        rows = enumerate(self.graph.neighbor_indices)
+        return frozenset((x + i, x + j) for i, row in rows for j in row if i < j)
 
     @cached_property
     def gen_labels(self) -> tuple[str, ...]:

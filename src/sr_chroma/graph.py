@@ -5,7 +5,9 @@ the greedy DSATUR coloring and `chromatic_number` (and
 `span.span_chromatic_number`, per prime) solve at most once per `Graph`
 instance and keep the answer on it. Witnesses are returned as fresh copies, so
 a caller that mutates one cannot change a later answer. Every search reads
-neighbors through one index view, `Graph.neighbor_indices`.
+neighbors through one index view, `Graph.neighbor_indices`; the realizability
+check reads the same rows as bitmasks (`neighbor_masks`, `isolated_mask`),
+also made once per `Graph`.
 
 There is one coloring search, `_saturation_coloring` (DSATUR). With a color
 per vertex it is the greedy pass; below the greedy count it is chi's search,
@@ -62,6 +64,16 @@ class Graph:
             rows[index[u]].append(index[v])
             rows[index[v]].append(index[u])
         return tuple(tuple(sorted(row)) for row in rows)
+
+    @cached_property
+    def neighbor_masks(self) -> tuple[int, ...]:
+        """The neighbors of each vertex index as a bitmask, bit j for vertex j."""
+        return tuple(sum(1 << j for j in row) for row in self.neighbor_indices)
+
+    @cached_property
+    def isolated_mask(self) -> int:
+        """The vertices with no neighbor as a bitmask, bit v for vertex v."""
+        return sum(1 << v for v, row in enumerate(self.neighbor_indices) if not row)
 
     @cached_property
     def _answers(self) -> dict:

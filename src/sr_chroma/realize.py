@@ -439,21 +439,16 @@ def verify_partition_family(k: JoinComplex, part: Partition, family: DegreeMulti
 def _index_blocks_pass(k: JoinComplex, blocks: tuple[frozenset[int], ...], fam: DegreeMultisetFamily) -> bool:
     """`verify_partition_family` on blocks of generator indices.
 
-    Y is a block's graph-vertex bitmask. Over Y's vertices v only,
-    sum |N(v) & Y| is twice the edges inside Y and sum |N(v) - Y| is the
-    edges crossing it; the rest of the |E| edges lie outside. Each distinct
-    multiset is looked up once per call."""
+    Y is a block's graph-vertex bitmask; the neighbor bitmasks and the
+    isolated-vertex mask are kept on the `Graph`. Over Y's vertices v only,
+    sum |N(v) & Y| is twice the edges inside Y, and the edges crossing Y
+    number sum deg(v) - sum |N(v) & Y|. Proof: deg(v) = |N(v) & Y| +
+    |N(v) - Y|, and sum |N(v) - Y| counts each crossing edge once, from its
+    one end in Y. The rest of the |E| edges lie outside Y. So a block costs
+    one popcount per vertex of Y. Each distinct multiset is looked up once
+    per call."""
     g = k.graph
-    # the neighbor bitmask of each vertex index, and the isolated vertices' mask
-    masks = []
-    isolated = 0
-    for v, row in enumerate(g.neighbor_indices):
-        mask = 0
-        for j in row:
-            mask |= 1 << j
-        masks.append(mask)
-        if not row:
-            isolated |= 1 << v
+    masks, nbrs, isolated = g.neighbor_masks, g.neighbor_indices, g.isolated_mask
     x_count = k.num_generators - len(masks)
     degrees = k.gen_degrees
     top = (k.graph_degree,)
@@ -472,10 +467,11 @@ def _index_blocks_pass(k: JoinComplex, blocks: tuple[frozenset[int], ...], fam: 
             y = 0
             for v in vertices:
                 y |= 1 << v
-            twice_inside = crossing = 0
+            twice_inside = degree_sum = 0
             for v in vertices:
                 twice_inside += (masks[v] & y).bit_count()
-                crossing += (masks[v] & ~y).bit_count()
+                degree_sum += len(nbrs[v])
+            crossing = degree_sum - twice_inside
             sizes = []
             if twice_inside:
                 sizes.append(2)

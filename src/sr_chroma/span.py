@@ -47,7 +47,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .errors import ContractError
 from .graph import Coloring, Graph, _degree_order, _greedy_coloring, coloring_is_valid, max_clique
@@ -176,7 +176,7 @@ def _packing(p: int, n: int) -> _Packing:
 @lru_cache(maxsize=64)
 def _basis(p: int, n: int) -> tuple[FpVector, ...]:
     """The standard basis e_1, ..., e_n of F_p^n, shared by every witness
-    `coloring_to_span_coloring` builds (an `FpVector` is frozen)."""
+    `_basis_witness` builds (an `FpVector` is frozen)."""
     return tuple(FpVector(p, tuple(int(j == i) for j in range(n))) for i in range(n))
 
 
@@ -342,7 +342,7 @@ def span_chromatic_number(g: Graph, p: int) -> tuple[int, SpanColoring]:
     (an edge included) needs linearly independent vectors. No dimension at or
     above u, the color count of one greedy DSATUR coloring, is searched: when
     every dimension below u fails, n = u and the witness is that coloring's
-    basis vectors (`coloring_to_span_coloring`), since s_p-chi <= chi <= u.
+    basis vectors (`_basis_witness`), since s_p-chi <= chi <= u.
 
     Solved once per (`Graph`, p); every call returns its own copy of the
     witness. A non-prime p raises on every call.
@@ -358,29 +358,44 @@ def span_chromatic_number(g: Graph, p: int) -> tuple[int, SpanColoring]:
 
 
 def _span_chromatic_number(g: Graph, p: int) -> tuple[int, SpanColoring]:
+    """The solve behind `span_chromatic_number`. Every witness, searched or
+    greedy, passes `verify_span_coloring` before it is kept; the greedy one
+    is built unchecked (`_basis_witness`), since that check fails exactly
+    when the greedy coloring is improper."""
     if not g.vertices:
         return 0, SpanColoring(p, 0, {})
     colors = _greedy_coloring(g)
-    greedy = Coloring(max(colors), dict(zip(g.vertices, colors)))
-    for n in range(max(2, len(max_clique(g))), greedy.num_colors):
+    u = max(colors)
+    for n in range(max(2, len(max_clique(g))), u):
         sol = _search_dimension(g, p, n)
         if sol is not None:
             witness = SpanColoring(p, n, {v: FpVector(p, sol[v]) for v in g.vertices})
             break
     else:
-        n, witness = greedy.num_colors, coloring_to_span_coloring(g, greedy, p)
+        n, witness = u, _basis_witness(g, colors, u, p)
     if not verify_span_coloring(g, witness):
         raise AssertionError("solver returned an invalid witness")
     return n, witness
 
 
+def _basis_witness(g: Graph, colors: Iterable[int], dim: int, p: int) -> SpanColoring:
+    """Color i (of 1..dim, per vertex in graph order) sent to the standard
+    basis vector e_i, with no check of the coloring.
+
+    It is a span coloring exactly when the coloring is proper: e_{c(v)} is
+    nonzero, and it lies in span{e_{c(u)} : u in N(v)} iff some neighbor u
+    has c(u) = c(v), distinct basis vectors being independent. So
+    `verify_span_coloring` on the result fails exactly when the coloring is
+    improper. The vectors are the one shared tuple `_basis(p, dim)`, so a
+    color's vector is the same `FpVector` in every witness of that (p, dim)."""
+    basis = _basis(p, dim)
+    return SpanColoring(p, dim, {v: basis[c - 1] for v, c in zip(g.vertices, colors)})
+
+
 def coloring_to_span_coloring(g: Graph, c: Coloring, p: int) -> SpanColoring:
     """Send color i to the standard basis vector e_i: a span coloring, since
-    f(N(v)) spans only basis vectors other than f(v). The vectors are the one
-    shared tuple `_basis(p, num_colors)`, so a color's vector is the same
-    `FpVector` in every witness of that (p, num_colors). Raises
-    `ContractError` unless c is a proper coloring of g."""
+    f(N(v)) spans only basis vectors other than f(v) (`_basis_witness`).
+    Raises `ContractError` unless c is a proper coloring of g."""
     if not coloring_is_valid(g, c):
         raise ContractError("not a valid coloring of the graph")
-    basis, assignment = _basis(p, c.num_colors), c.assignment
-    return SpanColoring(p, c.num_colors, {v: basis[assignment[v] - 1] for v in g.vertices})
+    return _basis_witness(g, [c.assignment[v] for v in g.vertices], c.num_colors, p)

@@ -352,12 +352,18 @@ def test_zero_size_blocks_contribute_nothing():
 
 
 def test_complex_degree_validation():
-    with pytest.raises(ContractError):
-        JoinComplex(((1, 4),), Graph.build(["1"], []), 7)  # odd graph degree
-    with pytest.raises(ContractError):
-        JoinComplex(((1, 3),), Graph.build(["1"], []), 8)  # odd block degree
-    with pytest.raises(ContractError):
-        JoinComplex(((-1, 4),), Graph.build([], []), 8)
+    # a bad degree names the first generator that has it: an x block's, or the
+    # first graph generator's for the graph degree
+    cases = [
+        (((1, 4),), Graph.build(["1"], []), 7, "generator 'y_1' needs a positive even degree, got 7"),
+        (((1, 3),), Graph.build(["1"], []), 8, "generator 'x1^(1)' needs a positive even degree, got 3"),
+        (((2, 4), (1, 6), (2, 5)), Graph.build(["1"], []), 7, "generator 'x1^(3)' needs a positive even degree, got 5"),
+        (((-1, 4),), Graph.build([], []), 8, "block sizes must be non-negative"),
+    ]
+    for blocks, graph, graph_degree, message in cases:
+        with pytest.raises(ContractError) as info:
+            JoinComplex(blocks, graph, graph_degree)
+        assert str(info.value) == message
 
 
 _X4_Y8 = FreePolynomialAlgebra((("x", 4), ("y", 8)))

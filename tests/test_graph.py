@@ -247,6 +247,24 @@ def test_max_clique_on_a_1100_vertex_complete_graph():
     assert max_clique(g) == g.vertices
 
 
+def test_kept_masks_match_the_neighbor_rows():
+    # bit j of vertex v's mask is set iff j is in its neighbor row, and bit v
+    # of the isolated mask iff that row is empty; both are made once per Graph
+    def masks_from_rows(g):
+        rows = g.neighbor_indices
+        masks = tuple(sum(1 << j for j in set(row)) for row in rows)
+        return masks, sum(1 << v for v, row in enumerate(rows) if len(row) == 0)
+
+    graphs = list(all_graphs(5)) + [Graph.build([], []), complete_graph(1100)]
+    for g in graphs:
+        assert (g.neighbor_masks, g.isolated_mask) == masks_from_rows(g), g.edges
+        assert g.neighbor_masks is g.neighbor_masks
+    assert graphs[-2].neighbor_masks == () and graphs[-2].isolated_mask == 0
+    big = graphs[-1].neighbor_masks
+    assert big[0] == (1 << 1100) - 2 and big[-1] == (1 << 1099) - 1
+    assert {m.bit_count() for m in big} == {1099}
+
+
 def test_coloring_validity_checks():
     g = complete_graph(3)
     assert coloring_is_valid(g, Coloring(3, {"1": 1, "2": 2, "3": 3}))

@@ -400,6 +400,41 @@ def test_generators_are_named_only_for_the_report(monkeypatch):
     assert named == Counter(x_label=3, y_label=3)
 
 
+def test_edge_index_is_the_eager_construction():
+    # built on first read, it is the index the complex used to build up front:
+    # each edge (u, v), u before v, at generator indices x_count + position
+    for g in all_graphs(4):
+        for spec in REPORT_SPECS[:9]:  # the benchmark census families
+            k = build_complex(spec, g)
+            x_count = k.num_generators - len(g.vertices)
+            at = {v: i for i, v in enumerate(g.vertices)}
+            eager = frozenset((x_count + at[u], x_count + at[v]) for u, v in g.edges)
+            assert "graph_edge_indices" not in vars(k)
+            assert k.graph_edge_indices == eager, (spec, g.edges)
+            assert k.graph_edge_indices is k.graph_edge_indices
+
+
+def test_check_realizable_builds_no_edge_index(monkeypatch):
+    build = JoinComplex.__dict__["graph_edge_indices"].func
+    built = Counter()
+
+    def counting(k):
+        built[k.blocks] += 1
+        return build(k)
+
+    monkeypatch.setattr(JoinComplex, "graph_edge_indices", property(counting))
+    verdicts = Counter()
+    for g in all_graphs(4):
+        for spec in REPORT_SPECS[:9]:  # the benchmark census families
+            verdict = check_realizable(spec, g)
+            verdicts[verdict.status] += 1
+            verdict.to_text(), verdict.to_json_dict()
+    assert built == Counter() and len(verdicts) == 3 and verdicts["CertifiedRealizable"] > 100
+    # the count sees a read: a basis in the graph degree tests faces by edge
+    k = build_complex(REPORT_SPECS[0], complete_graph(3))
+    assert len(k.monomial_basis(2 * k.graph_degree)) > 0 and built[k.blocks] > 0
+
+
 def test_label_blocks_lists_generator_order():
     # generator order is x1^(1), x2^(1), x3^(1), x1^(2), ...: x2^(1) comes
     # before x1^(2), though its label sorts after it

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import sys
+from collections import Counter
 from random import Random
 
 import pytest
@@ -242,6 +244,36 @@ def test_coloring_to_span_coloring_rejects_an_improper_coloring():
     sc = coloring_to_span_coloring(g, Coloring(3, {"1": 1, "2": 2, "3": 1}), 3)
     assert sc.dim == 3 and sc.assignment["1"] == vec(3, 1, 0, 0)
     assert sc.assignment["1"] is sc.assignment["3"]  # one vector per color
+
+
+def test_the_greedy_witness_checks_no_coloring(monkeypatch):
+    # the greedy basis witness is built from the kept color tuple, and
+    # `verify_span_coloring` is its one check. The profile hook sees every
+    # call of `coloring_is_valid`, however it is imported, with its caller's file
+    check = graph_module.coloring_is_valid.__code__
+    callers = Counter()
+
+    def hook(frame, event, arg):
+        if event == "call" and frame.f_code is check:
+            callers[frame.f_back.f_code.co_filename] += 1
+
+    greedy = 0
+    sys.setprofile(hook)
+    try:
+        for g in all_graphs(4):
+            u = max(graph_module._greedy_coloring(g))
+            for p in (2, 3, 5):
+                greedy += span_chromatic_number(g, p)[0] == u
+        assert callers[span_module.__file__] == 0
+        # the hook does see the public door's contract check
+        coloring_to_span_coloring(path_graph(2), Coloring(2, {"1": 1, "2": 2}), 3)
+    finally:
+        sys.setprofile(None)
+    assert callers[span_module.__file__] == 1 and greedy > 150
+    # an improper greedy coloring goes through to that check
+    monkeypatch.setattr(span_module, "_greedy_coloring", lambda g: (1,) * len(g.vertices))
+    with pytest.raises(AssertionError, match="^solver returned an invalid witness$"):
+        span_chromatic_number(path_graph(2), 3)
 
 
 def test_basis_vectors_are_shared_per_prime_and_dimension():
