@@ -584,8 +584,9 @@ def check_realizable(
                 note="no mod-p power-operation action exists",
             )
     # the graph-face sizes t in `maximal_faces` order: edges, isolated
-    # vertices, or the one empty face of a graph with no vertex
-    isolated = () in g.neighbor_indices
+    # vertices, or the one empty face of a graph with no vertex; the lowest
+    # bit of the kept isolated mask is the first isolated vertex
+    isolated = g.isolated_mask
     sizes = ([2] if g.edges else []) + ([1] if isolated else []) or [0]
     x_count = k.num_generators - len(g.vertices)
     x_degrees = list(k.gen_degrees[:x_count])
@@ -595,7 +596,7 @@ def check_realizable(
             if t == 2:
                 graph_face = g.sorted_edges()[0]
             elif t == 1:
-                graph_face = (g.vertices[g.neighbor_indices.index(())],)
+                graph_face = (g.vertices[(isolated & -isolated).bit_length() - 1],)
             else:
                 graph_face = ()
             return RealizabilityVerdict(

@@ -41,6 +41,23 @@ All row reduction (the solver's and `span_conditions`') runs on one kernel
   carries, and reaches 2^(w-1) exactly when the field is at least 1. Reduced
   fields use only their low w - 1 bits, so the OR of reduced vectors is one
   too, and its support is the union of theirs.
+
+The search's state is nothing but subspaces of F_p^n (the span of each
+vertex's placed neighbors), and searches on different graphs ask the same few
+questions of them: F_5^3 has 64 subspaces. So `_search_dimension` reads them
+from one process-level lattice per (p, n), `_lattice(p, n)`, keyed by (p, n)
+only, like `_packing` and `_packed_reps`:
+- A subspace is interned once under its canonical key: the rows of its fully
+  reduced echelon form (each row scaled to pivot coefficient 1 and zero at
+  every other pivot), sorted by pivot. That form is unique per subspace, so
+  two spanning lists of one subspace meet in one `_Subspace`.
+- Each interned subspace keeps its dimension, a memo from packed vector to
+  "lies outside" and a memo from packed vector to the interned join.
+- A lattice holds at most `_LATTICE_ENTRIES` entries (interned subspaces plus
+  memo answers), a fixed constant, and at most 16 lattices are kept. Past the
+  bound a miss is answered by elimination and not stored.
+`span_conditions`, and so the self-check of every witness, never reads a
+lattice: it eliminates afresh, so a memo fault cannot hide from the verifier.
 """
 
 from __future__ import annotations
@@ -173,6 +190,83 @@ def _packing(p: int, n: int) -> _Packing:
     return _Packing(p, n)
 
 
+# entries one lattice may hold: interned subspaces plus memo answers
+_LATTICE_ENTRIES = 1 << 14
+
+
+class _Subspace:
+    """A subspace of F_p^n: its fully reduced echelon rows (every row zero at
+    every other row's pivot) in pivot order, and its memos. Reduction by such
+    rows gives the same remainder in any order."""
+
+    __slots__ = ("rows", "dim", "outside", "joins")
+
+    def __init__(self, rows: tuple[_Row, ...]):
+        self.rows = rows
+        self.dim = len(rows)
+        self.outside: dict[int, bool] = {}  # packed x -> x lies outside
+        self.joins: dict[int, _Subspace] = {}  # packed x -> the span of self and x
+
+
+class _Lattice:
+    """The subspaces of F_p^n that the span search reaches, interned under
+    their canonical key (module docstring). A memo miss is answered by
+    elimination (`_Packing`) and stored while the lattice holds fewer than
+    `_LATTICE_ENTRIES` entries; past that nothing is stored, and a join that
+    would intern a new subspace returns it uninterned."""
+
+    __slots__ = ("kernel", "zero", "interned", "entries")
+
+    def __init__(self, p: int, n: int):
+        self.kernel = _packing(p, n)
+        self.zero = _Subspace(())  # the root; no join reaches it, so it is not interned
+        self.interned: dict[tuple[int, ...], _Subspace] = {}
+        self.entries = 0
+
+    def outside(self, s: _Subspace, x: int) -> bool:
+        """Whether x lies outside s; the miss path of `s.outside`."""
+        answer = bool(self.kernel.reduce(s.rows, x))
+        if self.entries < _LATTICE_ENTRIES:
+            s.outside[x] = answer
+            self.entries += 1
+        return answer
+
+    def join(self, s: _Subspace, x: int) -> _Subspace:
+        """The span of s and x, s itself when x lies in s; the miss path of
+        `s.joins`."""
+        kernel = self.kernel
+        rows = list(s.rows)
+        if kernel.append(rows, x):
+            shift, new = rows[-1]
+            mask, p, add_multiple = kernel.mask, kernel.p, kernel.add_multiple
+            # the new row is zero at every older pivot; clear its pivot from the older rows
+            for k in range(len(rows) - 1):
+                old_shift, old = rows[k]
+                c = old >> shift & mask
+                if c:
+                    rows[k] = old_shift, add_multiple(old, new, p - c)
+            rows.sort()  # pivot order, distinct pivots: the canonical key
+            key = tuple(rows)
+            t = self.interned.get(key)
+            if t is None:
+                t = _Subspace(key)
+                if self.entries < _LATTICE_ENTRIES:
+                    self.interned[key] = t
+                    self.entries += 1
+        else:
+            t = s
+        if self.entries < _LATTICE_ENTRIES:
+            s.joins[x] = t
+            self.entries += 1
+        return t
+
+
+@lru_cache(maxsize=16)
+def _lattice(p: int, n: int) -> _Lattice:
+    """The one lattice per (p, n), shared by every graph's search."""
+    return _Lattice(p, n)
+
+
 @lru_cache(maxsize=64)
 def _basis(p: int, n: int) -> tuple[FpVector, ...]:
     """The standard basis e_1, ..., e_n of F_p^n, shared by every witness
@@ -271,66 +365,92 @@ def _search_dimension(g: Graph, p: int, n: int) -> dict[str, tuple[int, ...]] | 
     assigned vectors plus one fresh basis vector, which covers every solution
     up to a global change of basis.
 
-    Vectors are packed ints (format: see the module docstring) and every
-    span test runs on `_packing(p, n)`. The candidates of rank r are packed
-    once per (p, r), and the fresh basis vector is 1 << (w*r). A placement
-    adds at most one row per neighbor and reads only zero and rank tests, so
-    the result does not depend on the order in which neighbors are visited.
+    Vectors are packed ints (format: see the module docstring). The
+    candidates of rank r are packed once per (p, r), and the fresh basis
+    vector is 1 << (w*r). The assigned vectors span exactly the first r
+    coordinates, so a placement raises r exactly when it places the fresh
+    vector, the only candidate with a nonzero coordinate at or past r.
+
+    Each vertex holds the span of its placed neighbors' vectors as a
+    subspace interned in `_lattice(p, n)`, which every graph's search at
+    (p, n) shares. The membership and fullness tests are memo lookups, a
+    placement replaces each neighbor's subspace by the memoized join, and
+    undo restores the previous reference. A placement reads only membership
+    and dimension, so the result does not depend on the order in which
+    neighbors are visited, nor on whether an answer came from a memo or from
+    elimination. The lattice is never read by `span_conditions`, so the
+    self-check of every witness does not rest on the memos.
     """
-    kernel = _packing(p, n)
-    reduce, append = kernel.reduce, kernel.append
+    lattice = _lattice(p, n)
+    outside, join = lattice.outside, lattice.join
+    w = lattice.kernel.w
     order = _degree_order(g)
     m = len(order)
     pos = {v: i for i, v in enumerate(order)}
     adj = [[pos[u] for u in g.neighbor_indices[v]] for v in order]
     assigned: list[int] = [0] * m
-    # per-vertex echelon rows of the assigned part of its open neighborhood
-    nbr_rows: list[list[_Row]] = [[] for _ in range(m)]
-    global_rows: list[_Row] = []
+    # per vertex, the span of the assigned part of its open neighborhood
+    spans: list[_Subspace] = [lattice.zero] * m
+    rank = 0  # the dimension of the span of all assigned vectors
 
     def candidates(rank: int):
         yield from _packed_reps(p, rank)
         if rank < n:
-            yield 1 << (kernel.w * rank)
+            yield 1 << (w * rank)
 
     # one frame per placed vertex, deepest last: (its candidate iterator, the
-    # neighbors whose nbr_rows gained its vector, whether global_rows grew)
-    frames: list[tuple[Iterator[int], list[int], bool]] = []
+    # (neighbor, previous span) pairs whose span gained its vector, whether
+    # rank grew)
+    frames: list[tuple[Iterator[int], list[tuple[int, _Subspace]], bool]] = []
     pending = candidates(0)  # candidates of vertex len(frames)
     while len(frames) < m:
         i = len(frames)
+        s = spans[i]
+        known = s.outside
         for vec in pending:
-            if not reduce(nbr_rows[i], vec):
+            out = known.get(vec)
+            if not (outside(s, vec) if out is None else out):
                 continue
             ok = True
-            touched: list[int] = []
+            touched: list[tuple[int, _Subspace]] = []
             for u in adj[i]:
-                if append(nbr_rows[u], vec):
-                    touched.append(u)
+                su = spans[u]
+                t = su.joins.get(vec)
+                if t is None:
+                    t = join(su, vec)
+                if t is su:
+                    # every placed u lies outside its span, and every other u's
+                    # span is short of F_p^n; an unchanged span keeps both
+                    continue
+                touched.append((u, su))
+                spans[u] = t
                 if u < i:
-                    if not reduce(nbr_rows[u], assigned[u]):
+                    x = assigned[u]
+                    out = t.outside.get(x)
+                    if not (outside(t, x) if out is None else out):
                         ok = False
                         break
-                elif len(nbr_rows[u]) == n:
+                elif t.dim == n:
                     ok = False
                     break
             if ok:
                 assigned[i] = vec
-                frames.append((pending, touched, append(global_rows, vec)))
-                pending = candidates(len(global_rows))
+                grew = vec >> (w * rank) != 0
+                rank += grew
+                frames.append((pending, touched, grew))
+                pending = candidates(rank)
                 break
-            for u in touched:
-                nbr_rows[u].pop()
+            for u, su in touched:
+                spans[u] = su
         else:
             if not frames:
                 return None
             pending, touched, grew = frames.pop()
-            if grew:
-                global_rows.pop()
+            rank -= grew
             assigned[len(frames)] = 0
-            for u in touched:
-                nbr_rows[u].pop()
-    return {g.vertices[v]: kernel.unpack(x) for v, x in zip(order, assigned)}
+            for u, su in touched:
+                spans[u] = su
+    return {g.vertices[v]: lattice.kernel.unpack(x) for v, x in zip(order, assigned)}
 
 
 def span_chromatic_number(g: Graph, p: int) -> tuple[int, SpanColoring]:

@@ -624,3 +624,170 @@ def test_the_fano_witness_is_decided_through_elimination(monkeypatch):
     assert trace == _trace(reference_span_conditions, g, c)
     assert (g.vertices[i], False) in trace[0] and calls
     assert verify_span_coloring(g, c) is False
+
+
+# -- the shared subspace lattice of the span search ----------------------------
+
+@pytest.fixture
+def empty_lattices():
+    """Every (p, n) lattice starts empty, and the test leaves none behind."""
+    lattice = span_module._lattice  # the cached function, even while a test patches it
+    lattice.cache_clear()
+    yield
+    lattice.cache_clear()
+
+
+def _lattice_entries(lattice):
+    """The entries a lattice actually holds: interned subspaces and the memo
+    answers of those and of its root."""
+    subspaces = [lattice.zero, *lattice.interned.values()]
+    return len(lattice.interned) + sum(len(s.outside) + len(s.joins) for s in subspaces)
+
+
+def _look_up(lattice, s, x):
+    """(x lies outside s, the join of s and x), through the memos as the search reads them."""
+    out = s.outside.get(x)
+    t = s.joins.get(x)
+    return (lattice.outside(s, x) if out is None else out), (lattice.join(s, x) if t is None else t)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.sampled_from([2, 3, 5, 7, 251]), st.integers(1, 5), st.data())
+def test_lattice_joins_and_membership_match_elimination(p, n, data):
+    lattice = span_module._Lattice(p, n)
+    kernel = lattice.kernel
+    coord = st.one_of(st.sampled_from([0, 1, p - 1]), st.integers(0, p - 1))
+    vectors = data.draw(st.lists(st.tuples(*[coord] * n), max_size=n + 3))
+    probes = data.draw(st.lists(st.tuples(*[coord] * n), min_size=1, max_size=4))
+    packed = [kernel.pack(v) for v in vectors]
+    # a chain of joins against the echelon rows of the same vectors; every
+    # lookup twice, so the second is answered by the memo
+    s, rows = lattice.zero, []
+    for x in packed:
+        for _ in range(2):
+            out, t = _look_up(lattice, s, x)
+            assert out == bool(kernel.reduce(rows, x)) == (t is not s)
+        kernel.append(rows, x)
+        s = t
+        assert s.dim == len(rows)
+        for y in map(kernel.pack, probes + vectors):
+            for _ in range(2):
+                assert _look_up(lattice, s, y)[0] == bool(kernel.reduce(rows, y))
+    # another spanning list of the same subspace: the vectors shuffled, each
+    # scaled and given multiples of the ones before it, with zero and repeats
+    coeff = st.integers(0, p - 1)
+    order = data.draw(st.permutations(range(len(packed))))
+    other: list[int] = []
+    for k in order:
+        y = kernel.add_multiple(0, packed[k], data.draw(st.integers(1, p - 1)))
+        for z in other:
+            c = data.draw(coeff)
+            if c:
+                y = kernel.add_multiple(y, z, c)
+        other.append(y)
+    other += [0] + other[: data.draw(st.integers(0, 2))]
+    t = lattice.zero
+    for y in data.draw(st.permutations(other)):
+        t = _look_up(lattice, t, y)[1]
+    assert t is s
+
+
+def _gaussian_binomial(n, k, p):
+    count = 1
+    for i in range(k):
+        count = count * (p ** (n - i) - 1) // (p ** (i + 1) - 1)
+    return count
+
+
+@pytest.mark.parametrize("p, n, subspaces", [(2, 3, 16), (3, 3, 28), (5, 3, 64), (2, 4, 67)])
+def test_lattice_closed_under_joins_holds_every_subspace_once(p, n, subspaces):
+    assert sum(_gaussian_binomial(n, k, p) for k in range(n + 1)) == subspaces
+    lattice = span_module._Lattice(p, n)
+    reached, frontier = {id(lattice.zero): lattice.zero}, [lattice.zero]
+    while frontier:
+        s = frontier.pop()
+        for x in span_module._packed_reps(p, n):
+            t = _look_up(lattice, s, x)[1]
+            if id(t) not in reached:
+                reached[id(t)] = t
+                frontier.append(t)
+    assert len(reached) == len(lattice.interned) + 1 == subspaces
+    assert Counter(s.dim for s in reached.values()) == {
+        k: _gaussian_binomial(n, k, p) for k in range(n + 1)
+    }
+
+
+def _fresh_span_answers():
+    """s_p-chi and its serialized witness at p = 2, 3, 5 on fresh copies of
+    the witness graphs and the Fano antiflag graph."""
+    graphs = itertools.chain(witness_graphs(), [antiflag_graph(2)])
+    answers = []
+    for g in graphs:
+        for p in (2, 3, 5):
+            n, witness = span_chromatic_number(Graph.build(g.vertices, g.edges), p)
+            answers.append((n, witness.serialize()))
+    return answers
+
+
+@pytest.mark.parametrize("bound", [0, 57])
+def test_the_memo_bound_changes_no_answer(monkeypatch, empty_lattices, bound):
+    expected = _fresh_span_answers()
+    assert span_module._lattice.cache_info().maxsize is not None
+    span_module._lattice.cache_clear()
+    lattices = {}
+    make = span_module._lattice
+
+    def recording(p, n):
+        lattices[p, n] = make(p, n)
+        return lattices[p, n]
+
+    monkeypatch.setattr(span_module, "_LATTICE_ENTRIES", bound)
+    monkeypatch.setattr(span_module, "_lattice", recording)
+    assert _fresh_span_answers() == expected
+    assert lattices
+    for lattice in lattices.values():
+        assert _lattice_entries(lattice) == lattice.entries <= bound
+
+
+def test_the_witness_check_reads_no_lattice(monkeypatch):
+    witnesses = []
+    for g in itertools.chain(witness_graphs(), [antiflag_graph(2)]):
+        for p in (2, 3, 5):
+            witnesses.append((g, span_chromatic_number(g, p)[1]))
+
+    def refuse(p, n):
+        raise AssertionError("the span check read the lattice")
+
+    monkeypatch.setattr(span_module, "_lattice", refuse)
+    with pytest.raises(AssertionError, match="read the lattice"):
+        span_chromatic_number(antiflag_graph(2), 3)
+    tampered = 0
+    for g, witness in witnesses:
+        assert verify_span_coloring(g, witness), (g, witness)
+        if g.edges:
+            # a vertex given its neighbor's vector fails the check
+            u, v = g.sorted_edges()[0]
+            bad = SpanColoring(witness.p, witness.dim, {**witness.assignment, u: witness.assignment[v]})
+            assert verify_span_coloring(g, bad) is False
+            tampered += 1
+    assert tampered > 0
+
+
+def test_a_second_solve_on_an_equal_graph_makes_no_lattice_miss(monkeypatch, empty_lattices):
+    misses = []
+    for name in ("outside", "join"):
+        miss = getattr(span_module._Lattice, name)
+        monkeypatch.setattr(
+            span_module._Lattice, name, lambda self, s, x, miss=miss, name=name: misses.append(name) or miss(self, s, x)
+        )
+    searched = []
+    search = span_module._search_dimension
+    monkeypatch.setattr(span_module, "_search_dimension", lambda g, p, n: searched.append(n) or search(g, p, n))
+    graphs = [antiflag_graph(2), cycle_graph(7)]
+    first = [span_chromatic_number(g, p) for g in graphs for p in (3, 5)]
+    assert misses and searched
+    misses.clear()
+    searches = len(searched)
+    again = [span_chromatic_number(Graph.build(g.vertices, g.edges), p) for g in graphs for p in (3, 5)]
+    assert again == first
+    assert len(searched) == 2 * searches and misses == []
