@@ -1,13 +1,19 @@
 """Finite simple graphs: edge-list parsing, exact chromatic number.
 
+A `Graph` stores its adjacency once: its vertex labels and one neighbor
+bitmask per vertex (`neighbor_masks`, bit j for vertex j), built while the
+constructor validates the edges. Every other view is derived from these on
+first read and kept on the instance: the ascending neighbor indices
+(`neighbor_indices`), which every search reads, the isolated-vertex mask
+(`isolated_mask`), the label-to-index map (`index`) and the label-pair
+`edges`. No query of the library reads `edges`, so a graph that is only
+solved never builds it.
+
 A `Graph` is immutable, so its exact answers are facts about it: `max_clique`,
 the greedy DSATUR coloring and `chromatic_number` (and
 `span.span_chromatic_number`, per prime) solve at most once per `Graph`
 instance and keep the answer on it. Witnesses are returned as fresh copies, so
-a caller that mutates one cannot change a later answer. Every search reads
-neighbors through one index view, `Graph.neighbor_indices`; the realizability
-check reads the same rows as bitmasks (`neighbor_masks`, `isolated_mask`),
-also made once per `Graph`.
+a caller that mutates one cannot change a later answer.
 
 There is one coloring search, `_saturation_coloring` (DSATUR). With a color
 per vertex it is the greedy pass; below the greedy count it is chi's search,
@@ -22,34 +28,71 @@ from typing import Iterable
 
 from .errors import ContractError, GraphParseError
 
+# the table format's separators, and the comma that separates the generators
+# of a partition block
+LABEL_SEPARATORS = frozenset("*+^=,")
 
-@dataclass(frozen=True)
+
+def _label_fault(label) -> str | None:
+    """Why `label` cannot name a vertex, or None when it can. A vertex v is
+    the generator y_v in tables and partition blocks, and a graph file holds
+    it as one whitespace-free token before any `#` comment: so a label is a
+    non-empty string with no whitespace, no `#` and none of
+    `LABEL_SEPARATORS`, and every graph, table and partition reads back."""
+    if isinstance(label, str) and label.isalnum():
+        return None  # letters and digits only, the common case
+    if not isinstance(label, str) or label.split() != [label]:
+        return "a label is a non-empty string with no whitespace"
+    if "#" in label:
+        return "a label holds no #"
+    if not LABEL_SEPARATORS.isdisjoint(label):
+        return "a label holds none of * + ^ = ,"
+    return None
+
+
+@dataclass(frozen=True, init=False)
 class Graph:
-    """Immutable simple graph; vertex order is first-appearance order."""
+    """Immutable simple graph; vertex order is first-appearance order.
+
+    Stored: `vertices` and `neighbor_masks`, and equality and hashing read
+    exactly these, so two graphs are equal when they list the same vertices
+    in the same order and have the same edge set. Derived on first read and
+    kept: `neighbor_indices`, `isolated_mask`, `index` and `edges`."""
 
     vertices: tuple[str, ...]
-    edges: frozenset[tuple[str, str]]
+    neighbor_masks: tuple[int, ...]
 
-    def __post_init__(self):
-        index = {v: i for i, v in enumerate(self.vertices)}
-        if len(index) != len(self.vertices):
+    def __init__(self, vertices: Iterable[str], edges: Iterable[tuple[str, str]]):
+        vertices = tuple(vertices)
+        for label in vertices:
+            fault = _label_fault(label)
+            if fault is not None:
+                raise ContractError(f"bad vertex label {label!r}: {fault}")
+        index = {v: i for i, v in enumerate(vertices)}
+        if len(index) != len(vertices):
             raise ContractError("duplicate vertex labels")
-        normalized = set()
-        for edge in self.edges:
+        masks = [0] * len(vertices)
+        for edge in edges:
             try:
                 u, v = edge
             except (TypeError, ValueError):
                 raise ContractError(f"edge {edge!r} is not a pair of vertices") from None
             if u == v:
                 raise ContractError(f"loop edge at {u!r}")
-            if u not in index or v not in index:
+            i, j = index.get(u), index.get(v)
+            if i is None or j is None:
                 raise ContractError(f"edge ({u!r}, {v!r}) references unknown vertex")
-            normalized.add((u, v) if index[u] < index[v] else (v, u))
-        object.__setattr__(self, "edges", frozenset(normalized))
+            masks[i] |= 1 << j
+            masks[j] |= 1 << i
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "neighbor_masks", tuple(masks))
 
     @staticmethod
     def build(vertices: Iterable[str], edges: Iterable[tuple[str, str]] = ()) -> "Graph":
-        return Graph(tuple(vertices), frozenset(tuple(e) for e in edges))
+        return Graph(vertices, (tuple(e) for e in edges))
+
+    def __repr__(self) -> str:
+        return f"Graph(vertices={self.vertices!r}, edges={self.sorted_edges()!r})"
 
     @cached_property
     def index(self) -> dict[str, int]:
@@ -57,36 +100,44 @@ class Graph:
 
     @cached_property
     def neighbor_indices(self) -> tuple[tuple[int, ...], ...]:
-        """The ascending neighbor indices of each vertex index."""
-        index = self.index
-        rows: list[list[int]] = [[] for _ in self.vertices]
-        for u, v in self.edges:
-            rows[index[u]].append(index[v])
-            rows[index[v]].append(index[u])
-        return tuple(tuple(sorted(row)) for row in rows)
-
-    @cached_property
-    def neighbor_masks(self) -> tuple[int, ...]:
-        """The neighbors of each vertex index as a bitmask, bit j for vertex j."""
-        return tuple(sum(1 << j for j in row) for row in self.neighbor_indices)
+        """The ascending neighbor indices of each vertex index: the set bits
+        of its mask, lowest first."""
+        rows = []
+        for mask in self.neighbor_masks:
+            row = []
+            while mask:
+                low = mask & -mask
+                row.append(low.bit_length() - 1)
+                mask ^= low
+            rows.append(tuple(row))
+        return tuple(rows)
 
     @cached_property
     def isolated_mask(self) -> int:
         """The vertices with no neighbor as a bitmask, bit v for vertex v."""
-        return sum(1 << v for v, row in enumerate(self.neighbor_indices) if not row)
+        return sum(1 << v for v, mask in enumerate(self.neighbor_masks) if not mask)
+
+    @cached_property
+    def edges(self) -> frozenset[tuple[str, str]]:
+        """Each edge once as a pair of labels, the earlier vertex first."""
+        return frozenset(self.sorted_edges())
 
     @cached_property
     def _answers(self) -> dict:
         """Exact answers solved on this graph, by key: "clique", "greedy", "chi", ("span", p)."""
         return {}
 
-    def neighbors(self, v: str) -> frozenset[str]:
-        if v not in self.index:
+    def _position(self, v: str) -> int:
+        at = self.index.get(v)
+        if at is None:
             raise ContractError(f"unknown vertex {v!r}")
-        return frozenset(self.vertices[j] for j in self.neighbor_indices[self.index[v]])
+        return at
+
+    def neighbors(self, v: str) -> frozenset[str]:
+        return frozenset(self.vertices[j] for j in self.neighbor_indices[self._position(v)])
 
     def degree(self, v: str) -> int:
-        return len(self.neighbors(v))
+        return len(self.neighbor_indices[self._position(v)])
 
     def min_degree(self) -> int:
         return min(map(len, self.neighbor_indices), default=0)
@@ -96,10 +147,20 @@ class Graph:
         return [(vs[i], vs[j]) for i, row in enumerate(self.neighbor_indices) for j in row if i < j]
 
     def induced(self, keep: Iterable[str]) -> "Graph":
+        """The subgraph on the kept vertices, in this graph's vertex order,
+        read off their masks; a label not in the graph is ignored. Its labels
+        and edges are this graph's, so they are not validated again."""
         kept = set(keep)
-        vertices = tuple(v for v in self.vertices if v in kept)
-        edges = frozenset(e for e in self.edges if e[0] in kept and e[1] in kept)
-        return Graph(vertices, edges)
+        old = [i for i, v in enumerate(self.vertices) if v in kept]
+        masks = self.neighbor_masks
+        sub = object.__new__(Graph)
+        object.__setattr__(sub, "vertices", tuple(self.vertices[i] for i in old))
+        object.__setattr__(
+            sub,
+            "neighbor_masks",
+            tuple(sum(1 << b for b, j in enumerate(old) if masks[i] >> j & 1) for i in old),
+        )
+        return sub
 
 
 @dataclass(frozen=True, eq=True)
@@ -118,21 +179,18 @@ def coloring_is_valid(g: Graph, c: Coloring) -> bool:
         return False
     if any(not 1 <= col <= c.num_colors for col in c.assignment.values()):
         return False
-    return all(c.assignment[u] != c.assignment[v] for u, v in g.edges)
-
-
-# the table format's separators, and the comma that separates the generators
-# of a partition block
-LABEL_SEPARATORS = frozenset("*+^=,")
+    colors = [c.assignment[v] for v in g.vertices]
+    return all(colors[i] != colors[j] for i, row in enumerate(g.neighbor_indices) for j in row)
 
 
 def parse_graph(text: str) -> Graph:
     """Parse the edge-list format: `v <label>`, `e <a> <b>`, `#` comments. A
-    label holding one of `LABEL_SEPARATORS` is an input error, so every table
-    and partition over the graph reads back."""
+    label holding one of `LABEL_SEPARATORS` is an input error (the label rule
+    of `Graph`, named with its line), so every table and partition over the
+    graph reads back."""
     vertices: list[str] = []
     seen: set[str] = set()
-    edges: set[tuple[str, str]] = set()
+    edges: list[tuple[str, str]] = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -141,10 +199,9 @@ def parse_graph(text: str) -> Graph:
         if tokens[0] == "v":
             if len(tokens) != 2:
                 raise GraphParseError("expected `v <label>`", lineno)
-            # a vertex v is the generator y_v in tables and partition blocks
-            if not LABEL_SEPARATORS.isdisjoint(tokens[1]):
-                rule = "a label holds none of * + ^ = ,"
-                raise GraphParseError(f"bad vertex label {tokens[1]!r}: {rule}", lineno)
+            fault = _label_fault(tokens[1])
+            if fault is not None:
+                raise GraphParseError(f"bad vertex label {tokens[1]!r}: {fault}", lineno)
             if tokens[1] not in seen:
                 seen.add(tokens[1])
                 vertices.append(tokens[1])
@@ -157,10 +214,10 @@ def parse_graph(text: str) -> Graph:
             for w in (u, v):
                 if w not in seen:
                     raise GraphParseError(f"unknown vertex reference {w!r}", lineno)
-            edges.add((u, v))
+            edges.append((u, v))
         else:
             raise GraphParseError(f"unknown directive {tokens[0]!r}", lineno)
-    return Graph(tuple(vertices), frozenset(edges))
+    return Graph(vertices, edges)
 
 
 def serialize_graph(g: Graph) -> str:

@@ -444,7 +444,8 @@ def _index_blocks_pass(k: JoinComplex, blocks: tuple[frozenset[int], ...], fam: 
     sum |N(v) & Y| is twice the edges inside Y, and the edges crossing Y
     number sum deg(v) - sum |N(v) & Y|. Proof: deg(v) = |N(v) & Y| +
     |N(v) - Y|, and sum |N(v) - Y| counts each crossing edge once, from its
-    one end in Y. The rest of the |E| edges lie outside Y. So a block costs
+    one end in Y. The rest of the |E| edges lie outside Y, and 2|E| is the
+    degree sum over every vertex, read off the rows. So a block costs
     one popcount per vertex of Y. Each distinct multiset is looked up once
     per call."""
     g = k.graph
@@ -452,7 +453,7 @@ def _index_blocks_pass(k: JoinComplex, blocks: tuple[frozenset[int], ...], fam: 
     x_count = k.num_generators - len(masks)
     degrees = k.gen_degrees
     top = (k.graph_degree,)
-    twice_edges = 2 * len(g.edges)
+    twice_edges = sum(map(len, nbrs))
     passed: set[tuple[int, ...]] = set()
     for block in blocks:
         x_degrees = []
@@ -587,7 +588,7 @@ def check_realizable(
     # vertices, or the one empty face of a graph with no vertex; the lowest
     # bit of the kept isolated mask is the first isolated vertex
     isolated = g.isolated_mask
-    sizes = ([2] if g.edges else []) + ([1] if isolated else []) or [0]
+    sizes = ([2] if any(g.neighbor_masks) else []) + ([1] if isolated else []) or [0]
     x_count = k.num_generators - len(g.vertices)
     x_degrees = list(k.gen_degrees[:x_count])
     for t in sizes:

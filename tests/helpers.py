@@ -12,6 +12,7 @@ from random import Random
 
 from sr_chroma.algebra import AlgebraElement
 from sr_chroma.errors import ContractError
+from sr_chroma.families import FamilySpec
 from sr_chroma.graph import Graph, coloring_is_valid, max_clique
 from sr_chroma.realize import Partition, validate_decomposition
 from sr_chroma.span import SpanColoring, _search_dimension
@@ -20,6 +21,20 @@ from sr_chroma.steenrod import (
     Violation,
     relation_instance_bases,
     relations_and_bound,
+)
+
+
+# the benchmark's 9 census families, in its order
+CENSUS_SPECS = (
+    FamilySpec("B", (3,)),
+    FamilySpec("B", (5,)),
+    FamilySpec("Bp", (5, 5), 5),
+    FamilySpec("Bp", (6, 4), 5),
+    FamilySpec("Ap", (5, 5), 3),
+    FamilySpec("Ap", (6, 4), 3),
+    FamilySpec("Ap", (5, 5, 5, 5), 5),
+    FamilySpec("A", (4, 2)),
+    FamilySpec("A", (3, 3, 3)),
 )
 
 
@@ -45,23 +60,38 @@ def empty_graph(n: int) -> Graph:
     return Graph.build([str(i + 1) for i in range(n)], [])
 
 
-def all_graphs(n: int):
-    """Every labeled graph on vertices 1..n."""
+def all_edge_lists(n: int):
+    """(labels, edges) of every labeled graph on vertices 1..n."""
     labels = [str(i + 1) for i in range(n)]
     pairs = [(labels[i], labels[j]) for i in range(n) for j in range(i + 1, n)]
     for r in range(len(pairs) + 1):
         for chosen in itertools.combinations(pairs, r):
-            yield Graph.build(labels, chosen)
+            yield labels, list(chosen)
+
+
+def all_graphs(n: int):
+    """Every labeled graph on vertices 1..n."""
+    for labels, edges in all_edge_lists(n):
+        yield Graph.build(labels, edges)
+
+
+def reference_edges(vertices, edges) -> frozenset[tuple[str, str]]:
+    """The label-pair edge set as a `Graph` once stored it, normalized
+    eagerly from its input: each edge once, the earlier vertex first. The
+    reference for the derived `Graph.edges`."""
+    index = {v: i for i, v in enumerate(vertices)}
+    normalized = set()
+    for u, v in edges:
+        normalized.add((u, v) if index[u] < index[v] else (v, u))
+    return frozenset(normalized)
 
 
 def edge_adjacency(g: Graph) -> list[list[int]]:
-    """Neighbor indices per vertex index, read off `g.edges` alone, so the
-    references below do not rest on `Graph.neighbor_indices`."""
-    adj: list[list[int]] = [[] for _ in g.vertices]
-    for u, v in g.edges:
-        adj[g.index[u]].append(g.index[v])
-        adj[g.index[v]].append(g.index[u])
-    return adj
+    """Neighbor indices per vertex index, read off the stored
+    `g.neighbor_masks` by a plain bit test, so the references below rest on
+    neither derived view (`Graph.neighbor_indices`, `Graph.edges`)."""
+    n = len(g.vertices)
+    return [[j for j in range(n) if mask >> j & 1] for mask in g.neighbor_masks]
 
 
 def is_connected(g: Graph) -> bool:
@@ -246,6 +276,11 @@ def antiflag_graph(q: int) -> Graph:
     with x off L, and (x,L) ~ (y,M) when y is on L, x is on M and x != y.
     q = 2 is the Fano antiflag graph (28 vertices, 84 edges, omega 3, chi 4);
     q = 3 has 117 vertices and 702 edges."""
+    return Graph.build(*antiflag_edge_list(q))
+
+
+def antiflag_edge_list(q: int) -> tuple[list[str], list[tuple[str, str]]]:
+    """(labels, edges) of `antiflag_graph(q)`."""
     points = projective_vectors(q, 3)  # lines are the same vectors, dually
 
     def on(x: int, line: int) -> bool:
@@ -261,7 +296,7 @@ def antiflag_graph(q: int) -> Graph:
         and on(flags[b][0], flags[a][1])
         and on(flags[a][0], flags[b][1])
     ]
-    return Graph.build(labels, edges)
+    return labels, edges
 
 
 def reference_span_chromatic(g: Graph, p: int) -> int:

@@ -1,14 +1,23 @@
-"""Graph parsing, the index view, max clique and chromatic number."""
+"""Graph parsing, the stored masks and their derived views, max clique and
+chromatic number."""
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import itertools
+import pickle
+import tracemalloc
 from random import Random
 
 import pytest
 
 from helpers import (
+    CENSUS_SPECS,
+    all_edge_lists,
     all_graphs,
+    antiflag_edge_list,
+    antiflag_graph,
     complete_graph,
     cycle_graph,
     edge_adjacency,
@@ -17,6 +26,7 @@ from helpers import (
     oracle_colorable,
     path_graph,
     random_graph,
+    reference_edges,
     witness_graphs,
 )
 from sr_chroma import graph as graph_module
@@ -31,6 +41,7 @@ from sr_chroma.graph import (
     parse_graph,
     serialize_graph,
 )
+from sr_chroma.realize import check_realizable
 from sr_chroma.span import span_chromatic_number
 
 
@@ -68,7 +79,10 @@ def test_parse_comments_and_duplicates():
 
 
 def test_serialize_round_trip():
-    for g in (complete_graph(4), path_graph(3), empty_graph(2)):
+    rng = Random(5)
+    graphs = [complete_graph(4), path_graph(3), empty_graph(2), Graph.build([]), antiflag_graph(2)]
+    graphs += list(all_graphs(4)) + [random_graph(rng, 12) for _ in range(40)]
+    for g in graphs:
         assert parse_graph(serialize_graph(g)) == g
 
 
@@ -248,8 +262,8 @@ def test_max_clique_on_a_1100_vertex_complete_graph():
 
 
 def test_kept_masks_match_the_neighbor_rows():
-    # bit j of vertex v's mask is set iff j is in its neighbor row, and bit v
-    # of the isolated mask iff that row is empty; both are made once per Graph
+    # bit j of vertex v's stored mask is set iff j is in its derived neighbor
+    # row, and bit v of the isolated mask iff that row is empty
     def masks_from_rows(g):
         rows = g.neighbor_indices
         masks = tuple(sum(1 << j for j in set(row)) for row in rows)
@@ -263,6 +277,149 @@ def test_kept_masks_match_the_neighbor_rows():
     big = graphs[-1].neighbor_masks
     assert big[0] == (1 << 1100) - 2 and big[-1] == (1 << 1099) - 1
     assert {m.bit_count() for m in big} == {1099}
+
+
+# -- the stored adjacency and its derived views ------------------------------
+
+
+def _shuffled_edge_lists(rng: Random):
+    """(labels, edges) of every graph on 5 vertices, the Fano antiflag graph,
+    and seeded random graphs whose labels come in no sorted order and whose
+    edges come shuffled, each oriented at random, a third of them twice."""
+    yield from all_edge_lists(5)
+    yield antiflag_edge_list(2)
+    for _ in range(60):
+        labels = [f"v{i}" for i in range(rng.randint(1, 12))]
+        rng.shuffle(labels)
+        pairs = [e for e in itertools.combinations(labels, 2) if rng.random() < 0.4]
+        edges = [(a, b) if rng.random() < 0.5 else (b, a) for a, b in pairs]
+        edges += rng.sample(edges, len(edges) // 3)
+        rng.shuffle(edges)
+        yield labels, edges
+
+
+def test_derived_edges_match_the_eager_normalization():
+    for labels, edges in _shuffled_edge_lists(Random(31)):
+        g = Graph.build(labels, edges)
+        assert "edges" not in g.__dict__
+        assert g.edges == reference_edges(labels, edges), (labels, edges)
+        assert g.edges is g.edges
+        assert g.sorted_edges() == sorted(g.edges, key=lambda e: (g.index[e[0]], g.index[e[1]]))
+
+
+def test_edge_order_orientation_and_duplicates_do_not_change_the_graph():
+    rng = Random(37)
+    for _ in range(80):
+        labels = [str(i) for i in range(rng.randint(2, 10))]
+        edges = [e for e in itertools.combinations(labels, 2) if rng.random() < 0.5]
+        g = Graph.build(labels, edges)
+        same = [
+            Graph.build(labels, edges[::-1]),
+            Graph.build(labels, [(v, u) for u, v in edges]),
+            Graph(tuple(labels), frozenset(edges) | {(v, u) for u, v in edges}),
+            Graph(labels, rng.sample(edges * 2, 2 * len(edges))),
+        ]
+        for h in same:
+            assert h == g and hash(h) == hash(g)
+        assert len({g, *same}) == 1
+        assert Graph.build(labels[::-1], edges) != g
+        assert Graph.build(labels, edges[1:]) != g or not edges
+
+
+def test_a_graph_survives_pickle_and_copy_and_refuses_assignment():
+    rng = Random(43)
+    graphs = [Graph.build([]), cycle_graph(5), antiflag_graph(2)] + [random_graph(rng, 9) for _ in range(10)]
+    for g in graphs:
+        for solved in (False, True):
+            if solved:
+                chromatic_number(g), span_chromatic_number(g, 2), g.edges
+            for twin in (pickle.loads(pickle.dumps(g)), copy.copy(g), copy.deepcopy(g)):
+                assert twin == g and hash(twin) == hash(g)
+                assert (twin.edges, twin.neighbor_indices) == (g.edges, g.neighbor_indices)
+                assert chromatic_number(twin)[0] == chromatic_number(g)[0]
+        for name in ("vertices", "neighbor_masks", "edges"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(g, name, ())
+
+
+def test_no_query_builds_the_label_pairs():
+    # chi, s_p-chi and the census realizability checks read the masks and the
+    # index rows only; `edges` is built for readers outside the library
+    for g in witness_graphs():
+        assert coloring_is_valid(g, chromatic_number(g)[1])
+        for p in (2, 3, 5):
+            span_chromatic_number(g, p)
+        for spec in CENSUS_SPECS:
+            check_realizable(spec, g)
+        assert "edges" not in g.__dict__, g
+
+
+def test_a_parsed_graph_retains_under_half_the_bytes_of_its_label_pairs():
+    # census-sized graphs: 6-12 vertices, edge probability 0.35; a Graph once
+    # stored its label pairs, and they were most of its retained bytes
+    rng = Random(53)
+    pair_lists = []
+    for _ in range(1000):
+        n = rng.randint(6, 12)
+        pair_lists.append([(i, j) for i, j in itertools.combinations(range(n), 2) if rng.random() < 0.35])
+    texts = []
+    for pairs in pair_lists:
+        n = max((j for _, j in pairs), default=0) + 1
+        texts.append("".join(f"v {i}\n" for i in range(n)) + "".join(f"e {i} {j}\n" for i, j in pairs))
+
+    def retained(build):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            kept = build()
+            return kept, tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+
+    graphs, graph_bytes = retained(lambda: [parse_graph(text) for text in texts])
+    label_pairs, pair_bytes = retained(
+        lambda: [
+            frozenset((g.vertices[i], g.vertices[j]) for i, j in pairs)
+            for g, pairs in zip(graphs, pair_lists)
+        ]
+    )
+    assert [g.edges for g in graphs] == label_pairs
+    assert graph_bytes <= pair_bytes / 2, (graph_bytes, pair_bytes)
+
+
+def test_induced_and_degree_match_the_label_pairs():
+    for labels, edges in all_edge_lists(4):
+        g = Graph.build(labels, edges)
+        pairs = reference_edges(labels, edges)
+        for v in labels:
+            assert g.degree(v) == sum(v in e for e in pairs)
+        for r in range(len(labels) + 1):
+            for keep in itertools.combinations(labels, r):
+                sub = g.induced(reversed(keep))
+                kept_pairs = frozenset(e for e in pairs if set(e) <= set(keep))
+                want = Graph.build([v for v in labels if v in keep], kept_pairs)
+                assert sub == want and hash(sub) == hash(want), (edges, keep)
+                assert sub.vertices == tuple(keep) and sub.edges == kept_pairs
+    assert complete_graph(3).induced(["3", "1", "z"]) == Graph.build(["1", "3"], [("1", "3")])
+    with pytest.raises(ContractError, match="unknown vertex 'z'"):
+        complete_graph(3).degree("z")
+
+
+def test_every_graph_that_builds_reads_back_from_its_file():
+    # a label is one token of the file format, with none of the table and
+    # block separators; \x1c and \u2028 are line breaks to `splitlines`
+    rng = Random(59)
+    alphabet = "ab1_-.\u00e9\u00b2" * 6 + "#*+^=, \t\x1c\u2028"
+    for _ in range(500):
+        words = ("".join(rng.choice(alphabet) for _ in range(rng.randint(0, 3))) for _ in range(rng.randint(1, 4)))
+        labels = list(dict.fromkeys(words))
+        bad = [w for w in labels if not w or any(ch.isspace() or ch in "#*+^=," for ch in w)]
+        try:
+            g = Graph.build(labels, list(itertools.combinations(labels, 2))[:3])
+        except ContractError as exc:
+            assert bad and str(exc).startswith(f"bad vertex label {bad[0]!r}: "), (labels, exc)
+            continue
+        assert not bad and parse_graph(serialize_graph(g)) == g, labels
 
 
 def test_coloring_validity_checks():
@@ -289,6 +446,28 @@ def test_coloring_validity_checks():
             "edge ('a', 'b', 'c') is not a pair of vertices",
         ),
         (lambda: Graph(("a",), frozenset({("a",)})), ContractError, "edge ('a',) is not a pair of vertices"),
+        (lambda: Graph.build(["a,b"], []), ContractError, "bad vertex label 'a,b': a label holds none of * + ^ = ,"),
+        (lambda: Graph.build(["a#b", "c"], []), ContractError, "bad vertex label 'a#b': a label holds no #"),
+        (
+            lambda: Graph.build(["a", "a b"], []),
+            ContractError,
+            "bad vertex label 'a b': a label is a non-empty string with no whitespace",
+        ),
+        (
+            lambda: Graph.build([""], []),
+            ContractError,
+            "bad vertex label '': a label is a non-empty string with no whitespace",
+        ),
+        (
+            lambda: Graph((1, 2), frozenset({(1, 2)})),
+            ContractError,
+            "bad vertex label 1: a label is a non-empty string with no whitespace",
+        ),
+        (
+            lambda: parse_graph("v a\nv a*b\n"),
+            GraphParseError,
+            "line 2: bad vertex label 'a*b': a label holds none of * + ^ = ,",
+        ),
     ],
     ids=[
         "duplicate-vertex",
@@ -297,6 +476,12 @@ def test_coloring_validity_checks():
         "malformed-e",
         "edge-of-three",
         "edge-of-one",
+        "label-with-comma",
+        "label-with-hash",
+        "label-with-space",
+        "empty-label",
+        "label-not-a-string",
+        "parsed-label-with-separator",
     ],
 )
 def test_graph_input_errors(call, error, message):

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 import sr_chroma
 from helpers import (
+    CENSUS_SPECS,
     all_graphs,
     complete_graph,
     cycle_graph,
@@ -295,7 +296,7 @@ def test_construction_plan_is_kept_per_shape_and_chi():
     # one plan is made per key, so graphs of different chi never share one
     def cases():
         for g in (g for order in range(6) for g in all_graphs(order)):
-            for spec in REPORT_SPECS[:9]:  # the benchmark census families
+            for spec in CENSUS_SPECS:
                 for fam in (None, SOME_CHAINS):
                     yield build_complex(spec, g), fam
 
@@ -333,7 +334,7 @@ def test_certificate_is_checked_on_every_call(monkeypatch):
     built = Counter()
     for g in (g for order in range(5) for g in all_graphs(order)):
         chi, _ = chromatic_number(g)
-        for spec in REPORT_SPECS[:9]:  # the benchmark census families
+        for spec in CENSUS_SPECS:
             k = build_complex(spec, g)
             builds = _construction_plan.__wrapped__(k.blocks, k.graph_degree, chi) is not None
             for fam in (None, SOME_CHAINS):
@@ -362,7 +363,7 @@ def test_check_realizable_checks_no_coloring(monkeypatch):
     sys.setprofile(hook)
     try:
         for g in all_graphs(4):
-            for spec in REPORT_SPECS[:9]:  # the benchmark census families
+            for spec in CENSUS_SPECS:
                 realizable += check_realizable(spec, g).status == "CertifiedRealizable"
     finally:
         sys.setprofile(None)
@@ -404,7 +405,7 @@ def test_edge_index_is_the_eager_construction():
     # built on first read, it is the index the complex used to build up front:
     # each edge (u, v), u before v, at generator indices x_count + position
     for g in all_graphs(4):
-        for spec in REPORT_SPECS[:9]:  # the benchmark census families
+        for spec in CENSUS_SPECS:
             k = build_complex(spec, g)
             x_count = k.num_generators - len(g.vertices)
             at = {v: i for i, v in enumerate(g.vertices)}
@@ -425,7 +426,7 @@ def test_check_realizable_builds_no_edge_index(monkeypatch):
     monkeypatch.setattr(JoinComplex, "graph_edge_indices", property(counting))
     verdicts = Counter()
     for g in all_graphs(4):
-        for spec in REPORT_SPECS[:9]:  # the benchmark census families
+        for spec in CENSUS_SPECS:
             verdict = check_realizable(spec, g)
             verdicts[verdict.status] += 1
             verdict.to_text(), verdict.to_json_dict()
@@ -846,16 +847,7 @@ def test_face_witness_for_each_graph_face_size():
 # vertices, the 9 benchmark census families plus four shapes with zero-size or
 # uneven blocks, under the default family and the three explicit ones above.
 
-REPORT_SPECS = (
-    FamilySpec("B", (3,)),
-    FamilySpec("B", (5,)),
-    FamilySpec("Bp", (5, 5), 5),
-    FamilySpec("Bp", (6, 4), 5),
-    FamilySpec("Ap", (5, 5), 3),
-    FamilySpec("Ap", (6, 4), 3),
-    FamilySpec("Ap", (5, 5, 5, 5), 5),
-    FamilySpec("A", (4, 2)),
-    FamilySpec("A", (3, 3, 3)),
+REPORT_SPECS = CENSUS_SPECS + (
     FamilySpec("Bp", (3, 1), 5),
     FamilySpec("A", (2, 0, 1)),
     FamilySpec("Bp", (2, 0), 5),
