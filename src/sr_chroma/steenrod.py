@@ -174,11 +174,19 @@ def apply_power(table, terms: dict[int, int], k: int, cache: _PowerCache) -> dic
 
 @dataclass(frozen=True)
 class PowerRelation:
-    """An identity P^a P^b = sum of c * P^outer P^inner (inner 0 = identity)."""
+    """An identity P^a P^b = sum of c * P^outer P^inner (inner 0 = identity).
+
+    It is homogeneous: every rhs term has outer + inner = a + b, so both sides
+    raise a degree by the same 2(a + b)(p - 1), as every Adem relation does.
+    A term of another degree is a `ContractError`."""
 
     name: str
     lhs: tuple[int, int]
     rhs: tuple[tuple[int, int, int], ...]
+
+    def __post_init__(self) -> None:
+        if any(outer + inner != sum(self.lhs) for _, outer, inner in self.rhs):
+            raise ContractError(f"relation {self.name} has a term of another degree than its lhs")
 
 
 def _binom_mod(n: int, k: int, p: int) -> int:
@@ -448,12 +456,8 @@ def check_relations(
     p = table.p
     relations, bound = relations_and_bound(p, relation_set, degree_bound)
     ambient = table.ambient
-    # the lhs takes every base at most to the bound; a term of the rhs that
-    # raises the degree further than its lhs takes it past the bound
-    excess = max(
-        (outer + inner - sum(rel.lhs) for rel in relations for _, outer, inner in rel.rhs), default=0
-    )
-    cache = _PowerCache(ambient, bound + 2 * (p - 1) * max(excess, 0))
+    # each side takes every base at most to the bound: relations are homogeneous
+    cache = _PowerCache(ambient, bound)
     violations: list[Violation] = []
     for rel in relations:
         a, b = rel.lhs

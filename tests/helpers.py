@@ -225,9 +225,24 @@ def rref_rank(vectors: list[tuple[int, ...]], p: int) -> int:
 
 
 def oracle_has_span_coloring(g: Graph, p: int, n: int) -> bool:
+    """`full_oracle_has_span_coloring` with vertex 0 held at the first
+    projective point. This is exact. GL(n,p) acts transitively on the
+    projective points of F_p^n, and the span condition is GL-invariant: for
+    h in GL(n,p), h f(v) is outside span h f(N(v)) exactly when f(v) is
+    outside span f(N(v)). So if f is an n-span coloring and h sends f(0)'s
+    point to the first one, h f is an n-span coloring with vertex 0 there."""
+    return _projective_search(g, p, n, first_point_only=True)
+
+
+def full_oracle_has_span_coloring(g: Graph, p: int, n: int) -> bool:
     """All projective assignments in input vertex order. A branch is cut only
     when it is already dead: some assigned vertex's condition is violated, or
-    an unassigned vertex's assigned neighborhood spans the whole space."""
+    an unassigned vertex's assigned neighborhood spans the whole space. The
+    reference for `oracle_has_span_coloring`."""
+    return _projective_search(g, p, n, first_point_only=False)
+
+
+def _projective_search(g: Graph, p: int, n: int, first_point_only: bool) -> bool:
     verts = list(g.vertices)
     m = len(verts)
     adj = edge_adjacency(g)
@@ -250,7 +265,7 @@ def oracle_has_span_coloring(g: Graph, p: int, n: int) -> bool:
     def go(i: int) -> bool:
         if i == m:
             return True
-        for vec in cands:
+        for vec in cands[:1] if i == 0 and first_point_only else cands:
             chosen.append(vec)
             if still_alive(i) and go(i + 1):
                 return True

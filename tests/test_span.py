@@ -19,6 +19,8 @@ from helpers import (
     connected_graphs,
     cycle_graph,
     empty_graph,
+    full_oracle_has_span_coloring,
+    oracle_has_span_coloring,
     oracle_span_chromatic,
     path_graph,
     random_graph,
@@ -135,6 +137,21 @@ def test_span_witness_always_verifies():
             n, witness = span_chromatic_number(g, p)
             assert witness.dim == n
             assert verify_span_coloring(g, witness)
+
+
+def test_reduced_oracle_matches_the_full_one():
+    """Holding vertex 0 at the first projective point (GL(n,p) is transitive
+    on points) decides the same as the full search: every connected graph on
+    at most 4 vertices at p = 2 and 3 for every n <= |V|, and K5 at p = 2."""
+    cases = [(g, p) for nv in range(1, 5) for g in connected_graphs(nv) for p in (2, 3)]
+    cases.append((complete_graph(5), 2))
+    found = Counter()
+    for g, p in cases:
+        for n in range(1, len(g.vertices) + 1):
+            want = full_oracle_has_span_coloring(g, p, n)
+            assert oracle_has_span_coloring(g, p, n) == want, (g.edges, p, n)
+            found[want] += 1
+    assert found == {True: 207, False: 132}
 
 
 def test_span_solver_matches_oracle_small():

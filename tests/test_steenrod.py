@@ -630,12 +630,17 @@ def test_packed_fields_hold_the_largest_exponent():
     assert report.to_text() == reference_check_relations(table, degree_bound=100).to_text()
 
 
-def test_packed_fields_hold_an_rhs_past_the_bound():
-    """An rhs term of higher degree than its lhs reaches past the bound: on
-    x:2, y:2 at bound 124, P^3(x^58) holds x^64, which a 6-bit field sized
-    for the bound alone would carry into y's."""
-    amb = free(("x", 2), ("y", 2))
-    table = SteenrodTable(3, amb, {})
-    relations = (PowerRelation("P^1P^1 = P^3", (1, 1), ((1, 3, 0),)),)
-    report = check_relations(table, relations, 124)
-    assert report.to_text() == reference_check_relations(table, relations, 124).to_text()
+def test_an_inhomogeneous_relation_is_a_contract_error():
+    """A relation is homogeneous by construction: an rhs term whose operations
+    raise the degree further or less far than its lhs is rejected when the
+    relation is built, so no checker or search meets one. The check is an
+    `if`/`raise`, so it holds under python -O too. Every Adem relation is
+    homogeneous, so building one raises nothing."""
+    with pytest.raises(ContractError, match="another degree"):
+        PowerRelation("P^1P^1 = P^3", (1, 1), ((1, 3, 0),))
+    with pytest.raises(ContractError, match="another degree"):
+        PowerRelation("P^1P^3", (1, 3), ((1, 1, 1),))
+    for p in (3, 5, 7):
+        for b in range(1, 4):
+            for a in range(1, p * b):
+                adem_relation(a, b, p)
